@@ -37,11 +37,10 @@ from scipy.linalg import lu_factor, lu_solve
 from .errors import ContractError, DomainError, QualityGateError, SolverError
 from .geometry import BoundaryMesh, Geometry, mesh_geometry
 from .mie import free_space_smatrix
-from .modal import ModeIndex, ModeSet, gamma_2d
-from .smatrix import BoundaryCondition, SMatrix
+from .modal import ModeIndex, ModeSet, regular_waves_batch
+from .smatrix import DEFAULT_SMATRIX_GATE, BoundaryCondition, SMatrix
 
 _EULER_GAMMA = 0.5772156649015329
-DEFAULT_SMATRIX_GATE = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +105,20 @@ class BoundaryOperators:
     hypersingular: Optional[np.ndarray] = None  # T via Maue (rows NOT scaled)
 
 
+def _log_split(full, part, rw, lg, h, diag=None):
+    """Nystrom matrix of a kernel K = K1 ln(4 sin^2((t-tau)/2)) + K2.
+
+    full is K and part is K1; returns rw*K1 + h*(K - K1 ln 4sin^2). diag, when
+    given, holds the analytic coincident-point limits (K1_ii, K2_ii); they
+    overwrite the diagonal of part in place.
+    """
+    rest = full - part * lg
+    if diag is not None:
+        np.fill_diagonal(part, diag[0])
+        np.fill_diagonal(rest, diag[1])
+    return rw * part + h * rest
+
+
 def assemble_operators(mesh: BoundaryMesh, k: float, hypersingular: bool = False):
     if k <= 0:
         raise DomainError("wavenumber must be positive")
@@ -122,61 +135,49 @@ def assemble_operators(mesh: BoundaryMesh, k: float, hypersingular: bool = False
     z = k * rho
     j0, j1 = sp.j0(z), sp.j1(z)
     y0, y1 = sp.y0(z), sp.y1(z)
+    h0, h1 = j0 - 1j * y0, j1 - 1j * y1
 
     rw = _log_weight_matrix(mesh)
     lg = _log_sin_matrix(mesh)
 
-    # single layer, kernel -(j/4) H0^(2)(k rho) sigma(tau)
-    m_full = -0.25j * (j0 - 1j * y0) * sigma[None, :]
-    m1 = -(1.0 / (4.0 * np.pi)) * j0 * sigma[None, :]
-    m2 = m_full - m1 * lg
-    diag_s = (-0.25j - _EULER_GAMMA / (2 * np.pi) - np.log(k * sigma / 2.0) / (2 * np.pi)) * sigma
-    np.fill_diagonal(m1, -sigma / (4.0 * np.pi))
-    np.fill_diagonal(m2, diag_s)
-    single = rw * m1 + h * m2
+    # G0 = -(j/4) H0^(2)(k rho), its log part and its diagonal limit
+    g0 = -0.25j * h0
+    g0_log = -(1.0 / (4.0 * np.pi)) * j0
+    g0_diag = -0.25j - _EULER_GAMMA / (2 * np.pi) - np.log(k * sigma / 2.0) / (2 * np.pi)
+    diag_s = (-sigma / (4.0 * np.pi), g0_diag * sigma)
 
-    # curvature-like factor x1'' x2' - x2'' x1'
+    # single layer, kernel G0 sigma(tau)
+    single = _log_split(g0 * sigma[None, :], g0_log * sigma[None, :], rw, lg, h, diag_s)
+
+    # curvature-like factor x1'' x2' - x2'' x1' gives the double-layer limits
     curv = xpp[:, 0] * xp[:, 1] - xpp[:, 1] * xp[:, 0]
+    diag_d = (0.0, curv / (4.0 * np.pi * sigma**2))
 
     # double layer, kernel -(jk/4) H1^(2)(k rho) q / rho, q = dx . (x2', -x1')(tau)
     q = dx[:, :, 0] * xp[None, :, 1] - dx[:, :, 1] * xp[None, :, 0]
     np.fill_diagonal(q, 0.0)
-    l_full = -0.25j * k * (j1 - 1j * y1) * q / rho
-    l1 = -(k / (4.0 * np.pi)) * j1 * q / rho
-    l2 = l_full - l1 * lg
-    np.fill_diagonal(l1, 0.0)
-    np.fill_diagonal(l2, curv / (4.0 * np.pi * sigma**2))
-    double = rw * l1 + h * l2
+    double = _log_split(
+        -0.25j * k * h1 * q / rho, -(k / (4.0 * np.pi)) * j1 * q / rho, rw, lg, h, diag_d
+    )
 
     # adjoint double layer, kernel (jk/4) H1^(2) (dx . n(t)) sigma(tau) / rho
     pnum = dx[:, :, 0] * xp[:, None, 1] - dx[:, :, 1] * xp[:, None, 0]
     np.fill_diagonal(pnum, 0.0)
     p = pnum / sigma[:, None]
-    lp_full = 0.25j * k * (j1 - 1j * y1) * p * sigma[None, :] / rho
-    lp1 = (k / (4.0 * np.pi)) * j1 * p * sigma[None, :] / rho
-    lp2 = lp_full - lp1 * lg
-    np.fill_diagonal(lp1, 0.0)
-    np.fill_diagonal(lp2, curv / (4.0 * np.pi * sigma**2))
-    adjoint_double = rw * lp1 + h * lp2
+    adjoint_double = _log_split(
+        0.25j * k * h1 * p * sigma[None, :] / rho,
+        (k / (4.0 * np.pi)) * j1 * p * sigma[None, :] / rho,
+        rw, lg, h, diag_d,
+    )
 
     hyper = None
     if hypersingular:
         # Maue: T = (1/sigma) d/dt [ G0 applied to psi'(tau) ] + k^2 (n.n) S
-        g0_full = -0.25j * (j0 - 1j * y0)
-        g0_1 = -(1.0 / (4.0 * np.pi)) * j0
-        g0_2 = g0_full - g0_1 * lg
-        np.fill_diagonal(g0_1, -1.0 / (4.0 * np.pi))
-        np.fill_diagonal(
-            g0_2, -0.25j - _EULER_GAMMA / (2 * np.pi) - np.log(k * sigma / 2.0) / (2 * np.pi)
-        )
-        b = rw * g0_1 + h * g0_2
         nn = (xp[:, None, :] * xp[None, :, :]).sum(-1) / (sigma[:, None] * sigma[None, :])
-        nn_full = -0.25j * (j0 - 1j * y0) * nn * sigma[None, :]
-        nn1 = -(1.0 / (4.0 * np.pi)) * j0 * nn * sigma[None, :]
-        nn2 = nn_full - nn1 * lg
-        np.fill_diagonal(nn1, -sigma / (4.0 * np.pi))
-        np.fill_diagonal(nn2, diag_s)
-        weighted = rw * nn1 + h * nn2
+        weighted = _log_split(
+            g0 * nn * sigma[None, :], g0_log * nn * sigma[None, :], rw, lg, h, diag_s
+        )
+        b = _log_split(g0, g0_log, rw, lg, h, (-1.0 / (4.0 * np.pi), g0_diag))
         dspec = spectral_diff_matrix(n)
         hyper = (dspec @ b @ dspec) / sigma[:, None] + k**2 * weighted
 
@@ -373,13 +374,16 @@ def offnode_dirichlet_residual(
     lg = np.log(4.0 * np.sin(dt / 2.0) ** 2)
     sigma = mesh.speed
 
-    m_full = -0.25j * (j0 - 1j * y0) * sigma[None, :]
-    m1 = -(1.0 / (4.0 * np.pi)) * j0 * sigma[None, :]
-    single = rw * m1 + mesh.h * (m_full - m1 * lg)
+    single = _log_split(
+        -0.25j * (j0 - 1j * y0) * sigma[None, :],
+        -(1.0 / (4.0 * np.pi)) * j0 * sigma[None, :],
+        rw, lg, mesh.h,
+    )
     q = dx[:, :, 0] * mesh.xp[None, :, 1] - dx[:, :, 1] * mesh.xp[None, :, 0]
-    l_full = -0.25j * k * (j1 - 1j * y1) * q / rho
-    l1 = -(k / (4.0 * np.pi)) * j1 * q / rho
-    double = rw * l1 + mesh.h * (l_full - l1 * lg)
+    double = _log_split(
+        -0.25j * k * (j1 - 1j * y1) * q / rho, -(k / (4.0 * np.pi)) * j1 * q / rho,
+        rw, lg, mesh.h,
+    )
 
     # trigonometric interpolation of the density at t*
     delta = tstar[:, None] - mesh.t[None, :]
@@ -413,33 +417,9 @@ def standing_mode_traces(mesh: BoundaryMesh, modes: ModeSet, k: float):
     Column p holds 2 gamma_n J_n(kr) X_n(theta) at the nodes: the incoming
     mode p plus its own free-space outgoing response, finite everywhere.
     """
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    r = np.hypot(x, y)
-    if np.any(r == 0.0):
+    if np.any(np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1]) == 0.0):
         raise ContractError("boundary node at the basis origin")
-    th = np.arctan2(y, x)
-    nrm = mesh.normals
-    orders = np.array([p.n for p in modes.modes])
-    n_max = int(np.max(np.abs(orders)))
-    all_n = np.arange(-n_max - 1, n_max + 2)
-    jn = sp.jv(all_n[:, None], k * r[None, :])      # (orders, N)
-
-    def row(n):
-        return jn[n + n_max + 1]
-
-    values = np.zeros((mesh.n_nodes, len(orders)), dtype=complex)
-    normal_derivs = np.zeros_like(values)
-    cos_t, sin_t = np.cos(th), np.sin(th)
-    rdot_n = cos_t * nrm[:, 0] + sin_t * nrm[:, 1]
-    tdot_n = -sin_t * nrm[:, 0] + cos_t * nrm[:, 1]
-    for col, n in enumerate(orders):
-        g = 2.0 * gamma_2d(int(n), k)
-        ang = np.exp(1j * n * th) / np.sqrt(2.0 * np.pi)
-        values[:, col] = g * row(n) * ang
-        du_dr = g * k * 0.5 * (row(n - 1) - row(n + 1)) * ang
-        du_dt_over_r = g * row(n) * (1j * n / r) * ang
-        normal_derivs[:, col] = du_dr * rdot_n + du_dt_over_r * tdot_n
-    return values, normal_derivs
+    return regular_waves_batch(modes, k, mesh.nodes, mesh.normals)
 
 
 def bem_smatrix(

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .fields import (
     ClassificationThresholds,
+    FieldGrid,
     GridSpec,
     bem_excitation_fields,
     classify_modes,
@@ -43,11 +44,10 @@ from .geometry import (
     mesh_geometry,
 )
 from .mie import mie_smatrix, mie_smatrix_deriv
-from .modal import ModeSet, suggested_mode_count
+from .modal import ModeIndex, ModeSet, suggested_mode_count
 from .smatrix import BoundaryCondition
 from .volumeq import STYLES, QuadratureSpec, surface_identity_check, volume_q_matrix
 from .wigner import q_matrix, smatrix_fd_derivative, validate_smatrix, ws_decompose
-from .modal import ModeIndex
 
 UNITS_NOTE = (
     "units: meters; k in 1/m; c_sound = 1 m/s; delays in s are numerically lengths"
@@ -197,8 +197,6 @@ def run_scenario(cfg, out_dir):
     )
 
     if "volume-q" in cfg.checks:
-        if cfg.scenario != "sphere":
-            raise ConfigError("the volume-q check applies to the sphere scenario")
         quad = QuadratureSpec(radius=cfg.vol_kr / k, nodes_per_wavelength=cfg.vol_npw)
         scale = float(np.max(np.abs(np.diag(q.matrix))))
         residual_rows = []
@@ -222,8 +220,6 @@ def run_scenario(cfg, out_dir):
                 )
 
     if "appendix-b" in cfg.checks:
-        if cfg.scenario != "sphere":
-            raise ConfigError("the appendix-b check applies to the sphere scenario")
         radius = cfg.vol_kr / k
         lmax = max(p.l for p in modes.modes)
         pairs = [(ModeIndex.spherical(0, 0), ModeIndex.spherical(0, 0))]
@@ -267,8 +263,6 @@ def run_scenario(cfg, out_dir):
         for idx1 in cfg.export_modes:
             if not 1 <= idx1 <= len(modes):
                 raise ConfigError(f"export mode {idx1} out of range 1..{len(modes)}")
-            from .fields import FieldGrid
-
             fg = FieldGrid(
                 spec=grid,
                 values=mode_fields[:, idx1 - 1],
@@ -318,12 +312,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="scenario config file")
     parser.add_argument("--out", default="wsdelay_out", help="output directory")
     parser.add_argument(
-        "--check", default=None, help="comma-separated extra checks (volume-q,appendix-b,simdiag)"
+        "--check", default=None, help="comma-separated extra sphere checks (volume-q,appendix-b)"
     )
     parser.add_argument(
         "--modes", default=None, help="comma-separated 1-based mode indices to export fields"
     )
-    parser.add_argument("--seed", type=int, default=None, help="reserved")
     args = parser.parse_args(argv)
 
     try:
@@ -333,8 +326,6 @@ def main(argv=None) -> int:
             cfg.checks = tuple(dict.fromkeys(cfg.checks + extra))
         if args.modes:
             cfg.export_modes = tuple(int(x) for x in args.modes.split(","))
-        if args.seed is not None:
-            cfg.seed = args.seed
         cfg.validate()
     except (ConfigError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

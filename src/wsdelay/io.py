@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .modal import ModeSet
+from .smatrix import DEFAULT_SMATRIX_GATE
 
 FMT = "%.17g"
 
@@ -115,7 +116,7 @@ def write_mesh(path, mesh):
 # scenario config
 # ---------------------------------------------------------------------------
 SCENARIOS = ("sphere", "cylinder", "strip", "cavity", "custom")
-CHECK_NAMES = ("volume-q", "appendix-b", "simdiag")
+CHECK_NAMES = ("volume-q", "appendix-b")    # both sphere-only
 
 
 @dataclass
@@ -135,13 +136,12 @@ class ScenarioConfig:
     grid_nx: int = 301
     grid_ny: int = 301
     grid_halfwidth: Optional[float] = None
-    smatrix_gate: float = 1e-3
+    smatrix_gate: float = DEFAULT_SMATRIX_GATE
     vol_kr: float = 200.0
     vol_npw: float = 16.0
     checks: tuple = ()
     export_modes: tuple = ()          # 1-based mode indices for field export
     polyline: Optional[str] = None
-    seed: Optional[int] = None        # reserved; no stochastic components
 
     def validate(self):
         if self.scenario not in SCENARIOS:
@@ -149,16 +149,23 @@ class ScenarioConfig:
         if self.bc not in ("soft", "hard"):
             raise ConfigError(f"bc must be soft or hard, got {self.bc!r}")
         for name, val in (("k", self.k), ("a", self.a), ("w", self.w)):
-            if val <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not np.isfinite(val) or val <= 0:
+                raise ConfigError(f"{name} must be positive and finite")
         if self.mode_count is not None:
             if self.mode_count <= 0:
                 raise ConfigError("modes must be positive")
-            if self.scenario != "sphere" and self.mode_count % 2 == 0:
+            if self.scenario == "sphere":
+                if round(np.sqrt(self.mode_count)) ** 2 != self.mode_count:
+                    raise ConfigError("3D mode count must be a perfect square")
+            elif self.mode_count % 2 == 0:
                 raise ConfigError("2D mode count must be odd")
+        if self.grid_nx < 2 or self.grid_ny < 2:
+            raise ConfigError("grid_nx and grid_ny must be at least 2")
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}")
+            if self.scenario != "sphere":
+                raise ConfigError(f"the {c} check applies to the sphere scenario")
         if self.scenario == "custom" and not self.polyline:
             raise ConfigError("custom scenario needs polyline=<csv path>")
         return self
@@ -188,7 +195,6 @@ _FIELD_PARSERS = {
     "checks": lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
     "export_modes": lambda s: tuple(int(x) for x in s.split(",") if x.strip()),
     "polyline": str,
-    "seed": int,
 }
 
 _FIELD_NAMES = {"modes": "mode_count"}

@@ -15,9 +15,23 @@ radial-function recurrences, no finite differences involved.
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .modal import ModeIndex, ModeSet, conjugate_mode
+from .modal import (
+    ModeIndex,
+    ModeSet,
+    angular_factor,
+    conjugate_mode,
+    gamma_2d,
+    polar_coordinates,
+)
 from .smatrix import BoundaryCondition, SMatrix
-from .specfun import BesselKind, cyl_bessel, cyl_bessel_dx, sph_bessel, sph_bessel_dx
+from .specfun import (
+    BesselKind,
+    cyl_bessel,
+    cyl_bessel_dx,
+    sph_bessel,
+    sph_bessel_dx,
+    sph_harm,
+)
 
 H1, H2 = BesselKind.HANKEL1, BesselKind.HANKEL2
 
@@ -143,9 +157,6 @@ def outgoing_partial_wave(m: ModeIndex, k: float, points):
     conj(X_m) e^{-jkr}/r (3D) or conj(X_m) e^{-jkr}/sqrt(r) (2D); used to
     reconstruct total fields of centered scatterers at finite radius.
     """
-    from .modal import angular_factor, gamma_2d, polar_coordinates
-    from .specfun import sph_harm
-
     r, theta, phi = polar_coordinates(points, m.dim)
     if m.dim == 3:
         radial = k * (-1j) ** (m.l + 1) * sph_bessel(H2, m.l, k * r)

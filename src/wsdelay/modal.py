@@ -19,9 +19,10 @@ to it matters and is recorded on the ModeSet.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .errors import ContractError, DomainError, SingularPointError
-from .specfun import BesselKind, cyl_bessel, cyl_bessel_dx, sph_bessel, sph_harm
+from .specfun import BesselKind, cyl_bessel, sph_bessel, sph_harm
 
 FAR_ZONE_KR_MIN = 50.0
 
@@ -225,40 +226,41 @@ def regular_wave(p: ModeIndex, k: float, points):
     return radial * angular_factor(p, theta)
 
 
-def regular_waves_batch(modes: ModeSet, k: float, points):
-    """regular_wave for every mode of a 2D set at once (shared Bessel table)."""
+def regular_waves_batch(modes: ModeSet, k: float, points, normals=None):
+    """regular_wave for every port of a 2D set at once, from one J_n table.
+
+    Returns the (points, ports) values. Given one unit normal per point it
+    also returns the normal derivatives, as a second array of the same shape;
+    the points must then avoid the origin.
+    """
     if modes.dim != 2:
         raise ContractError("batched regular waves implemented for dim=2 only")
-    from scipy import special as _scipy_special
-
-    r, theta, _ = polar_coordinates(points, 2, allow_origin=True)
+    r, theta, _ = polar_coordinates(points, 2, allow_origin=normals is None)
     orders = np.array([p.n for p in modes.modes])
     n_max = int(np.max(np.abs(orders)))
-    table = _scipy_special.jv(np.arange(n_max + 1)[:, None], k * r[None, :])
-    out = np.zeros((len(r), len(orders)), dtype=complex)
-    inv_sqrt2pi = 1.0 / np.sqrt(2.0 * np.pi)
+    table = special.jv(np.arange(n_max + 2)[:, None], k * r[None, :])
+
+    def jn(n):  # J_{-n} = (-1)^n J_n
+        return table[n] if n >= 0 else (-1.0) ** (-n % 2) * table[-n]
+
+    values = np.empty((len(r), len(orders)), dtype=complex)
+    if normals is not None:
+        nrm = np.asarray(normals, dtype=float)
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        rdot_n = cos_t * nrm[:, 0] + sin_t * nrm[:, 1]
+        tdot_n = -sin_t * nrm[:, 0] + cos_t * nrm[:, 1]
+        normal_derivs = np.empty_like(values)
     for col, n in enumerate(orders):
-        jn = table[abs(n)] if n >= 0 else (-1.0) ** (abs(n) % 2) * table[abs(n)]
-        out[:, col] = (
-            2.0 * gamma_2d(int(n), k) * jn * np.exp(1j * n * theta) * inv_sqrt2pi
-        )
-    return out
-
-
-def regular_wave_gradient(p: ModeIndex, k: float, points):
-    """Cartesian gradient of regular_wave; 2D only (used for Neumann data)."""
-    if p.dim != 2:
-        raise ContractError("gradient template implemented for dim=2 only")
-    pts = np.asarray(points, dtype=float)
-    r, theta, _ = polar_coordinates(pts, 2)
-    g = 2.0 * gamma_2d(p.n, k)
-    ang = angular_factor(p, theta)
-    du_dr = g * k * cyl_bessel_dx(BesselKind.REGULAR_J, p.n, k * r) * ang
-    du_dth_over_r = g * cyl_bessel(BesselKind.REGULAR_J, p.n, k * r) * (1j * p.n / r) * ang
-    ct, st = np.cos(theta), np.sin(theta)
-    gx = du_dr * ct - du_dth_over_r * st
-    gy = du_dr * st + du_dth_over_r * ct
-    return np.stack([gx, gy], axis=-1)
+        g = 2.0 * gamma_2d(int(n), k)
+        ang = np.exp(1j * n * theta) / np.sqrt(2.0 * np.pi)
+        values[:, col] = g * jn(n) * ang
+        if normals is not None:
+            du_dr = g * k * 0.5 * (jn(n - 1) - jn(n + 1)) * ang
+            du_dt_over_r = g * jn(n) * (1j * n / r) * ang
+            normal_derivs[:, col] = du_dr * rdot_n + du_dt_over_r * tdot_n
+    if normals is None:
+        return values
+    return values, normal_derivs
 
 
 def outgoing_template(m: ModeIndex, k: float, points):

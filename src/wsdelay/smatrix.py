@@ -8,6 +8,9 @@ import numpy as np
 from .errors import ContractError
 from .modal import ModeSet
 
+# Largest unitarity or symmetry residual an S matrix may carry by default.
+DEFAULT_SMATRIX_GATE = 1e-3
+
 
 class BoundaryCondition(Enum):
     SOUND_SOFT = "soft"   # Dirichlet: potential vanishes on the boundary

@@ -26,8 +26,6 @@ from .errors import CapacityError, DomainError
 CYL_ORDER_MAX = 200
 SPH_DEGREE_MAX = 200
 
-_EULER_GAMMA = 0.5772156649015329
-
 
 class BesselKind(Enum):
     """Radial function family: regular, incoming (type 1), outgoing (type 2).

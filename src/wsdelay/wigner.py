@@ -15,9 +15,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .modal import ModeSet
-from .smatrix import SMatrix
-
-DEFAULT_SMATRIX_GATE = 1e-3
+from .smatrix import DEFAULT_SMATRIX_GATE, SMatrix
 
 # Eigenvalue gap below which eigenvectors are treated as one degenerate
 # cluster. Within a cluster the basis is rotated to diagonalize S as well

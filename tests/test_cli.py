@@ -32,7 +32,6 @@ class TestConfigParsing:
             k=1.0
             modes=111
             delta_k=2e-4
-            checks=simdiag
             export_modes=1,2
             """.replace("            ", ""),
         )
@@ -41,7 +40,6 @@ class TestConfigParsing:
         assert cfg.bc == "hard"
         assert cfg.mode_count == 111
         assert cfg.delta_k == 2e-4
-        assert cfg.checks == ("simdiag",)
         assert cfg.export_modes == (1, 2)
 
     def test_unknown_key_reports_line(self, tmp_path):
@@ -70,6 +68,13 @@ class TestConfigParsing:
             ScenarioConfig(scenario="strip", checks=("nope",)).validate()
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="custom").validate()
+
+    def test_checks_are_sphere_only(self, tmp_path):
+        p = write(tmp_path / "s.cfg", "scenario=sphere\nmodes=4\nchecks=volume-q\n")
+        assert parse_config(p).checks == ("volume-q",)
+        p = write(tmp_path / "c.cfg", "scenario=strip\nmodes=11\nchecks=volume-q\n")
+        with pytest.raises(ConfigError):
+            parse_config(p)
 
     def test_polyline(self, tmp_path):
         p = write(tmp_path / "v.csv", "0,0\n1 0 # corner\n1,1\n")
@@ -204,6 +209,31 @@ class TestMainExitCodes:
     def test_input_error_exit_3(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", "scenario=warp\n")
         assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize(
+        "text, extra",
+        [
+            pytest.param("scenario=strip\nk=nan\nmodes=11\n", [], id="k-nan"),
+            pytest.param("scenario=strip\nk=inf\nmodes=11\n", [], id="k-inf"),
+            pytest.param("scenario=cylinder\na=nan\nmodes=9\n", [], id="a-nan"),
+            pytest.param("scenario=cavity\nw=inf\nmodes=11\n", [], id="w-inf"),
+            pytest.param("scenario=strip\nmodes=11\ngrid_nx=1\n", [], id="grid-nx"),
+            pytest.param("scenario=strip\nmodes=11\ngrid_ny=0\n", [], id="grid-ny"),
+            pytest.param("scenario=sphere\nmodes=5\n", [], id="sphere-modes"),
+            pytest.param(
+                "scenario=strip\nmodes=11\nchecks=volume-q\n", [], id="strip-volume-q"
+            ),
+            pytest.param(
+                "scenario=cylinder\nmodes=9\n", ["--check", "appendix-b"],
+                id="cylinder-appendix-b",
+            ),
+        ],
+    )
+    def test_bad_input_exit_3_before_output(self, tmp_path, text, extra):
+        cfg = write(tmp_path / "c.cfg", text)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out)] + extra) == 3
+        assert not out.exists()
 
     def test_missing_config_exit_3(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 3

@@ -11,7 +11,7 @@ from wsdelay.modal import (
     incoming_wave,
     outgoing_template,
     regular_wave,
-    regular_wave_gradient,
+    regular_waves_batch,
     suggested_mode_count,
 )
 from wsdelay.specfun import sph_harm
@@ -143,17 +143,35 @@ class TestRegularWave:
         assert np.all(np.isfinite(vals))
         assert np.all(np.abs(vals) < 1e-30)
 
+    def test_batch_matches_single_waves(self):
+        modes = ModeSet.angular(6, k=1.3)
+        pts = np.array([[2.1, -0.7], [-0.4, 3.3], [0.0, 0.0], [-5.0, -1e-3]])
+        vals = regular_waves_batch(modes, 1.3, pts)
+        assert vals.shape == (4, 13)
+        for col, p in enumerate(modes.modes):
+            want = regular_wave(p, 1.3, pts)
+            assert np.allclose(vals[:, col], want, rtol=1e-14, atol=0.0), p
+
     def test_gradient_against_finite_difference(self):
         p = ModeIndex.angular(3)
         k = 1.3
+        modes = ModeSet.angular(3, k)
         pt = np.array([2.1, -0.7])
         h = 1e-6
-        grad = regular_wave_gradient(p, k, pt)
+        # normal derivatives along (1, 0) and (0, 1) are the gradient
+        _, grad = regular_waves_batch(modes, k, np.array([pt, pt]), normals=np.eye(2))
+        col = modes.position(p)
         for axis in range(2):
             e = np.zeros(2)
             e[axis] = h
             fd = (regular_wave(p, k, pt + e) - regular_wave(p, k, pt - e)) / (2 * h)
-            assert abs(grad[axis] - fd) < 1e-7 * max(1.0, abs(fd))
+            assert abs(grad[axis, col] - fd) < 1e-7 * max(1.0, abs(fd))
+
+    def test_normal_derivatives_reject_origin(self):
+        modes = ModeSet.angular(2, k=1.0)
+        pts = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(SingularPointError):
+            regular_waves_batch(modes, 1.0, pts, normals=np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
 class TestOutgoingTemplate:
