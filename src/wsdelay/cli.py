@@ -13,6 +13,8 @@ so reported delays are numerically path lengths.
 import argparse
 import os
 import sys
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -40,6 +42,8 @@ from .fields import (
 )
 from .geometry import (
     CAVITY_INTERIOR_BOX,
+    BoundaryMesh,
+    Geometry,
     make_geometry,
     mesh_geometry,
 )
@@ -52,19 +56,6 @@ from .wigner import q_matrix, smatrix_fd_derivative, validate_smatrix, ws_decomp
 UNITS_NOTE = (
     "units: meters; k in 1/m; c_sound = 1 m/s; delays in s are numerically lengths"
 )
-
-
-def _bc(cfg) -> BoundaryCondition:
-    return (
-        BoundaryCondition.SOUND_SOFT if cfg.bc == "soft" else BoundaryCondition.SOUND_HARD
-    )
-
-
-def _mode_count(cfg, dim):
-    if cfg.mode_count is not None:
-        return cfg.mode_count
-    a = cfg.suggest_a if cfg.suggest_a is not None else cfg.a
-    return suggested_mode_count(cfg.k, a, cfg.suggest_c, dim)
 
 
 def _grid_halfwidth(cfg, circumradius):
@@ -104,82 +95,89 @@ class GateLedger:
         return out
 
 
-def run_scenario(cfg, out_dir):
-    """Execute one scenario and write all artifacts; returns the summary."""
-    cfg.validate()
-    wio.ensure_dir(out_dir)
-    k = cfg.k
-    bc = _bc(cfg)
-    dim = 3 if cfg.scenario == "sphere" else 2
-    modes = ModeSet.with_count(dim, _mode_count(cfg, dim), k)
-    gates = GateLedger()
-    report = []
-    report.append("wsdelay scenario report")
-    report.append("=======================")
-    report.append(
-        f"scenario={cfg.scenario} bc={cfg.bc} k={k:g} M={len(modes)} dim={dim}"
-    )
-    report.append(UNITS_NOTE)
+@dataclass
+class _Setup:
+    dim: int
+    bc: BoundaryCondition
+    geometry: Optional[Geometry]    # None for the sphere
+    circumradius: float
+    modes: ModeSet
+    mesh: Optional[BoundaryMesh]    # None for the closed-form scenarios
+    grid: Optional[GridSpec]        # field-map grid, 2D only
+    quad: Optional[QuadratureSpec]  # volume-route quadrature, volume-q only
 
+
+def _setup(cfg) -> _Setup:
+    """Geometry, ports, mesh and grids, with every check that needs M or the
+    scatterer's size. Default M is the truncation rule at the circumradius."""
+    k, dim = cfg.k, 3 if cfg.scenario == "sphere" else 2
     geometry = None
-    mesh = None
-    dk = cfg.delta_k if cfg.delta_k is not None else 1e-4 * k
-
-    if cfg.scenario == "sphere":
-        s = mie_smatrix(3, bc, k, cfg.a, modes)
-        sprime = mie_smatrix_deriv(3, bc, k, cfg.a, modes)
-        provenance = "analytic"
-        circumradius = cfg.a
-        report.append(f"solver: separation of variables, a={cfg.a:g}")
-    elif cfg.scenario == "cylinder":
-        s = mie_smatrix(2, bc, k, cfg.a, modes)
-        sprime = mie_smatrix_deriv(2, bc, k, cfg.a, modes)
-        provenance = "analytic"
-        geometry = make_geometry("circle", a=cfg.a)
-        circumradius = cfg.a
-        report.append(f"solver: separation of variables, a={cfg.a:g}")
-    else:
-        if cfg.scenario == "strip":
-            geometry = make_geometry("strip")
-        elif cfg.scenario == "cavity":
-            geometry = make_geometry("cavity", w=cfg.w)
-        else:
-            geometry = make_geometry(
-                "custom", vertices=wio.read_polyline(cfg.polyline)
-            )
-        mesh = mesh_geometry(
-            geometry, k, cfg.nodes_per_wavelength, cfg.grading_exponent
-        )
-        s, solution, mesh = bem_smatrix(
-            geometry, bc, k, modes, mesh=mesh, gate=None, return_solution=True
-        )
-
-        def provider(kp):
-            return bem_smatrix(
-                geometry,
-                bc,
-                kp,
-                ModeSet.with_count(2, len(modes), kp),
-                mesh=mesh,
-                gate=None,
-            )
-
-        sprime = smatrix_fd_derivative(provider, k, dk=dk, richardson=cfg.richardson)
-        provenance = "finite-difference"
+    if cfg.scenario == "custom":
+        geometry = make_geometry("custom", vertices=wio.read_polyline(cfg.polyline))
+    elif dim == 2:
+        geometry = make_geometry(cfg.scenario, a=cfg.a, w=cfg.w)
+    circumradius = cfg.a
+    if geometry is not None and geometry.corners:
         circumradius = max(np.hypot(*v) for v in geometry.corners)
-        report.append(
-            f"solver: combined-field Nystrom, {mesh.n_nodes} nodes, "
-            f"{cfg.nodes_per_wavelength:g}/wavelength, grading p={cfg.grading_exponent}"
-        )
-        report.append(f"derivative: central difference, dk={dk:g}"
-                      + (" with Richardson pass" if cfg.richardson else ""))
+    count = cfg.mode_count
+    if count is None:
+        count = suggested_mode_count(k, circumradius, 3.0, dim)
+    modes = ModeSet.with_count(dim, count, k)
+    for idx1 in cfg.export_modes:
+        if not 1 <= idx1 <= len(modes):
+            raise ConfigError(f"export mode {idx1} out of range 1..{len(modes)}")
+    mesh = grid = quad = None
+    if cfg.scenario not in ("sphere", "cylinder"):
+        mesh = mesh_geometry(geometry, k, cfg.nodes_per_wavelength, cfg.grading_exponent)
+    if dim == 2:
+        hw = _grid_halfwidth(cfg, circumradius)
+        grid = GridSpec(-hw, hw, -hw, hw, cfg.grid_nx, cfg.grid_ny)
+    if "volume-q" in cfg.checks:
+        quad = QuadratureSpec(radius=cfg.vol_kr / k, nodes_per_wavelength=cfg.vol_npw)
+        quad.validate(k, cfg.a)
+    bc = BoundaryCondition.SOUND_SOFT if cfg.bc == "soft" else BoundaryCondition.SOUND_HARD
+    return _Setup(dim, bc, geometry, circumradius, modes, mesh, grid, quad)
 
+
+def _solve(cfg, st):
+    """S and dS/dk: closed form for the sphere and cylinder, the Nystrom
+    solver with a central difference otherwise. Returns
+    (s, sprime, provenance, boundary solution or None, report lines)."""
+    k, modes = cfg.k, st.modes
+    if st.mesh is None:
+        s = mie_smatrix(st.dim, st.bc, k, cfg.a, modes)
+        sprime = mie_smatrix_deriv(st.dim, st.bc, k, cfg.a, modes)
+        return s, sprime, "analytic", None, [f"solver: separation of variables, a={cfg.a:g}"]
+    s, solution, _ = bem_smatrix(
+        st.geometry, st.bc, k, modes, mesh=st.mesh, gate=None, return_solution=True
+    )
+
+    def provider(kp):
+        return bem_smatrix(
+            st.geometry, st.bc, kp, ModeSet.with_count(2, len(modes), kp),
+            mesh=st.mesh, gate=None,
+        )
+
+    dk = cfg.delta_k if cfg.delta_k is not None else 1e-4 * k
+    sprime = smatrix_fd_derivative(provider, k, dk=dk, richardson=cfg.richardson)
+    lines = [
+        f"solver: combined-field Nystrom, {st.mesh.n_nodes} nodes, "
+        f"{cfg.nodes_per_wavelength:g}/wavelength, grading p={cfg.grading_exponent}",
+        f"derivative: central difference, dk={dk:g}"
+        + (" with Richardson pass" if cfg.richardson else ""),
+    ]
+    return s, sprime, "finite-difference", solution, lines
+
+
+def _decompose(cfg, s, sprime, provenance):
+    """Q, its delay eigenmodes and the structural gates, in report order."""
     q = q_matrix(s, sprime, provenance=provenance)
     dec = ws_decompose(q, s)
-
-    srep = validate_smatrix(s, cfg.smatrix_gate)
-    gates.add("unitarity_residual", srep.unitarity_residual, cfg.smatrix_gate)
-    gates.add("symmetry_residual", srep.symmetry_residual, cfg.smatrix_gate)
+    gate = cfg.smatrix_gate
+    gates = GateLedger()
+    srep = validate_smatrix(s, gate)
+    gates.add("unitarity_residual", srep.unitarity_residual, gate)
+    gates.add("symmetry_residual", srep.symmetry_residual, gate)
     gates.record("q_presym_residual", q.presym_residual)
     gates.add("hermiticity_residual", q.hermiticity_residual(), 1e-12)
     gates.add("w_orthonormality", dec.orthonormality_residual(), 1e-10)
@@ -189,115 +187,143 @@ def run_scenario(cfg, out_dir):
         dec.diagonal_delay_identity_residual(q),
         1e-10 * max(1.0, float(np.max(np.abs(dec.delays)))),
     )
-    gates.add("simdiag_offdiag", dec.simdiag_offdiag_residual(), 10 * cfg.smatrix_gate)
+    gates.add("simdiag_offdiag", dec.simdiag_offdiag_residual(), 10 * gate)
     gates.add(
         "sbar_unimodular",
         float(np.max(np.abs(np.abs(np.diag(dec.sbar)) - 1.0))),
-        10 * cfg.smatrix_gate,
+        10 * gate,
     )
+    return q, dec, gates
 
-    if "volume-q" in cfg.checks:
-        quad = QuadratureSpec(radius=cfg.vol_kr / k, nodes_per_wavelength=cfg.vol_npw)
+
+def _sphere_checks(cfg, st, q, gates):
+    """Volume routes against j S^dag S' and the Appendix B surface identities,
+    added to the gates; returns the volume routes' residual rows, or None."""
+    k, rows = cfg.k, None
+    if st.quad is not None:
         scale = float(np.max(np.abs(np.diag(q.matrix))))
-        residual_rows = []
+        rows = []
         for style in STYLES:
-            qv = volume_q_matrix(style, bc, k, cfg.a, modes, quad)
-            rel = float(np.max(np.abs(qv.matrix - q.matrix))) / scale
-            gates.add(f"volume_route_{style}", rel, 1e-3)
-            for i in range(len(modes)):
+            qv = volume_q_matrix(style, st.bc, k, cfg.a, st.modes, st.quad)
+            gates.add(f"volume_route_{style}", np.max(np.abs(qv.matrix - q.matrix)) / scale, 1e-3)
+            for i in range(len(st.modes)):
                 val, ref = qv.matrix[i, i], q.matrix[i, i]
-                residual_rows.append(
-                    (i, i, style, val.real, val.imag, ref.real, ref.imag,
-                     abs(val - ref) / max(abs(ref), 1e-300))
-                )
-        with open(os.path.join(out_dir, "volumeq_residuals.csv"), "w") as fh:
-            fh.write("p,q,route,value_re,value_im,reference_re,reference_im,rel_err\n")
-            for row in residual_rows:
-                fh.write(
-                    f"{row[0]},{row[1]},{row[2]},"
-                    + ",".join(wio.FMT % v for v in row[3:])
-                    + "\n"
-                )
-
+                rows.append((i, i, style, val.real, val.imag, ref.real, ref.imag,
+                             abs(val - ref) / max(abs(ref), 1e-300)))
     if "appendix-b" in cfg.checks:
-        radius = cfg.vol_kr / k
-        lmax = max(p.l for p in modes.modes)
         pairs = [(ModeIndex.spherical(0, 0), ModeIndex.spherical(0, 0))]
-        if lmax >= 1:
+        if max(p.l for p in st.modes.modes) >= 1:
             pairs.append((ModeIndex.spherical(1, 0), ModeIndex.spherical(1, 0)))
             pairs.append((ModeIndex.spherical(0, 0), ModeIndex.spherical(1, 0)))
         alg = num = 0.0
-        for p, qq in pairs:
-            repx = surface_identity_check(p, qq, bc, k, cfg.a, radius)
-            alg = max(alg, repx.algebraic_residual)
-            if (p.l, p.m) == (qq.l, qq.m):
-                num = max(num, repx.numeric_rel_error)
+        for p, pq in pairs:
+            rep = surface_identity_check(p, pq, st.bc, k, cfg.a, cfg.vol_kr / k)
+            alg = max(alg, rep.algebraic_residual)
+            if (p.l, p.m) == (pq.l, pq.m):
+                num = max(num, rep.numeric_rel_error)
         gates.add("appendix_b_algebraic", alg, 1e-12)
         gates.add("appendix_b_numeric", num, 1e-2)
+    return rows
 
-    classification = None
-    baselines = None
-    if dim == 2 and geometry is not None:
-        hw = _grid_halfwidth(cfg, circumradius)
-        grid = GridSpec(-hw, hw, -hw, hw, cfg.grid_nx, cfg.grid_ny)
-        if cfg.scenario == "cylinder":
-            cache = modal_excitation_fields(s, geometry, grid)
-        else:
-            cache = bem_excitation_fields(mesh, solution, modes, grid)
-        mode_fields = mode_field_matrix(cache, dec.w)
-        interior = CAVITY_INTERIOR_BOX if cfg.scenario == "cavity" else None
-        regions = region_masks(geometry, grid, k, cache.mask, interior_box=interior)
-        metrics = [
-            localization_metrics(mode_fields[:, i], regions)
-            for i in range(mode_fields.shape[1])
-        ]
-        baselines = regions.baselines
-        thresholds = ClassificationThresholds(tau_ballistic=2.0 * circumradius)
-        classification = classify_modes(dec.delays, metrics, thresholds)
-        wio.write_classification(os.path.join(out_dir, "classification.csv"), classification)
+
+def _field_maps(cfg, st, s, solution, dec):
+    """Classify the delay eigenmodes from their total-field maps.
+
+    Returns (classification, baselines, [(index, FieldGrid)] of the exported
+    modes); the excitation cache and the mode-field matrix die on return.
+    """
+    if st.grid is None:
+        return None, None, []
+    if solution is None:
+        cache = modal_excitation_fields(s, st.geometry, st.grid)
+    else:
+        cache = bem_excitation_fields(st.mesh, solution, st.modes, st.grid)
+    mode_fields = mode_field_matrix(cache, dec.w)
+    interior = CAVITY_INTERIOR_BOX if cfg.scenario == "cavity" else None
+    regions = region_masks(st.geometry, st.grid, cfg.k, cache.mask, interior_box=interior)
+    metrics = [
+        localization_metrics(mode_fields[:, i], regions)
+        for i in range(mode_fields.shape[1])
+    ]
+    thresholds = ClassificationThresholds(tau_ballistic=2.0 * st.circumradius)
+    classification = classify_modes(dec.delays, metrics, thresholds)
+    exports = [
+        (i, FieldGrid(spec=st.grid, values=mode_fields[:, i - 1].copy(),
+                      mask=cache.mask, k=cfg.k))
+        for i in cfg.export_modes
+    ]
+    return classification, regions.baselines, exports
+
+
+def _report(cfg, st, solver_lines, classification, dec, gates):
+    lines = [
+        "wsdelay scenario report",
+        "=======================",
+        f"scenario={cfg.scenario} bc={cfg.bc} k={cfg.k:g} M={len(st.modes)} dim={st.dim}",
+        UNITS_NOTE,
+        *solver_lines,
+    ]
+    if classification is not None:
         counts = group_counts(classification)
-        report.append(
-            "classification: "
-            + " ".join(f"{name}={counts[name]}" for name in sorted(counts))
+        lines.append(
+            "classification: " + " ".join(f"{n}={counts[n]}" for n in sorted(counts))
         )
-        for idx1 in cfg.export_modes:
-            if not 1 <= idx1 <= len(modes):
-                raise ConfigError(f"export mode {idx1} out of range 1..{len(modes)}")
-            fg = FieldGrid(
-                spec=grid,
-                values=mode_fields[:, idx1 - 1],
-                mask=cache.mask,
-                k=k,
-            )
-            wio.write_field_grid(
-                os.path.join(out_dir, f"mode_{idx1:03d}_field.csv"), fg
-            )
+    lines.append(f"delays: min={dec.delays[0]:.6g} max={dec.delays[-1]:.6g}")
+    return lines + ["", "[gates]"] + gates.lines()
 
-    wio.write_complex_matrix(os.path.join(out_dir, "smatrix.csv"), s.matrix)
-    wio.write_complex_matrix(os.path.join(out_dir, "sprime.csv"), sprime.matrix)
-    wio.write_complex_matrix(os.path.join(out_dir, "qmatrix.csv"), q.matrix)
-    wio.write_complex_matrix(os.path.join(out_dir, "wmatrix.csv"), dec.w)
-    wio.write_spectrum(os.path.join(out_dir, "spectrum.csv"), dec.delays)
-    wio.write_modeset(os.path.join(out_dir, "modes.csv"), modes)
-    if mesh is not None:
-        wio.write_mesh(os.path.join(out_dir, "mesh.csv"), mesh)
 
-    report.append(
-        f"delays: min={dec.delays[0]:.6g} max={dec.delays[-1]:.6g}"
-    )
-    report.append("")
-    report.append("[gates]")
-    report.extend(gates.lines())
-    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
+def _write(out_dir, st, matrices, delays, residual_rows, classification, exports, report):
+    """Create out_dir and write every artifact: the only stage that touches it."""
+    os.makedirs(out_dir, exist_ok=True)
+
+    def path(name):
+        return os.path.join(out_dir, name)
+
+    if residual_rows is not None:
+        with open(path("volumeq_residuals.csv"), "w") as fh:
+            fh.write("p,q,route,value_re,value_im,reference_re,reference_im,rel_err\n")
+            for row in residual_rows:
+                fh.write(f"{row[0]},{row[1]},{row[2]},"
+                         + ",".join(wio.FMT % v for v in row[3:]) + "\n")
+    if classification is not None:
+        wio.write_classification(path("classification.csv"), classification)
+    for idx1, fg in exports:
+        wio.write_field_grid(path(f"mode_{idx1:03d}_field.csv"), fg)
+    for name, matrix in matrices.items():
+        wio.write_complex_matrix(path(f"{name}.csv"), matrix)
+    wio.write_spectrum(path("spectrum.csv"), delays)
+    wio.write_modeset(path("modes.csv"), st.modes)
+    if st.mesh is not None:
+        wio.write_mesh(path("mesh.csv"), st.mesh)
+    with open(path("report.txt"), "w") as fh:
         fh.write("\n".join(report) + "\n")
 
+
+def run_scenario(cfg, out_dir):
+    """Execute one scenario and write all artifacts; returns the summary.
+
+    Stages: setup, solve, decompose and gates, sphere checks, field maps,
+    write. Only the last one touches out_dir, so a run that fails earlier
+    leaves nothing behind.
+    """
+    cfg.validate()
+    st = _setup(cfg)
+    s, sprime, provenance, solution, solver_lines = _solve(cfg, st)
+    q, dec, gates = _decompose(cfg, s, sprime, provenance)
+    residual_rows = _sphere_checks(cfg, st, q, gates)
+    classification, baselines, exports = _field_maps(cfg, st, s, solution, dec)
+    report = _report(cfg, st, solver_lines, classification, dec, gates)
+    matrices = {"smatrix": s.matrix, "sprime": sprime.matrix,
+                "qmatrix": q.matrix, "wmatrix": dec.w}
+    _write(out_dir, st, matrices, dec.delays, residual_rows, classification,
+           exports, report)
     return {
         "passed": gates.passed,
         "gates": gates.entries,
         "delays": dec.delays,
         "classification": classification,
         "baselines": baselines,
-        "circumradius": circumradius,
+        "circumradius": st.circumradius,
         "smatrix": s,
         "qmatrix": q,
         "decomposition": dec,

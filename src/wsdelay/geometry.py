@@ -281,9 +281,6 @@ class BoundaryMesh:
         """Plain quadrature weights h * |x'| for smooth integrands."""
         return self.h * self.speed
 
-    def arc_lengths(self) -> np.ndarray:
-        return np.cumsum(self.weights) - 0.5 * self.weights
-
     def embed(self, tvals):
         """Positions and velocities of the parametrization at arbitrary t."""
         tvals = np.asarray(tvals, dtype=float) % (2.0 * np.pi)
@@ -300,22 +297,28 @@ class BoundaryMesh:
                 continue
             span = counts[si] * self.h
             xi = (tvals[mask] - starts[si]) / span
-            if isinstance(seg, Circle):
-                phi = 2.0 * np.pi * xi
-                c, r = np.asarray(seg.center), seg.radius
-                pos[mask] = c + r * np.column_stack([np.cos(phi), np.sin(phi)])
-                vel[mask] = (
-                    r
-                    * np.column_stack([-np.sin(phi), np.cos(phi)])
-                    * (2.0 * np.pi / span)
-                )
-            else:
-                w, w1, _ = kress_w(xi, self.grading_exponent)
-                a = np.asarray(seg.start)
-                d = np.asarray(seg.end) - a
-                pos[mask] = a + np.outer(w, d)
-                vel[mask] = np.outer(w1 / span, d)
+            pos[mask], vel[mask], _ = _segment_map(
+                seg, xi, 1.0 / span, self.grading_exponent
+            )
         return pos, vel
+
+
+def _segment_map(seg, xi, dxi_dt, p):
+    """Position, velocity and acceleration on one segment at local xi in
+    [0, 1], for a global parameter advancing xi at the rate dxi_dt; lines
+    take the Kress grading of exponent p, circles their uniform angle."""
+    if isinstance(seg, Circle):
+        phi = 2.0 * np.pi * xi
+        c, r = np.asarray(seg.center), seg.radius
+        dphi = 2.0 * np.pi * dxi_dt
+        pos = c + r * np.column_stack([np.cos(phi), np.sin(phi)])
+        vel = r * np.column_stack([-np.sin(phi), np.cos(phi)]) * dphi
+        acc = -r * np.column_stack([np.cos(phi), np.sin(phi)]) * dphi**2
+        return pos, vel, acc
+    w, w1, w2 = kress_w(xi, p)
+    a = np.asarray(seg.start)
+    d = np.asarray(seg.end) - a
+    return a + np.outer(w, d), np.outer(w1 * dxi_dt, d), np.outer(w2 * dxi_dt**2, d)
 
 
 def mesh_geometry(
@@ -330,10 +333,12 @@ def mesh_geometry(
     below lambda/nodes_per_wavelength; the grading roughly doubles the
     mid-segment stretch, which the budget accounts for.
     """
-    if k <= 0:
+    if not k > 0:
         raise DomainError("wavenumber must be positive")
-    if nodes_per_wavelength < 6:
+    if not nodes_per_wavelength >= 6:
         raise DomainError("need at least 6 nodes per wavelength")
+    if not grading_exponent >= 2:
+        raise DomainError("grading exponent must be at least 2")
     wavelength = 2.0 * np.pi / k
     counts = []
     for seg in geometry.segments:
@@ -356,21 +361,7 @@ def mesh_geometry(
     for si, (seg, n) in enumerate(zip(geometry.segments, counts)):
         tj = (offset + np.arange(n) + 0.5) * h
         xi = (np.arange(n) + 0.5) / n
-        dxi_dt = 1.0 / (n * h)
-        if isinstance(seg, Circle):
-            phi = 2.0 * np.pi * xi
-            c, r = np.asarray(seg.center), seg.radius
-            pos = c + r * np.column_stack([np.cos(phi), np.sin(phi)])
-            dphi = 2.0 * np.pi * dxi_dt
-            vel = r * np.column_stack([-np.sin(phi), np.cos(phi)]) * dphi
-            acc = -r * np.column_stack([np.cos(phi), np.sin(phi)]) * dphi**2
-        else:
-            w, w1, w2 = kress_w(xi, grading_exponent)
-            a = np.asarray(seg.start)
-            d = np.asarray(seg.end) - a
-            pos = a + np.outer(w, d)
-            vel = np.outer(w1 * dxi_dt, d)
-            acc = np.outer(w2 * dxi_dt**2, d)
+        pos, vel, acc = _segment_map(seg, xi, 1.0 / (n * h), grading_exponent)
         t_all.append(tj)
         nodes.append(pos)
         xp.append(vel)

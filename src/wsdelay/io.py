@@ -6,7 +6,6 @@ are exact for finite doubles; orderings follow the deterministic mode
 ordering, so identical configs produce byte-identical files.
 """
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -126,9 +125,7 @@ class ScenarioConfig:
     k: float = 1.0
     a: float = 1.0                    # sphere/cylinder radius
     w: float = 3.0                    # cavity gap width
-    mode_count: Optional[int] = None  # explicit M
-    suggest_a: Optional[float] = None  # sizing-rule inputs when M not given
-    suggest_c: float = 3.0
+    mode_count: Optional[int] = None  # explicit M; default from the circumradius
     delta_k: Optional[float] = None   # FD step; default 1e-4 k
     richardson: bool = False
     nodes_per_wavelength: float = 12.0
@@ -161,11 +158,15 @@ class ScenarioConfig:
                 raise ConfigError("2D mode count must be odd")
         if self.grid_nx < 2 or self.grid_ny < 2:
             raise ConfigError("grid_nx and grid_ny must be at least 2")
+        if not 0 < self.smatrix_gate < np.inf:
+            raise ConfigError("smatrix_gate must be positive and finite")
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}")
             if self.scenario != "sphere":
                 raise ConfigError(f"the {c} check applies to the sphere scenario")
+        if self.export_modes and self.scenario == "sphere":
+            raise ConfigError("field exports apply to the 2D scenarios")
         if self.scenario == "custom" and not self.polyline:
             raise ConfigError("custom scenario needs polyline=<csv path>")
         return self
@@ -180,8 +181,6 @@ _FIELD_PARSERS = {
     "a": float,
     "w": float,
     "modes": int,
-    "suggest_a": float,
-    "suggest_c": float,
     "delta_k": float,
     "richardson": lambda s: _BOOL[s.lower()],
     "nodes_per_wavelength": float,
@@ -237,8 +236,3 @@ def read_polyline(path) -> np.ndarray:
                 raise ConfigError("expected two coordinates per line", line=lineno)
             verts.append((float(parts[0]), float(parts[1])))
     return np.asarray(verts, dtype=float)
-
-
-def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path

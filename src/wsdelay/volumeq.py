@@ -145,10 +145,6 @@ def _hankel_poly(l: int, k: float) -> np.ndarray:
     return coeffs
 
 
-def _conv(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.convolve(p, q)
-
-
 def _shift2(p: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros(2, dtype=complex), p])
 
@@ -204,19 +200,18 @@ def _difference_tails(l: int, beta: complex, k: float, radius: float):
         g_poly[t] = 1j * k * at - t * at1
         h_poly[t] = np.conj(g_poly[t])
     ll = l * (l + 1)
-    delta0 = lambda n, v: np.concatenate([[v], np.zeros(n - 1, dtype=complex)])
 
-    nonosc_ff = 2.0 * _conv(a_poly, b_poly)
+    nonosc_ff = 2.0 * np.convolve(a_poly, b_poly)
     nonosc_ff[0] -= 2.0
-    osc_ff = _conv(a_poly, a_poly)
+    osc_ff = np.convolve(a_poly, a_poly)
     osc_ff[0] -= 1.0
 
-    nonosc_gg = 2.0 * _conv(g_poly, h_poly)
+    nonosc_gg = 2.0 * np.convolve(g_poly, h_poly)
     nonosc_gg[0] -= 2.0 * k**2
-    nonosc_gg = _pad_add(nonosc_gg, ll * _shift2(2.0 * _conv(a_poly, b_poly)))
-    osc_gg = _conv(g_poly, g_poly)
+    nonosc_gg = _pad_add(nonosc_gg, ll * _shift2(2.0 * np.convolve(a_poly, b_poly)))
+    osc_gg = np.convolve(g_poly, g_poly)
     osc_gg[0] += k**2
-    osc_gg = _pad_add(osc_gg, ll * _shift2(_conv(a_poly, a_poly)))
+    osc_gg = _pad_add(osc_gg, ll * _shift2(np.convolve(a_poly, a_poly)))
 
     tail_ff = _tail_sums(nonosc_ff, osc_ff, beta, k, radius)
     tail_gg = _tail_sums(nonosc_gg, osc_gg, beta, k, radius)
@@ -234,6 +229,14 @@ def _pad_add(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # radial integrals
 # ---------------------------------------------------------------------------
+def _free_field_integrals(beta: complex, k: float, quad: QuadratureSpec):
+    """(F_ff, F_gg): far-form free-field ff and gg integrals over [0, R]."""
+    r, w = _gauss_panels(0.0, quad.radius, k, quad.nodes_per_wavelength)
+    phi_r = np.exp(1j * k * r) + beta * np.exp(-1j * k * r)
+    psi_r = 1j * k * (np.exp(1j * k * r) - beta * np.exp(-1j * k * r))
+    return np.sum(w * np.abs(phi_r) ** 2), np.sum(w * np.abs(psi_r) ** 2)
+
+
 def _radial_differences(profile: RadialProfile, quad: QuadratureSpec):
     """(D_ff, D_gg): renormalized ff and gg radial integrals incl. tails."""
     k, a, l = profile.k, profile.a, profile.l
@@ -244,12 +247,7 @@ def _radial_differences(profile: RadialProfile, quad: QuadratureSpec):
     df = profile.dfield_dr(r_t)
     t_ff = np.sum(w_t * np.abs(f) ** 2 * r_t**2)
     t_gg = np.sum(w_t * (np.abs(df) ** 2 * r_t**2 + l * (l + 1) * np.abs(f) ** 2))
-
-    r_f, w_f = _gauss_panels(0.0, quad.radius, k, quad.nodes_per_wavelength)
-    phi_r = np.exp(1j * k * r_f) + beta * np.exp(-1j * k * r_f)
-    psi_r = 1j * k * (np.exp(1j * k * r_f) - beta * np.exp(-1j * k * r_f))
-    f_ff = np.sum(w_f * np.abs(phi_r) ** 2)
-    f_gg = np.sum(w_f * np.abs(psi_r) ** 2)
+    f_ff, f_gg = _free_field_integrals(beta, k, quad)
 
     d_ff = t_ff - f_ff
     d_gg = t_gg - f_gg
@@ -260,13 +258,21 @@ def _radial_differences(profile: RadialProfile, quad: QuadratureSpec):
     return complex(d_ff), complex(d_gg)
 
 
-def _style_correction(p: ModeIndex, q: ModeIndex, smat: np.ndarray, modes: ModeSet, k: float):
-    """S-dependent term that closes the a/b formulations: applied +/-."""
-    ptilde, _ = conjugate_mode(p)
-    sign = (-1.0) ** p.m
-    s_qpt = smat[modes.position(q), modes.position(ptilde)]
-    s_ptq = smat[modes.position(ptilde), modes.position(q)]
-    return (1j / (2.0 * k)) * sign * (np.conj(s_ptq) - s_qpt)
+def _style_corrections(smat: np.ndarray, modes: ModeSet, k: float) -> np.ndarray:
+    """S-dependent terms C[q, p] that close the a/b formulations (applied +/-):
+    (j/2k) (-1)^m_p (conj S[p~, q] - S[q, p~]) with p~ the conjugate port."""
+    perm = [modes.position(conjugate_mode(p)[0]) for p in modes.modes]
+    sign = np.array([(-1.0) ** p.m for p in modes.modes])
+    return (1j / (2.0 * k)) * sign * (np.conj(smat)[perm, :].T - smat[:, perm])
+
+
+def _combine(style: str, d_ff, d_gg, k: float, corr=0.0):
+    """Q from the renormalized ff and gg integrals in the given style."""
+    if style == "symmetric":
+        return 0.5 * d_ff + d_gg / (2.0 * k**2)
+    if style == "a":
+        return d_ff + corr
+    return d_gg / k**2 - corr
 
 
 def q_entry_volume(
@@ -289,22 +295,13 @@ def q_entry_volume(
         raise ContractError("volume formulation is implemented for dim=3 only")
     quad.validate(k, a)
 
-    lmax = max(p.l, q.l)
-    modes = ModeSet.spherical(lmax, k)
-    smat = mie_smatrix(3, bc, k, a, modes).matrix
-
+    modes = ModeSet.spherical(max(p.l, q.l), k)
+    corr = _style_corrections(mie_smatrix(3, bc, k, a, modes).matrix, modes, k)
     if (p.l, p.m) == (q.l, q.m):
-        profile = make_radial_profile(p.l, bc, k, a)
-        d_ff, d_gg = _radial_differences(profile, quad)
+        d_ff, d_gg = _radial_differences(make_radial_profile(p.l, bc, k, a), quad)
     else:
         d_ff = d_gg = 0.0
-
-    if style == "symmetric":
-        return 0.5 * d_ff + d_gg / (2.0 * k**2)
-    corr = _style_correction(p, q, smat, modes, k)
-    if style == "a":
-        return d_ff + corr
-    return d_gg / k**2 - corr
+    return _combine(style, d_ff, d_gg, k, corr[modes.position(q), modes.position(p)])
 
 
 def volume_q_matrix(
@@ -319,27 +316,16 @@ def volume_q_matrix(
     if modes.dim != 3:
         raise ContractError("volume formulation is implemented for dim=3 only")
     quad.validate(k, a)
-    m = len(modes)
-    smat = mie_smatrix(3, bc, k, a, modes).matrix
     lmax = max(p.l for p in modes.modes)
-    diff_by_l = {}
-    for l in range(lmax + 1):
-        diff_by_l[l] = _radial_differences(make_radial_profile(l, bc, k, a), quad)
-    out = np.zeros((m, m), dtype=complex)
-    for row, q_mode in enumerate(modes.modes):
-        for col, p_mode in enumerate(modes.modes):
-            if (p_mode.l, p_mode.m) == (q_mode.l, q_mode.m):
-                d_ff, d_gg = diff_by_l[p_mode.l]
-            else:
-                d_ff = d_gg = 0.0
-            if style == "symmetric":
-                out[row, col] = 0.5 * d_ff + d_gg / (2.0 * k**2)
-                continue
-            corr = _style_correction(p_mode, q_mode, smat, modes, k)
-            if style == "a":
-                out[row, col] = d_ff + corr
-            else:
-                out[row, col] = d_gg / k**2 - corr
+    diff_by_l = [
+        _radial_differences(make_radial_profile(l, bc, k, a), quad)
+        for l in range(lmax + 1)
+    ]
+    d_ff, d_gg = (np.diag([diff_by_l[p.l][i] for p in modes.modes]) for i in (0, 1))
+    corr = 0.0
+    if style != "symmetric":
+        corr = _style_corrections(mie_smatrix(3, bc, k, a, modes).matrix, modes, k)
+    out = _combine(style, d_ff, d_gg, k, corr)
     presym = float(
         np.linalg.norm(out - out.conj().T) / max(np.linalg.norm(out), 1e-300)
     )
@@ -363,13 +349,7 @@ def qtilde_infinity(p: ModeIndex, q: ModeIndex, k: float, quad: QuadratureSpec) 
     if (p.l, p.m) != (q.l, q.m):
         return 0.0
     beta = outgoing_coefficient(p.l, 1.0 + 0.0j)
-    r, w = _gauss_panels(0.0, quad.radius, k, quad.nodes_per_wavelength)
-    phi_r = np.exp(1j * k * r) + beta * np.exp(-1j * k * r)
-    psi_r = 1j * k * (np.exp(1j * k * r) - beta * np.exp(-1j * k * r))
-    val = 0.5 * np.sum(w * np.abs(phi_r) ** 2) + np.sum(w * np.abs(psi_r) ** 2) / (
-        2.0 * k**2
-    )
-    return float(val)
+    return float(_combine("symmetric", *_free_field_integrals(beta, k, quad), k))
 
 
 # ---------------------------------------------------------------------------

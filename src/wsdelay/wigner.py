@@ -110,7 +110,7 @@ def smatrix_fd_derivative(provider, k: float, dk: float = None, richardson: bool
     """
     if dk is None:
         dk = 1e-4 * k
-    if dk <= 0:
+    if not dk > 0:
         raise DomainError("finite-difference step must be positive")
 
     def central(step):

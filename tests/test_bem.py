@@ -123,6 +123,21 @@ class TestMesh:
         with pytest.raises(GeometryError):
             make_polyline([(0, 0), (1e-12, 0), (1, 0), (1, 1), (0, 1)])
 
+    @pytest.mark.parametrize(
+        "k, npw, p",
+        [(np.nan, 12, 4), (1.0, 5.9, 4), (1.0, np.nan, 4), (1.0, 12, 1), (1.0, 12, 0)],
+    )
+    def test_bad_mesh_inputs_rejected(self, k, npw, p):
+        with pytest.raises(DomainError):
+            mesh_geometry(make_strip(), k, nodes_per_wavelength=npw, grading_exponent=p)
+
+    def test_embed_reproduces_nodes(self):
+        for g in (make_strip(), make_cavity(3.0), make_circle(2.0)):
+            mesh = mesh_geometry(g, 1.0)
+            pos, vel = mesh.embed(mesh.t)
+            assert np.max(np.abs(pos - mesh.nodes)) < 1e-12 * np.max(np.abs(mesh.nodes))
+            assert np.max(np.abs(vel - mesh.xp)) < 1e-12 * np.max(np.abs(mesh.xp))
+
 
 class TestCircleAgainstClosedForm:
     @pytest.mark.parametrize("bc", [SOFT, HARD])

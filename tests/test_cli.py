@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -7,12 +8,16 @@ from scipy.linalg import expm
 from wsdelay.cli import main, run_scenario
 from wsdelay.errors import ConfigError
 from wsdelay.io import (
+    _FIELD_PARSERS,
     ScenarioConfig,
     parse_config,
     read_complex_matrix,
     read_polyline,
     write_complex_matrix,
 )
+from wsdelay.modal import suggested_mode_count
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
 
 def write(path, text):
@@ -80,6 +85,11 @@ class TestConfigParsing:
         p = write(tmp_path / "v.csv", "0,0\n1 0 # corner\n1,1\n")
         verts = read_polyline(p)
         assert verts.shape == (3, 2)
+
+    def test_readme_lists_every_key(self):
+        text = open(README).read()
+        block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert set(re.findall(r"(\w+)=", block)) == set(_FIELD_PARSERS)
 
 
 class TestComplexMatrixRoundTrip:
@@ -165,7 +175,9 @@ class TestRunScenario:
         cfg, _, out = cylinder_run
         out2 = tmp_path / "again"
         run_scenario(cfg, str(out2))
-        for name in ("smatrix.csv", "spectrum.csv", "wmatrix.csv"):
+        names = sorted(os.listdir(out))
+        assert names == sorted(os.listdir(out2))
+        for name in names:
             a = open(os.path.join(out, name), "rb").read()
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b, name
@@ -188,6 +200,22 @@ class TestRunScenario:
         )
         summary = run_scenario(cfg, str(tmp_path / "out"))
         assert summary["passed"]
+
+    @pytest.mark.parametrize("scenario, radius", [("custom", 2.0 * np.sqrt(2.0)),
+                                                  ("cylinder", 2.0)])
+    def test_default_mode_count_from_circumradius(self, tmp_path, scenario, radius):
+        poly = write(tmp_path / "sq.csv", "-2,-2\n2,-2\n2,2\n-2,2\n")
+        cfg = ScenarioConfig(
+            scenario=scenario, bc="soft", k=1.0, a=2.0, polyline=poly,
+            grid_nx=11, grid_ny=11,
+        )
+        out = tmp_path / "out"
+        summary = run_scenario(cfg, str(out))
+        assert summary["circumradius"] == pytest.approx(radius)
+        ports = open(out / "modes.csv").read().strip().splitlines()[1:]
+        assert len(ports) == suggested_mode_count(1.0, radius, 3.0, 2)
+        if scenario == "custom":
+            assert len(ports) == 17
 
 
 class TestMainExitCodes:
@@ -226,6 +254,36 @@ class TestMainExitCodes:
             pytest.param(
                 "scenario=cylinder\nmodes=9\n", ["--check", "appendix-b"],
                 id="cylinder-appendix-b",
+            ),
+            pytest.param(
+                "scenario=cylinder\na=2\nmodes=9\n", ["--modes", "99"],
+                id="export-above-m",
+            ),
+            pytest.param(
+                "scenario=cylinder\na=2\nmodes=9\n", ["--modes", "0"], id="export-zero"
+            ),
+            pytest.param(
+                "scenario=strip\nmodes=11\nnodes_per_wavelength=nan\n", [], id="npw-nan"
+            ),
+            pytest.param(
+                "scenario=strip\nmodes=11\ngrading_exponent=0\n", [], id="grading-0"
+            ),
+            pytest.param(
+                "scenario=strip\nmodes=11\ngrading_exponent=1\n", [], id="grading-1"
+            ),
+            pytest.param("scenario=strip\nmodes=11\ndelta_k=nan\n", [], id="dk-nan"),
+            pytest.param(
+                "scenario=cylinder\na=2\nmodes=9\nsmatrix_gate=nan\n", [], id="gate-nan"
+            ),
+            pytest.param(
+                "scenario=sphere\nmodes=4\nexport_modes=1\n", [], id="sphere-export"
+            ),
+            pytest.param(
+                "scenario=strip\nmodes=11\ngrid_halfwidth=-5\n", [], id="halfwidth"
+            ),
+            pytest.param(
+                "scenario=sphere\nmodes=4\nvol_kr=10\n", ["--check", "volume-q"],
+                id="volume-q-kr",
             ),
         ],
     )

@@ -3,11 +3,12 @@ import pytest
 
 from wsdelay.errors import ContractError, DomainError
 from wsdelay.mie import mie_smatrix, mie_smatrix_deriv
-from wsdelay.modal import ModeIndex, ModeSet
+from wsdelay.modal import ModeIndex, ModeSet, conjugate_mode
 from wsdelay.smatrix import BoundaryCondition
 from wsdelay.volumeq import (
     QuadratureSpec,
     STYLES,
+    _style_corrections,
     make_radial_profile,
     q_entry_volume,
     qtilde_infinity,
@@ -130,6 +131,19 @@ class TestVolumeQMatrix:
         assert np.max(np.abs(qvol.matrix - qref.matrix)) / scale < 1e-3
         assert qvol.provenance == "volume-integral"
         assert qvol.hermiticity_residual() < 1e-12
+
+    @pytest.mark.parametrize("bc", [SOFT, HARD])
+    @pytest.mark.parametrize("lmax", [3, 9])
+    def test_style_corrections_match_entrywise_formula(self, bc, lmax):
+        k, a = 1.0, 2.0
+        modes = ModeSet.spherical(lmax, k)
+        s = mie_smatrix(3, bc, k, a, modes).matrix
+        corr = _style_corrections(s, modes, k)
+        for row in range(len(modes)):
+            for col, p in enumerate(modes.modes):
+                pt = modes.position(conjugate_mode(p)[0])
+                ref = (1j / (2.0 * k)) * (-1.0) ** p.m * (np.conj(s[pt, row]) - s[row, pt])
+                assert corr[row, col] == ref
 
 
 class TestQtildeInfinity:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from wsdelay.errors import ContractError
+from wsdelay.errors import ContractError, DomainError
 from wsdelay.mie import (
     free_space_smatrix,
     mie_smatrix,
@@ -67,6 +67,11 @@ class TestFdDerivative:
         assert np.linalg.norm(rich.matrix - ana) < 0.1 * np.linalg.norm(
             plain.matrix - ana
         )
+
+    @pytest.mark.parametrize("dk", [0.0, -1e-4, float("nan")])
+    def test_bad_step_rejected(self, dk):
+        with pytest.raises(DomainError):
+            smatrix_fd_derivative(sphere_provider(SOFT, 2.0, 1), 1.0, dk=dk)
 
 
 class TestQMatrix:
