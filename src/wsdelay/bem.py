@@ -267,14 +267,15 @@ def solve_exterior(
 # field evaluation and far-field projection
 # ---------------------------------------------------------------------------
 def _rep_kernel(bc, k, eta, rho, rdotn):
-    """Representation kernel against the density (per unit arc length)."""
-    h0 = sp.j0(k * rho) - 1j * sp.y0(k * rho)
-    h1 = sp.j1(k * rho) - 1j * sp.y1(k * rho)
-    g = -0.25j * h0
-    dg_dn = -0.25j * k * h1 * rdotn / rho
-    if bc is BoundaryCondition.SOUND_SOFT:
-        return dg_dn - 1j * eta * g
-    return g + 1j * eta * dg_dn
+    """Real and imaginary parts of the representation kernel (per unit arc),
+    from G = -(j/4) H0^(2)(z) = -(Y0 + j J0)/4 and dG/dn = -(k/4)(Y1 + j J1)
+    rdotn/rho at z = k rho."""
+    z = k * rho
+    j0, y0, j1, y1 = sp.j0(z), sp.y0(z), sp.j1(z), sp.y1(z)
+    c = (0.25 * k) * rdotn / rho
+    if bc is BoundaryCondition.SOUND_SOFT:      # dG/dn - j eta G
+        return -c * y1 - (0.25 * eta) * j0, (0.25 * eta) * y0 - c * j1
+    return (eta * c) * j1 - 0.25 * y0, -0.25 * j0 - (eta * c) * y1   # G + j eta dG/dn
 
 
 def scattered_field(
@@ -288,15 +289,17 @@ def scattered_field(
     dens = solution.density if solution.density.ndim == 2 else solution.density[:, None]
     k, eta, bc = solution.k, solution.eta, solution.bc
     w = mesh.weights
-    nrm = mesh.normals
-    out = np.zeros((len(pts), dens.shape[1]), dtype=complex)
+    (node_x, node_y), (nrm_x, nrm_y) = mesh.nodes.T, mesh.normals.T
+    out = np.empty((len(pts), dens.shape[1]), dtype=complex)
     for lo in range(0, len(pts), chunk):
         hi = min(lo + chunk, len(pts))
-        dx = pts[lo:hi, None, :] - mesh.nodes[None, :, :]
-        rho = np.sqrt(np.sum(dx**2, axis=-1))
-        rho = np.maximum(rho, 1e-14)
-        rdotn = dx[:, :, 0] * nrm[None, :, 0] + dx[:, :, 1] * nrm[None, :, 1]
-        kern = _rep_kernel(bc, k, eta, rho, rdotn) * w[None, :]
+        dx = pts[lo:hi, 0, None] - node_x
+        dy = pts[lo:hi, 1, None] - node_y
+        rho = np.maximum(np.sqrt(dx * dx + dy * dy), 1e-14)
+        kern_re, kern_im = _rep_kernel(bc, k, eta, rho, dx * nrm_x + dy * nrm_y)
+        kern = np.empty(rho.shape, dtype=complex)
+        kern.real = kern_re * w
+        kern.imag = kern_im * w
         out[lo:hi] = kern @ dens
     return out if solution.density.ndim == 2 else out[:, 0]
 

@@ -156,6 +156,8 @@ class ScenarioConfig:
                     raise ConfigError("3D mode count must be a perfect square")
             elif self.mode_count % 2 == 0:
                 raise ConfigError("2D mode count must be odd")
+        if self.delta_k is not None and not 0 < self.delta_k < np.inf:
+            raise ConfigError("delta_k must be positive and finite")
         if self.grid_nx < 2 or self.grid_ny < 2:
             raise ConfigError("grid_nx and grid_ny must be at least 2")
         if not 0 < self.smatrix_gate < np.inf:
@@ -225,14 +227,19 @@ def parse_config(path) -> ScenarioConfig:
 
 
 def read_polyline(path) -> np.ndarray:
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read polyline file: {exc}") from None
     verts = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ConfigError("expected two coordinates per line", line=lineno)
-            verts.append((float(parts[0]), float(parts[1])))
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            x, y = (float(v) for v in line.replace(",", " ").split())
+        except ValueError:
+            raise ConfigError("expected two numeric coordinates per line", line=lineno) from None
+        verts.append((x, y))
     return np.asarray(verts, dtype=float)

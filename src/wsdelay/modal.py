@@ -19,10 +19,9 @@ to it matters and is recorded on the ModeSet.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import ContractError, DomainError, SingularPointError
-from .specfun import BesselKind, cyl_bessel, sph_bessel, sph_harm
+from .specfun import BesselKind, cyl_bessel, cyl_jn_table, sph_bessel, sph_harm
 
 FAR_ZONE_KR_MIN = 50.0
 
@@ -238,29 +237,38 @@ def regular_waves_batch(modes: ModeSet, k: float, points, normals=None):
     r, theta, _ = polar_coordinates(points, 2, allow_origin=normals is None)
     orders = np.array([p.n for p in modes.modes])
     n_max = int(np.max(np.abs(orders)))
-    table = special.jv(np.arange(n_max + 2)[:, None], k * r[None, :])
+    table = cyl_jn_table(n_max + 1, k * r)
 
     def jn(n):  # J_{-n} = (-1)^n J_n
         return table[n] if n >= 0 else (-1.0) ** (-n % 2) * table[-n]
 
-    values = np.empty((len(r), len(orders)), dtype=complex)
+    values = np.empty((len(orders), len(r)), dtype=complex)   # returned transposed
     if normals is not None:
         nrm = np.asarray(normals, dtype=float)
         cos_t, sin_t = np.cos(theta), np.sin(theta)
         rdot_n = cos_t * nrm[:, 0] + sin_t * nrm[:, 1]
         tdot_n = -sin_t * nrm[:, 0] + cos_t * nrm[:, 1]
         normal_derivs = np.empty_like(values)
+    # X_m = X_{8q} e^{j r theta} for m = 8q + r takes one exp per 8 orders and
+    # adds one rounding, not m of them; the ports -m, +m share X_m (X_-m = X_m*)
+    low = np.exp(1j * np.outer(np.arange(8), theta))
+    m = q = None
     for col, n in enumerate(orders):
-        g = 2.0 * gamma_2d(int(n), k)
-        ang = np.exp(1j * n * theta) / np.sqrt(2.0 * np.pi)
-        values[:, col] = g * jn(n) * ang
-        if normals is not None:
-            du_dr = g * k * 0.5 * (jn(n - 1) - jn(n + 1)) * ang
-            du_dt_over_r = g * jn(n) * (1j * n / r) * ang
-            normal_derivs[:, col] = du_dr * rdot_n + du_dt_over_r * tdot_n
+        if abs(n) != m:
+            m = abs(n)
+            if m // 8 != q:
+                q = m // 8
+                anchor = np.exp(1j * (8 * q) * theta) / np.sqrt(2.0 * np.pi)
+            ang_m = anchor * low[m % 8]
+        ang = ang_m if n >= 0 else ang_m.conj()
+        g_ang = 2.0 * gamma_2d(int(n), k) * ang
+        values[col] = g_ang * jn(n)
+        if normals is not None:   # du/dr rdot_n + (1/r) du/dtheta tdot_n
+            du_dr = (0.5 * k) * (jn(n - 1) - jn(n + 1))
+            normal_derivs[col] = g_ang * (du_dr * rdot_n + (1j * n) * (jn(n) / r * tdot_n))
     if normals is None:
-        return values
-    return values, normal_derivs
+        return values.T
+    return values.T, normal_derivs.T
 
 
 def outgoing_template(m: ModeIndex, k: float, points):

@@ -4,8 +4,9 @@ All evaluations are for positive real arguments. Spherical Bessel functions
 are computed by recurrence: j_l by downward (Miller-style) recurrence
 normalized against the closed-form j_0/j_1, which is stable for l greater
 than x, and y_l by upward recurrence, which is stable everywhere. Cylindrical
-functions are delegated to scipy's Amos/Cephes routines behind the same
-argument checks.
+J_n comes from the same downward recurrence (one table of orders 0..n,
+normalized against scipy's J_0/J_1); Y_n and the Hankel functions are
+delegated to scipy's Amos/Cephes routines behind the same argument checks.
 
 Spherical harmonics use fully normalized associated Legendre recurrences so
 no factorial ratio is ever materialized; the Condon-Shortley phase (-1)^m is
@@ -47,7 +48,7 @@ def _check_x(x):
 
 
 # ---------------------------------------------------------------------------
-# Cylindrical functions (scipy-backed)
+# Cylindrical functions (J by recurrence, Y and H scipy-backed)
 # ---------------------------------------------------------------------------
 def cyl_bessel(kind: BesselKind, order: int, x, ceiling: int = CYL_ORDER_MAX):
     """J_n(x), H_n^(1)(x) or H_n^(2)(x) for integer order n.
@@ -62,7 +63,7 @@ def cyl_bessel(kind: BesselKind, order: int, x, ceiling: int = CYL_ORDER_MAX):
     sign = 1.0 if (n >= 0 or n % 2 == 0) else -1.0
     n = abs(n)
     if kind is BesselKind.REGULAR_J:
-        return sign * _sp.jv(n, x)
+        return sign * cyl_jn_table(n, x)[n].reshape(x.shape)
     if kind is BesselKind.HANKEL1:
         return sign * (_sp.jv(n, x) + 1j * _sp.yv(n, x))
     return sign * (_sp.jv(n, x) - 1j * _sp.yv(n, x))
@@ -75,42 +76,61 @@ def cyl_bessel_dx(kind: BesselKind, order: int, x, ceiling: int = CYL_ORDER_MAX)
     return 0.5 * (lo - hi)
 
 
-# ---------------------------------------------------------------------------
-# Spherical functions (recurrences)
-# ---------------------------------------------------------------------------
-def _sph_jn_downward(l: int, x: np.ndarray) -> np.ndarray:
-    """j_0..j_l by Miller's downward recurrence, rows indexed by degree.
+def cyl_jn_table(n: int, x) -> np.ndarray:
+    """J_0..J_n at nonnegative x, rows indexed by order: Miller's downward
+    recurrence normalized against scipy's J_0 and J_1, and below x = 1e-8 the
+    leading series term (x/2)^n/n!, which is exact there in double precision."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(x < 0.0) or not np.all(np.isfinite(x)):
+        raise DomainError("argument must be nonnegative and finite")
+    small = x < 1e-8
+    xs = np.where(small, 1.0, x)
+    jm = _miller_downward(n, xs, 0, _sp.j0(xs), _sp.j1(xs))
+    if np.any(small):
+        half = x[small] / 2.0
+        terms = [np.ones_like(half)] + [half / m for m in range(1, len(jm))]
+        jm[:, small] = np.cumprod(terms, axis=0)       # (x/2)^m / m!
+    return jm[: n + 1]
 
-    Values are seeded high above the target degree, recursed down with
-    on-the-fly rescaling against overflow, then normalized so the row 0
-    (or row 1 near a j_0 zero) matches the closed form.
+
+# ---------------------------------------------------------------------------
+# Miller's downward recurrence (cylindrical J, spherical j) and spherical functions
+# ---------------------------------------------------------------------------
+def _miller_downward(order: int, x: np.ndarray, odd: int, f0, f1) -> np.ndarray:
+    """Rows 0..max(order, 1) of the solution of f_{m-1} = (2m+odd)/x f_m - f_{m+1}
+    that decays with m (Miller): seeded high above the order, recursed down
+    with on-the-fly rescaling against overflow, then normalized per column to
+    row 0 = f0, or row 1 = f1 where f0 is nearer its zero (no common zeros).
     """
-    x = np.atleast_1d(x)
     xmax = float(np.max(x))
-    start = int(max(l, xmax)) + 24 + int(2.0 * np.sqrt(max(l, xmax, 1.0)))
-    nrows = max(l, 1) + 1
+    start = int(max(order, xmax)) + 24 + int(2.0 * np.sqrt(max(order, xmax, 1.0)))
+    nrows = max(order, 1) + 1
     jm = np.zeros((nrows, x.size))
     fp = np.zeros_like(x)          # f_{m+1}
     fc = np.full_like(x, 1e-300)   # f_m, arbitrary seed
     for m in range(start, -1, -1):
         if m < nrows:
             jm[m] = fc
-        fm = (2 * m + 1) / x * fc - fp
+        fm = (2 * m + odd) / x * fc - fp
         fp, fc = fc, fm
         big = np.abs(fc) > 1e250
         if np.any(big):
             fc[big] *= 1e-250
             fp[big] *= 1e-250
             jm[:, big] *= 1e-250
-    j0 = np.sin(x) / x
-    j1 = np.sin(x) / x**2 - np.cos(x) / x
-    # j0 and j1 have no common zeros; normalize each column against
-    # whichever is farther from its zero.
-    use0 = np.abs(j0) >= np.abs(j1)
+    use0 = np.abs(f0) >= np.abs(f1)
     denom0 = np.where(jm[0] == 0.0, 1.0, jm[0])
     denom1 = np.where(jm[1] == 0.0, 1.0, jm[1])
-    scale = np.where(use0, j0 / denom0, j1 / denom1)
-    return (jm * scale)[: l + 1]
+    scale = np.where(use0, f0 / denom0, f1 / denom1)
+    return jm * scale
+
+
+def _sph_jn_downward(l: int, x: np.ndarray) -> np.ndarray:
+    """j_0..j_l, rows indexed by degree, normalized against closed forms."""
+    x = np.atleast_1d(x)
+    j0 = np.sin(x) / x
+    j1 = np.sin(x) / x**2 - np.cos(x) / x
+    return _miller_downward(l, x, 1, j0, j1)[: l + 1]
 
 
 def _sph_yn_upward(l: int, x: np.ndarray) -> np.ndarray:

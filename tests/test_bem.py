@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from wsdelay.bem import (
     assemble_operators,
@@ -26,6 +27,20 @@ from wsdelay.smatrix import BoundaryCondition
 
 SOFT = BoundaryCondition.SOUND_SOFT
 HARD = BoundaryCondition.SOUND_HARD
+
+
+def complex_hankel_field(mesh, solution, points):
+    """Scattered field from the complex H0/H1 kernel: the reference for
+    scattered_field's real and imaginary kernel parts."""
+    dens = solution.density.reshape(mesh.n_nodes, -1)
+    k, eta = solution.k, solution.eta
+    dx = points[:, None, :] - mesh.nodes[None, :, :]
+    rho = np.maximum(np.sqrt(np.sum(dx**2, axis=-1)), 1e-14)
+    rdotn = dx[:, :, 0] * mesh.normals[None, :, 0] + dx[:, :, 1] * mesh.normals[None, :, 1]
+    g = -0.25j * (sp.j0(k * rho) - 1j * sp.y0(k * rho))
+    dg_dn = -0.25j * k * (sp.j1(k * rho) - 1j * sp.y1(k * rho)) * rdotn / rho
+    kern = dg_dn - 1j * eta * g if solution.bc is SOFT else g + 1j * eta * dg_dn
+    return (kern * mesh.weights[None, :]) @ dens
 
 
 class TestGeometry:
@@ -252,6 +267,26 @@ class TestSolver:
         )
         expect = radial * np.exp(1j * p.n * ang) / np.sqrt(2 * np.pi)
         assert np.max(np.abs(total - expect)) < 1e-5
+
+
+    @pytest.mark.parametrize("bc", [SOFT, HARD])
+    def test_scattered_field_matches_complex_hankel_kernel(self, bc):
+        k = 1.0
+        geom = make_strip()
+        _, sol, mesh = bem_smatrix(
+            geom, bc, k, ModeSet.angular(5, k), gate=None, return_solution=True
+        )
+        # far points, and points just outside the band the field maps mask
+        band = float(np.max(mesh.weights))
+        ang = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+        far = 60.0 * np.column_stack([np.cos(ang), np.sin(ang)])
+        near = mesh.nodes + 1.1 * band * mesh.normals
+        near = near[~geom.contains(near) & (geom.distance_to_boundary(near) >= band)]
+        assert len(near) > 100
+        pts = np.vstack([far, near])
+        got = scattered_field(mesh, sol, pts)
+        want = complex_hankel_field(mesh, sol, pts)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestBemSMatrix:

@@ -18,6 +18,7 @@ from wsdelay.io import (
 from wsdelay.modal import suggested_mode_count
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def write(path, text):
@@ -73,6 +74,11 @@ class TestConfigParsing:
             ScenarioConfig(scenario="strip", checks=("nope",)).validate()
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="custom").validate()
+
+    @pytest.mark.parametrize("dk", [float("nan"), 0.0, -1e-4])
+    def test_bad_delta_k_rejected(self, dk):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(scenario="strip", delta_k=dk).validate()
 
     def test_checks_are_sphere_only(self, tmp_path):
         p = write(tmp_path / "s.cfg", "scenario=sphere\nmodes=4\nchecks=volume-q\n")
@@ -284,6 +290,14 @@ class TestMainExitCodes:
             pytest.param(
                 "scenario=sphere\nmodes=4\nvol_kr=10\n", ["--check", "volume-q"],
                 id="volume-q-kr",
+            ),
+            pytest.param(
+                f"scenario=custom\nmodes=17\npolyline={DATA}/no_such_polyline.csv\n", [],
+                id="polyline-missing",
+            ),
+            pytest.param(
+                f"scenario=custom\nmodes=17\npolyline={DATA}/polyline_bad_float.csv\n", [],
+                id="polyline-bad-float",
             ),
         ],
     )

@@ -6,9 +6,11 @@ from scipy import special as sp
 
 from wsdelay.errors import CapacityError, DomainError
 from wsdelay.specfun import (
+    CYL_ORDER_MAX,
     BesselKind,
     cyl_bessel,
     cyl_bessel_dx,
+    cyl_jn_table,
     sph_bessel,
     sph_bessel_dx,
     sph_harm,
@@ -64,6 +66,34 @@ class TestCylBessel:
             cyl_bessel(J, 0, -1.0)
         with pytest.raises(CapacityError):
             cyl_bessel(J, 500, 1.0)
+
+
+class TestCylJnTable:
+    def test_against_scipy_jv(self):
+        # the origin, the 1e-300 origin clamp, the series branch and a dense
+        # sweep; raising on overflow and invalid operations exercises the
+        # rescaling and keeps x = 0 out of the recurrence
+        x = np.concatenate(
+            [[0.0, 1e-300, 1e-12, 1e-8, 1e-6, 1e-4], np.geomspace(1e-3, 400.0, 1500),
+             np.linspace(1e-3, 400.0, 2500)]
+        )
+        with np.errstate(over="raise", invalid="raise"):
+            table = cyl_jn_table(CYL_ORDER_MAX, x)
+        ref = sp.jv(np.arange(CYL_ORDER_MAX + 1)[:, None], x[None, :])
+        assert table.shape == ref.shape
+        assert np.max(np.abs(table - ref)) <= 1e-13
+
+    def test_low_order_table(self):
+        x = np.array([0.0, 0.5, 3.0])
+        table = cyl_jn_table(0, x)
+        assert table.shape == (1, 3)
+        assert np.max(np.abs(table[0] - sp.j0(x))) <= 1e-15
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            cyl_jn_table(3, [1.0, -1.0])
+        with pytest.raises(DomainError):
+            cyl_jn_table(3, [np.nan])
 
 
 class TestSphBessel:
