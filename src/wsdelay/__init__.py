@@ -35,7 +35,6 @@ from .fields import (
     modal_excitation_fields,
     mode_field_matrix,
     region_masks,
-    ws_mode_field,
 )
 from .geometry import (
     BoundaryMesh,

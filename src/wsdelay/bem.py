@@ -6,18 +6,24 @@ Kernels are split as K = K1 ln(4 sin^2((t-tau)/2)) + K2 and integrated with
 the spectral product-quadrature for the log factor plus the trapezoid rule,
 collocating at the nodes (classical diagonal limits supplied analytically).
 
-Formulations are combined-field, hence immune to fictitious interior
-resonances:
+Formulations are combined-field with eta = k, hence immune to fictitious
+interior resonances:
 
-    sound-soft:  u_s = D[psi] - j eta S[psi],
-                 (I/2 + K - j eta S) psi = -u_inc
-    sound-hard:  u_s = S[psi] + j eta D[psi],
-                 (-I/2 + K' + j eta T) psi = -du_inc/dn
+    sound-soft:  u_s = D[psi] - j k S[psi],
+                 (I/2 + K - j k S) psi = -u_inc
+    sound-hard:  u_s = S[psi] + j k D[psi],
+                 (-I/2 + K' + j k T) psi = -du_inc/dn
 
-with eta = k and T rewritten by the Maue identity as tangential derivatives
+assemble_operators builds only the matrix the boundary condition solves.
+Every kernel has the form j a (Y0 + j J0) + b (Y1 + j J1) at z = k rho with
+real a and b, so one evaluation of J0, Y0, J1, Y1 serves all of them and the
+matrices are assembled from real and imaginary parts. The soft matrix is one
+log-split of sigma(tau) (dG/dn_y - j k G), the representation kernel itself.
+The hard matrix rewrites T by the Maue identity as tangential derivatives
 around a single-layer kernel plus a k^2 (n.n)-weighted single layer, so only
-logarithmic singularities are ever integrated. The hard-case rows are scaled
-by |x'(t_i)|, which removes the 1/|x'| of the outer arc-length derivative at
+logarithmic singularities are ever integrated: K' and the weighted layer
+share one log-split, the Maue core is the other. Hard rows are scaled by
+|x'(t_i)|, which removes the 1/|x'| of the outer arc-length derivative at
 nodes graded into corners.
 
 Scattering columns are driven by the regular standing excitation (incoming
@@ -32,15 +38,13 @@ from typing import Optional
 
 import numpy as np
 from scipy import special as sp
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import circulant, lu_factor, lu_solve
 
 from .errors import ContractError, DomainError, QualityGateError, SolverError
 from .geometry import BoundaryMesh, Geometry, mesh_geometry
 from .mie import free_space_smatrix
 from .modal import ModeIndex, ModeSet, regular_waves_batch
 from .smatrix import DEFAULT_SMATRIX_GATE, BoundaryCondition, SMatrix
-
-_EULER_GAMMA = 0.5772156649015329
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +67,7 @@ def _log_weights(n_half: int) -> np.ndarray:
 
 
 def _log_weight_matrix(mesh: BoundaryMesh) -> np.ndarray:
-    n = mesh.n_nodes
-    r = _log_weights(n // 2)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return r[idx]
+    return circulant(_log_weights(mesh.n_nodes // 2))
 
 
 def _log_sin_matrix(mesh: BoundaryMesh) -> np.ndarray:
@@ -91,118 +92,84 @@ def spectral_diff_matrix(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# operator assembly
+# kernels and system matrices
 # ---------------------------------------------------------------------------
-@dataclass
-class BoundaryOperators:
-    """Dense Nystrom matrices of the boundary operators at one wavenumber."""
-
-    mesh: BoundaryMesh
-    k: float
-    single: np.ndarray            # S: single layer with arc Jacobian
-    double: np.ndarray            # K: double layer (PV part)
-    adjoint_double: np.ndarray    # K': normal derivative of single layer (PV)
-    hypersingular: Optional[np.ndarray] = None  # T via Maue (rows NOT scaled)
+def _bessel(z):
+    """J0, Y0, J1, Y1 at z: the one Bessel evaluation behind every 2D kernel."""
+    return sp.j0(z), sp.y0(z), sp.j1(z), sp.y1(z)
 
 
-def _log_split(full, part, rw, lg, h, diag=None):
-    """Nystrom matrix of a kernel K = K1 ln(4 sin^2((t-tau)/2)) + K2.
+def _kernel(a, b, bessel):
+    """Real and imaginary parts of j a (Y0 + j J0) + b (Y1 + j J1), a and b real.
 
-    full is K and part is K1; returns rw*K1 + h*(K - K1 ln 4sin^2). diag, when
-    given, holds the analytic coincident-point limits (K1_ii, K2_ii); they
-    overwrite the diagonal of part in place.
+    G = -(Y0 + j J0)/4 and dG/dn_y = -(k/4)(Y1 + j J1) (x - y).n_y / rho, so
+    every kernel here is of this form.
     """
-    rest = full - part * lg
-    if diag is not None:
-        np.fill_diagonal(part, diag[0])
-        np.fill_diagonal(rest, diag[1])
-    return rw * part + h * rest
+    j0, y0, j1, y1 = bessel
+    return b * y1 - a * j0, a * y0 + b * j1
 
 
-def assemble_operators(mesh: BoundaryMesh, k: float, hypersingular: bool = False):
+def _log_split(a, b, bessel, rw, lg, h, diag=None):
+    """Nystrom matrix of the kernel K = _kernel(a, b) = K1 ln(4 sin^2) + K2.
+
+    Y_n(z) carries (2/pi) J_n(z) ln z, so K1 = (b J1 + j a J0)/pi. Returns
+    rw*K1 + h*(K - K1 ln 4sin^2), built from real and imaginary parts. diag,
+    when given, holds the complex coincident-point limits (K1_ii, K2_ii).
+    """
+    j0, _, j1, _ = bessel
+    out = np.empty(lg.shape, dtype=complex)
+    parts = (b * j1 / np.pi, a * j0 / np.pi)
+    for full, part, dst, take in zip(
+        _kernel(a, b, bessel), parts, (out.real, out.imag), (np.real, np.imag)
+    ):
+        full -= part * lg
+        if diag is not None:
+            np.fill_diagonal(part, take(diag[0]))
+            np.fill_diagonal(full, take(diag[1]))
+        dst[...] = rw * part + h * full
+    return out
+
+
+def assemble_operators(mesh: BoundaryMesh, k: float, bc: BoundaryCondition) -> np.ndarray:
+    """Combined-field collocation matrix of bc at k (hard rows scaled by |x'|)."""
     if k <= 0:
         raise DomainError("wavenumber must be positive")
-    x = mesh.nodes
-    xp = mesh.xp
-    xpp = mesh.xpp
-    sigma = mesh.speed
+    xp, sigma, h = mesh.xp, mesh.speed, mesh.h
     n = mesh.n_nodes
-    h = mesh.h
-
-    dx = x[:, None, :] - x[None, :, :]
-    rho = np.sqrt(np.sum(dx**2, axis=-1))
+    dx, dy = (mesh.nodes[:, None, c] - mesh.nodes[None, :, c] for c in (0, 1))
+    rho = np.sqrt(dx * dx + dy * dy)
     np.fill_diagonal(rho, 1.0)
-    z = k * rho
-    j0, j1 = sp.j0(z), sp.j1(z)
-    y0, y1 = sp.y0(z), sp.y1(z)
-    h0, h1 = j0 - 1j * y0, j1 - 1j * y1
-
+    bessel = _bessel(k * rho)
     rw = _log_weight_matrix(mesh)
     lg = _log_sin_matrix(mesh)
 
-    # G0 = -(j/4) H0^(2)(k rho), its log part and its diagonal limit
-    g0 = -0.25j * h0
-    g0_log = -(1.0 / (4.0 * np.pi)) * j0
-    g0_diag = -0.25j - _EULER_GAMMA / (2 * np.pi) - np.log(k * sigma / 2.0) / (2 * np.pi)
-    diag_s = (-sigma / (4.0 * np.pi), g0_diag * sigma)
-
-    # single layer, kernel G0 sigma(tau)
-    single = _log_split(g0 * sigma[None, :], g0_log * sigma[None, :], rw, lg, h, diag_s)
-
-    # curvature-like factor x1'' x2' - x2'' x1' gives the double-layer limits
-    curv = xpp[:, 0] * xp[:, 1] - xpp[:, 1] * xp[:, 0]
-    diag_d = (0.0, curv / (4.0 * np.pi * sigma**2))
-
-    # double layer, kernel -(jk/4) H1^(2)(k rho) q / rho, q = dx . (x2', -x1')(tau)
-    q = dx[:, :, 0] * xp[None, :, 1] - dx[:, :, 1] * xp[None, :, 0]
-    np.fill_diagonal(q, 0.0)
-    double = _log_split(
-        -0.25j * k * h1 * q / rho, -(k / (4.0 * np.pi)) * j1 * q / rho, rw, lg, h, diag_d
-    )
-
-    # adjoint double layer, kernel (jk/4) H1^(2) (dx . n(t)) sigma(tau) / rho
-    pnum = dx[:, :, 0] * xp[:, None, 1] - dx[:, :, 1] * xp[:, None, 0]
-    np.fill_diagonal(pnum, 0.0)
-    p = pnum / sigma[:, None]
-    adjoint_double = _log_split(
-        0.25j * k * h1 * p * sigma[None, :] / rho,
-        (k / (4.0 * np.pi)) * j1 * p * sigma[None, :] / rho,
-        rw, lg, h, diag_d,
-    )
-
-    hyper = None
-    if hypersingular:
-        # Maue: T = (1/sigma) d/dt [ G0 applied to psi'(tau) ] + k^2 (n.n) S
-        nn = (xp[:, None, :] * xp[None, :, :]).sum(-1) / (sigma[:, None] * sigma[None, :])
-        weighted = _log_split(
-            g0 * nn * sigma[None, :], g0_log * nn * sigma[None, :], rw, lg, h, diag_s
-        )
-        b = _log_split(g0, g0_log, rw, lg, h, (-1.0 / (4.0 * np.pi), g0_diag))
-        dspec = spectral_diff_matrix(n)
-        hyper = (dspec @ b @ dspec) / sigma[:, None] + k**2 * weighted
-
-    return BoundaryOperators(
-        mesh=mesh,
-        k=k,
-        single=single,
-        double=double,
-        adjoint_double=adjoint_double,
-        hypersingular=hyper,
-    )
-
-
-def system_matrix(ops: BoundaryOperators, bc: BoundaryCondition, eta: float = None):
-    """Combined-field collocation matrix (hard rows scaled by |x'|)."""
-    n = ops.mesh.n_nodes
-    if eta is None:
-        eta = ops.k
+    # diagonal limit of G's smooth part, and the double-layer limits from the
+    # curvature-like factor x1'' x2' - x2'' x1'
+    g0_diag = -0.25j - (np.euler_gamma + np.log(k * sigma / 2.0)) / (2 * np.pi)
+    curv = (mesh.xpp[:, 0] * xp[:, 1] - mesh.xpp[:, 1] * xp[:, 0]) / (4.0 * np.pi)
     if bc is BoundaryCondition.SOUND_SOFT:
-        return 0.5 * np.eye(n) + ops.double - 1j * eta * ops.single
-    sigma = ops.mesh.speed
-    base = -0.5 * np.eye(n) + ops.adjoint_double
-    return sigma[:, None] * base + 1j * eta * (
-        sigma[:, None] * ops.hypersingular
+        # sigma(tau) (dG/dn_y - j k G), q = (x - y) . (x2', -x1')(tau)
+        q = dx * xp[None, :, 1] - dy * xp[None, :, 0]
+        diag = (0.25j * k * sigma / np.pi, curv / sigma**2 - 1j * k * g0_diag * sigma)
+        mat = _log_split(0.25 * k * sigma[None, :], -0.25 * k * q / rho, bessel, rw, lg, h, diag)
+        mat[np.diag_indices(n)] += 0.5
+        return mat
+
+    # sigma(t) [K' + j k^3 (n.n) S], p = (x - y) . (x2', -x1')(t) and
+    # xx = x'(t) . x'(tau) = sigma(t) sigma(tau) (n.n), plus the Maue term
+    # j k D B D, B the log-split of G (jg below is that of j G)
+    p = dx * xp[:, None, 1] - dy * xp[:, None, 0]
+    xx = xp[:, None, 0] * xp[None, :, 0] + xp[:, None, 1] * xp[None, :, 1]
+    diag = (-0.25j * k**3 * sigma**2 / np.pi, curv / sigma + 1j * k**3 * sigma**2 * g0_diag)
+    mat = _log_split(
+        -0.25 * k**3 * xx, 0.25 * k * p * sigma[None, :] / rho, bessel, rw, lg, h, diag
     )
+    jg = _log_split(-0.25, 0.0, bessel, rw, lg, h, (-0.25j / np.pi, 1j * g0_diag))
+    dspec = spectral_diff_matrix(n)
+    mat.real += k * (dspec @ jg.real @ dspec)
+    mat.imag += k * (dspec @ jg.imag @ dspec)
+    mat[np.diag_indices(n)] -= 0.5 * sigma
+    return mat
 
 
 @dataclass
@@ -212,7 +179,6 @@ class BoundarySolution:
     density: np.ndarray           # (N,) or (N, M)
     bc: BoundaryCondition
     k: float
-    eta: float
     residual: float
     excitation: Optional[ModeIndex] = None
 
@@ -223,9 +189,6 @@ def solve_exterior(
     trace: np.ndarray,
     normal_trace: np.ndarray = None,
     k: float = None,
-    eta: float = None,
-    ops: BoundaryOperators = None,
-    residual_limit: float = 1e-8,
 ) -> BoundarySolution:
     """Solve the combined-field equation for given incident boundary data.
 
@@ -235,10 +198,6 @@ def solve_exterior(
     """
     if k is None:
         k = mesh.k_design
-    if eta is None:
-        eta = k
-    if ops is None:
-        ops = assemble_operators(mesh, k, hypersingular=bc is BoundaryCondition.SOUND_HARD)
     if bc is BoundaryCondition.SOUND_HARD:
         if normal_trace is None:
             raise ContractError("sound-hard solve needs the incident normal derivative")
@@ -246,7 +205,7 @@ def solve_exterior(
         rhs = -mesh.speed[:, None] * nt
     else:
         rhs = -np.asarray(trace, dtype=complex).reshape(mesh.n_nodes, -1)
-    a = system_matrix(ops, bc, eta)
+    a = assemble_operators(mesh, k, bc)
     try:
         lu = lu_factor(a)
         density = lu_solve(lu, rhs)
@@ -255,39 +214,32 @@ def solve_exterior(
     res = np.linalg.norm(a @ density - rhs) / max(np.linalg.norm(rhs), 1e-300)
     if not np.all(np.isfinite(density)):
         raise SolverError("boundary solve produced non-finite density")
-    if res > residual_limit:
+    if res > 1e-8:
         raise SolverError("boundary linear solve residual above threshold", residual=res)
     out = density if rhs.shape[1] > 1 else density[:, 0]
-    return BoundarySolution(
-        density=out, bc=bc, k=k, eta=eta, residual=float(res)
-    )
+    return BoundarySolution(density=out, bc=bc, k=k, residual=float(res))
 
 
 # ---------------------------------------------------------------------------
 # field evaluation and far-field projection
 # ---------------------------------------------------------------------------
-def _rep_kernel(bc, k, eta, rho, rdotn):
-    """Real and imaginary parts of the representation kernel (per unit arc),
-    from G = -(j/4) H0^(2)(z) = -(Y0 + j J0)/4 and dG/dn = -(k/4)(Y1 + j J1)
-    rdotn/rho at z = k rho."""
-    z = k * rho
-    j0, y0, j1, y1 = sp.j0(z), sp.y0(z), sp.j1(z), sp.y1(z)
-    c = (0.25 * k) * rdotn / rho
-    if bc is BoundaryCondition.SOUND_SOFT:      # dG/dn - j eta G
-        return -c * y1 - (0.25 * eta) * j0, (0.25 * eta) * y0 - c * j1
-    return (eta * c) * j1 - 0.25 * y0, -0.25 * j0 - (eta * c) * y1   # G + j eta dG/dn
+def _rep_kernel(bc, k, rho, rdotn):
+    """Real and imaginary parts of the representation kernel (per unit arc):
+    dG/dn - j k G for soft, G + j k dG/dn = j (k dG/dn - j G) for hard."""
+    bessel = _bessel(k * rho)
+    if bc is BoundaryCondition.SOUND_SOFT:
+        return _kernel(0.25 * k, (-0.25 * k) * rdotn / rho, bessel)
+    re, im = _kernel(0.25, (-0.25 * k * k) * rdotn / rho, bessel)
+    return -im, re
 
 
 def scattered_field(
-    mesh: BoundaryMesh,
-    solution: BoundarySolution,
-    points: np.ndarray,
-    chunk: int = 4096,
+    mesh: BoundaryMesh, solution: BoundarySolution, points: np.ndarray
 ) -> np.ndarray:
     """Evaluate the scattered field at points away from the boundary."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dens = solution.density if solution.density.ndim == 2 else solution.density[:, None]
-    k, eta, bc = solution.k, solution.eta, solution.bc
+    chunk = 4096
     w = mesh.weights
     (node_x, node_y), (nrm_x, nrm_y) = mesh.nodes.T, mesh.normals.T
     out = np.empty((len(pts), dens.shape[1]), dtype=complex)
@@ -296,7 +248,7 @@ def scattered_field(
         dx = pts[lo:hi, 0, None] - node_x
         dy = pts[lo:hi, 1, None] - node_y
         rho = np.maximum(np.sqrt(dx * dx + dy * dy), 1e-14)
-        kern_re, kern_im = _rep_kernel(bc, k, eta, rho, dx * nrm_x + dy * nrm_y)
+        kern_re, kern_im = _rep_kernel(solution.bc, solution.k, rho, dx * nrm_x + dy * nrm_y)
         kern = np.empty(rho.shape, dtype=complex)
         kern.real = kern_re * w
         kern.imag = kern_im * w
@@ -305,28 +257,23 @@ def scattered_field(
 
 
 def far_field_coefficients(
-    mesh: BoundaryMesh,
-    solution: BoundarySolution,
-    modes: ModeSet,
-    n_far: int = None,
+    mesh: BoundaryMesh, solution: BoundarySolution, modes: ModeSet
 ) -> np.ndarray:
     """Project the scattered far field onto the outgoing angular templates.
 
     Far amplitude F(theta) multiplies e^{-jkr}/sqrt(r); coefficients follow
     from orthonormality of e^{-jn theta}/sqrt(2 pi).
     """
-    k, eta, bc = solution.k, solution.eta, solution.bc
-    n_max = max(abs(p.n) for p in modes.modes)
-    if n_far is None:
-        n_far = max(512, 8 * n_max)
+    k = solution.k
+    n_far = max(512, 8 * max(abs(p.n) for p in modes.modes))
     theta = np.arange(n_far) * (2.0 * np.pi / n_far)
     xhat = np.column_stack([np.cos(theta), np.sin(theta)])
     phase = np.exp(1j * k * (xhat @ mesh.nodes.T))          # (n_far, N)
     xdotn = xhat @ mesh.normals.T
-    if bc is BoundaryCondition.SOUND_SOFT:
-        kern = (1j * k * xdotn - 1j * eta) * phase
+    if solution.bc is BoundaryCondition.SOUND_SOFT:
+        kern = (1j * k * xdotn - 1j * k) * phase
     else:
-        kern = (1.0 + 1j * eta * 1j * k * xdotn) * phase
+        kern = (1.0 + 1j * k * 1j * k * xdotn) * phase
     c_far = -0.25j * np.sqrt(2.0 / (np.pi * k)) * np.exp(1j * np.pi / 4.0)
     dens = solution.density if solution.density.ndim == 2 else solution.density[:, None]
     f_theta = c_far * (kern * mesh.weights[None, :]) @ dens  # (n_far, M)
@@ -356,7 +303,7 @@ def offnode_dirichlet_residual(
     functionals stay accurate; exclude_corner_radius drops sample points
     within that distance of a corner vertex.
     """
-    k, eta = solution.k, solution.eta
+    k = solution.k
     n = mesh.n_nodes
     n_half = n // 2
     tstar = mesh.t + offset * mesh.h
@@ -370,22 +317,13 @@ def offnode_dirichlet_residual(
     csum = np.real(em_star / m[None, :] @ em_node.conj().T)
     rw = -(2.0 * np.pi / n_half) * csum - (np.pi / n_half**2) * np.cos(n_half * dt)
 
+    # K - j k S: the soft kernel sigma(tau) (dG/dn_y - j k G) of assemble_operators
     dx = pos[:, None, :] - mesh.nodes[None, :, :]
     rho = np.sqrt(np.sum(dx**2, axis=-1))
-    z = k * rho
-    j0, j1, y0, y1 = sp.j0(z), sp.j1(z), sp.y0(z), sp.y1(z)
     lg = np.log(4.0 * np.sin(dt / 2.0) ** 2)
-    sigma = mesh.speed
-
-    single = _log_split(
-        -0.25j * (j0 - 1j * y0) * sigma[None, :],
-        -(1.0 / (4.0 * np.pi)) * j0 * sigma[None, :],
-        rw, lg, mesh.h,
-    )
     q = dx[:, :, 0] * mesh.xp[None, :, 1] - dx[:, :, 1] * mesh.xp[None, :, 0]
-    double = _log_split(
-        -0.25j * k * (j1 - 1j * y1) * q / rho, -(k / (4.0 * np.pi)) * j1 * q / rho,
-        rw, lg, mesh.h,
+    combined = _log_split(
+        0.25 * k * mesh.speed[None, :], -0.25 * k * q / rho, _bessel(k * rho), rw, lg, mesh.h
     )
 
     # trigonometric interpolation of the density at t*
@@ -394,7 +332,7 @@ def offnode_dirichlet_residual(
     psi = solution.density if solution.density.ndim == 1 else solution.density[:, 0]
     psi_star = basis @ psi
 
-    lhs = 0.5 * psi_star + (double - 1j * eta * single) @ psi
+    lhs = 0.5 * psi_star + combined @ psi
     inc = incident_fn(pos)
     scale = float(np.max(np.abs(inc)))
     residual = np.abs(lhs + inc)
@@ -433,7 +371,6 @@ def bem_smatrix(
     mesh: BoundaryMesh = None,
     nodes_per_wavelength: float = 12.0,
     grading_exponent: int = 4,
-    eta: float = None,
     gate: Optional[float] = DEFAULT_SMATRIX_GATE,
     return_solution: bool = False,
 ):
@@ -448,7 +385,7 @@ def bem_smatrix(
     if mesh is None:
         mesh = mesh_geometry(geometry, k, nodes_per_wavelength, grading_exponent)
     values, normal_derivs = standing_mode_traces(mesh, modes, k)
-    sol = solve_exterior(mesh, bc, values, normal_derivs, k=k, eta=eta)
+    sol = solve_exterior(mesh, bc, values, normal_derivs, k=k)
     delta = far_field_coefficients(mesh, sol, modes)
     s = SMatrix(modes=modes, k=k, matrix=free_space_smatrix(modes).matrix + delta)
     if gate is not None:

@@ -135,16 +135,6 @@ def modal_excitation_fields(
     return ExcitationFieldCache(spec=spec, fields=fields, mask=mask, modes=s.modes, k=s.k)
 
 
-def ws_mode_field(cache: ExcitationFieldCache, weights: np.ndarray) -> FieldGrid:
-    """Total field of the excitation combination given by a W column."""
-    weights = np.asarray(weights)
-    if weights.shape != (cache.fields.shape[1],):
-        raise ContractError("weight vector length must match the mode count")
-    values = cache.fields @ weights
-    values[cache.mask] = 0.0
-    return FieldGrid(spec=cache.spec, values=values, mask=cache.mask, k=cache.k)
-
-
 def mode_field_matrix(cache: ExcitationFieldCache, w: np.ndarray) -> np.ndarray:
     """All delay-eigenmode fields at once: columns = cache.fields @ W."""
     out = cache.fields @ w

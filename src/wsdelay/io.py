@@ -6,6 +6,7 @@ are exact for finite doubles; orderings follow the deterministic mode
 ordering, so identical configs produce byte-identical files.
 """
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -202,11 +203,15 @@ _FIELD_NAMES = {"modes": "mode_count"}
 
 
 def parse_config(path) -> ScenarioConfig:
-    """Parse the flat key=value scenario file (# starts a comment)."""
+    """Parse the flat key=value scenario file.
+
+    # starts a comment at the start of a line or after whitespace, so a value
+    such as a path may itself contain #.
+    """
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -3,12 +3,15 @@ import pytest
 from scipy import special as sp
 
 from wsdelay.bem import (
+    _log_sin_matrix,
+    _log_weight_matrix,
     assemble_operators,
     bem_smatrix,
     far_field_coefficients,
     offnode_dirichlet_residual,
     scattered_field,
     solve_exterior,
+    spectral_diff_matrix,
     standing_mode_traces,
 )
 from wsdelay.errors import ContractError, DomainError, GeometryError, QualityGateError
@@ -24,6 +27,7 @@ from wsdelay.geometry import (
 from wsdelay.mie import mie_smatrix, modal_reflection
 from wsdelay.modal import ModeIndex, ModeSet, regular_wave
 from wsdelay.smatrix import BoundaryCondition
+from wsdelay.wigner import q_matrix, smatrix_fd_derivative, ws_decompose
 
 SOFT = BoundaryCondition.SOUND_SOFT
 HARD = BoundaryCondition.SOUND_HARD
@@ -33,7 +37,7 @@ def complex_hankel_field(mesh, solution, points):
     """Scattered field from the complex H0/H1 kernel: the reference for
     scattered_field's real and imaginary kernel parts."""
     dens = solution.density.reshape(mesh.n_nodes, -1)
-    k, eta = solution.k, solution.eta
+    k = eta = solution.k
     dx = points[:, None, :] - mesh.nodes[None, :, :]
     rho = np.maximum(np.sqrt(np.sum(dx**2, axis=-1)), 1e-14)
     rdotn = dx[:, :, 0] * mesh.normals[None, :, 0] + dx[:, :, 1] * mesh.normals[None, :, 1]
@@ -41,6 +45,50 @@ def complex_hankel_field(mesh, solution, points):
     dg_dn = -0.25j * k * (sp.j1(k * rho) - 1j * sp.y1(k * rho)) * rdotn / rho
     kern = dg_dn - 1j * eta * g if solution.bc is SOFT else g + 1j * eta * dg_dn
     return (kern * mesh.weights[None, :]) @ dens
+
+
+def four_operator_system(mesh, k, bc):
+    """Combined-field matrix from the complex S, K, K' and Maue T operators
+    combined afterwards: the reference for assemble_operators' direct
+    per-boundary-condition assembly."""
+    x, xp, xpp, sigma, h = mesh.nodes, mesh.xp, mesh.xpp, mesh.speed, mesh.h
+    n = mesh.n_nodes
+    dx = x[:, None, :] - x[None, :, :]
+    rho = np.sqrt(np.sum(dx**2, axis=-1))
+    np.fill_diagonal(rho, 1.0)
+    z = k * rho
+    j0, j1 = sp.j0(z), sp.j1(z)
+    h0, h1 = j0 - 1j * sp.y0(z), j1 - 1j * sp.y1(z)
+    rw, lg = _log_weight_matrix(mesh), _log_sin_matrix(mesh)
+
+    def split(full, part, diag):
+        rest = full - part * lg
+        np.fill_diagonal(part, diag[0])
+        np.fill_diagonal(rest, diag[1])
+        return rw * part + h * rest
+
+    g0, g0_log = -0.25j * h0, -(1.0 / (4.0 * np.pi)) * j0
+    g0_diag = -0.25j - np.euler_gamma / (2 * np.pi) - np.log(k * sigma / 2.0) / (2 * np.pi)
+    diag_s = (-sigma / (4.0 * np.pi), g0_diag * sigma)
+    curv = xpp[:, 0] * xp[:, 1] - xpp[:, 1] * xp[:, 0]
+    diag_d = (0.0, curv / (4.0 * np.pi * sigma**2))
+    if bc is SOFT:
+        single = split(g0 * sigma[None, :], g0_log * sigma[None, :], diag_s)
+        q = dx[:, :, 0] * xp[None, :, 1] - dx[:, :, 1] * xp[None, :, 0]
+        double = split(-0.25j * k * h1 * q / rho, -(k / (4.0 * np.pi)) * j1 * q / rho, diag_d)
+        return 0.5 * np.eye(n) + double - 1j * k * single
+    p = (dx[:, :, 0] * xp[:, None, 1] - dx[:, :, 1] * xp[:, None, 0]) / sigma[:, None]
+    adjoint = split(
+        0.25j * k * h1 * p * sigma[None, :] / rho,
+        (k / (4.0 * np.pi)) * j1 * p * sigma[None, :] / rho,
+        diag_d,
+    )
+    nn = (xp[:, None, :] * xp[None, :, :]).sum(-1) / (sigma[:, None] * sigma[None, :])
+    weighted = split(g0 * nn * sigma[None, :], g0_log * nn * sigma[None, :], diag_s)
+    b = split(g0, g0_log, (-1.0 / (4.0 * np.pi), g0_diag))
+    dspec = spectral_diff_matrix(n)
+    hyper = (dspec @ b @ dspec) / sigma[:, None] + k**2 * weighted
+    return sigma[:, None] * (-0.5 * np.eye(n) + adjoint) + 1j * k * sigma[:, None] * hyper
 
 
 class TestGeometry:
@@ -287,6 +335,59 @@ class TestSolver:
         got = scattered_field(mesh, sol, pts)
         want = complex_hankel_field(mesh, sol, pts)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("bc", [SOFT, HARD])
+    @pytest.mark.parametrize("k", [0.7, 1.0])
+    @pytest.mark.parametrize(
+        "geom",
+        [make_circle(2.0), make_strip(), make_cavity(3.0)],
+        ids=["circle", "strip", "cavity3"],
+    )
+    def test_matches_four_operator_reference(self, geom, k, bc):
+        # the hard case's floor is the cancellation in D B D near corners,
+        # whose sums run ~50x the result; both routes err alike against an
+        # extended-precision product there
+        mesh = mesh_geometry(geom, k)
+        got = assemble_operators(mesh, k, bc)
+        want = four_operator_system(mesh, k, bc)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_nonpositive_wavenumber_rejected(self):
+        mesh = mesh_geometry(make_circle(1.0), 1.0)
+        with pytest.raises(DomainError):
+            assemble_operators(mesh, 0.0, SOFT)
+
+
+class TestRotation:
+    @pytest.mark.parametrize("bc", [SOFT, HARD])
+    def test_rotated_square_is_phase_similar(self, bc):
+        # rotating the scatterer by alpha maps incoming e^{jn theta} to
+        # e^{-jn alpha} e^{jn theta} and outgoing e^{-jm theta} to
+        # e^{jm alpha} e^{-jm theta}, so S' = P S P with P = diag(e^{jn alpha})
+        # and Q' = P* Q P: same delays
+        k, alpha = 1.0, 0.6
+        square = np.array([(-2.0, -2.0), (2.0, -2.0), (2.0, 2.0), (-2.0, 2.0)])
+        rot = np.array([[np.cos(alpha), -np.sin(alpha)], [np.sin(alpha), np.cos(alpha)]])
+        out = []
+        for verts in (square, square @ rot.T):
+            geom = make_polyline([tuple(v) for v in verts])
+            mesh = mesh_geometry(geom, k)
+
+            def provider(kp, geom=geom, mesh=mesh):
+                return bem_smatrix(geom, bc, kp, ModeSet.angular(8, kp), mesh=mesh)
+
+            s = provider(k)
+            dec = ws_decompose(q_matrix(s, smatrix_fd_derivative(provider, k)), s)
+            out.append((mesh, s, dec.delays))
+        (mesh, s, delays), (mesh_rot, s_rot, delays_rot) = out
+        assert np.max(np.abs(mesh_rot.nodes - mesh.nodes @ rot.T)) < 1e-12
+        phase = np.exp(1j * alpha * np.array([p.n for p in s.modes.modes]))
+        expect = phase[:, None] * s.matrix * phase[None, :]
+        assert len(s.modes) == 17
+        assert np.max(np.abs(s_rot.matrix - expect)) <= 1e-10
+        assert np.max(np.abs(delays_rot - delays)) <= 1e-8 * np.max(np.abs(delays))
 
 
 class TestBemSMatrix:

@@ -232,6 +232,20 @@ class TestMainExitCodes:
         )
         assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
+    def test_polyline_path_with_hash(self, tmp_path):
+        # '#' starts a comment only at a line start or after whitespace
+        folder = tmp_path / "hash#dir"
+        folder.mkdir()
+        poly = write(folder / "sq.csv", "-2,-2\n2,-2\n2,2\n-2,2\n")
+        cfg = write(
+            tmp_path / "c.cfg",
+            f"# square\nscenario=custom   # 4x4\nmodes=17\npolyline={poly}\n"
+            "grid_nx=11\ngrid_ny=11\n",
+        )
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        assert (out / "mesh.csv").exists()
+
     def test_gate_failure_exit_2(self, tmp_path):
         cfg = write(
             tmp_path / "c.cfg",

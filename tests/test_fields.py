@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wsdelay.bem import bem_smatrix
-from wsdelay.errors import ContractError, DomainError
+from wsdelay.errors import DomainError
 from wsdelay.fields import (
     ClassificationThresholds,
     GridSpec,
@@ -14,7 +14,6 @@ from wsdelay.fields import (
     mode_field_matrix,
     modal_excitation_fields,
     region_masks,
-    ws_mode_field,
 )
 from wsdelay.geometry import make_circle, mesh_geometry
 from wsdelay.modal import ModeSet
@@ -54,10 +53,8 @@ class TestGridSpec:
 class TestModeFields:
     def test_identity_column_reproduces_excitation(self, circle_case):
         _, modes, _, cache, _ = circle_case
-        e = np.zeros(len(modes), dtype=complex)
-        e[2] = 1.0
-        fg = ws_mode_field(cache, e)
-        assert np.allclose(fg.values, np.where(cache.mask, 0.0, cache.fields[:, 2]))
+        mf = mode_field_matrix(cache, np.eye(len(modes), dtype=complex))
+        assert np.allclose(mf[:, 2], np.where(cache.mask, 0.0, cache.fields[:, 2]))
 
     def test_linearity(self, circle_case):
         _, modes, _, cache, _ = circle_case
@@ -65,8 +62,8 @@ class TestModeFields:
         u = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
         v = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
         al, be = 1.3 - 0.4j, -0.2 + 2.0j
-        lhs = ws_mode_field(cache, al * u + be * v).values
-        rhs = al * ws_mode_field(cache, u).values + be * ws_mode_field(cache, v).values
+        mf = mode_field_matrix(cache, np.column_stack([al * u + be * v, u, v]))
+        lhs, rhs = mf[:, 0], al * mf[:, 1] + be * mf[:, 2]
         scale = np.max(np.abs(rhs))
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
 
@@ -82,14 +79,9 @@ class TestModeFields:
 
     def test_masked_points_are_zero(self, circle_case):
         _, modes, _, cache, _ = circle_case
-        fg = ws_mode_field(cache, np.ones(len(modes), dtype=complex))
-        assert np.all(fg.values[cache.mask] == 0.0)
+        mf = mode_field_matrix(cache, np.ones((len(modes), 2), dtype=complex))
+        assert np.all(mf[cache.mask] == 0.0)
         assert np.any(cache.mask)
-
-    def test_weight_length_checked(self, circle_case):
-        _, modes, _, cache, _ = circle_case
-        with pytest.raises(ContractError):
-            ws_mode_field(cache, np.ones(3))
 
     def test_mode_field_peak_stable_under_grid_refinement(self, circle_case):
         geom, modes, s, cache, spec = circle_case
@@ -100,7 +92,7 @@ class TestModeFields:
         for n in (81, 161):
             g = GridSpec(-10, 10, -10, 10, nx=n, ny=n)
             c = modal_excitation_fields(s, geom, g)
-            peaks.append(np.max(np.abs(ws_mode_field(c, w).values)))
+            peaks.append(np.max(np.abs(mode_field_matrix(c, w[:, None]))))
         assert np.isfinite(peaks).all()
         assert abs(peaks[1] - peaks[0]) < 0.01 * peaks[1]
 
