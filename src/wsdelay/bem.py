@@ -5,6 +5,9 @@ are discretized on the graded global parameter grid of geometry.BoundaryMesh.
 Kernels are split as K = K1 ln(4 sin^2((t-tau)/2)) + K2 and integrated with
 the spectral product-quadrature for the log factor plus the trapezoid rule,
 collocating at the nodes (classical diagonal limits supplied analytically).
+On the uniform parameter grid the k-independent matrices (log weights, the
+log factor, spectral differentiation) are circulant or Toeplitz, built from
+one row.
 
 Formulations are combined-field with eta = k, hence immune to fictitious
 interior resonances:
@@ -29,8 +32,9 @@ nodes graded into corners.
 Scattering columns are driven by the regular standing excitation (incoming
 mode plus its free-space response), which is finite everywhere regardless of
 where the basis origin lies relative to the scatterer; the S matrix is the
-free-space matrix plus the projection of the scattered far field onto the
-outgoing templates.
+free-space matrix plus the scattered far field's outgoing coefficients. By
+reciprocity (Jacobi-Anger) those are exact boundary sums of the density
+against the same standing traces, with no angular sampling.
 """
 
 from dataclasses import dataclass
@@ -38,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import special as sp
-from scipy.linalg import circulant, lu_factor, lu_solve
+from scipy.linalg import circulant, lu_factor, lu_solve, toeplitz
 
 from .errors import ContractError, DomainError, QualityGateError, SolverError
 from .geometry import BoundaryMesh, Geometry, mesh_geometry
@@ -53,42 +57,35 @@ from .smatrix import DEFAULT_SMATRIX_GATE, BoundaryCondition, SMatrix
 def _log_weights(n_half: int) -> np.ndarray:
     """R(q h): weights for the ln(4 sin^2((t-tau)/2)) factor, per difference.
 
-    Exact for trigonometric polynomials of degree < n_half on the 2 n_half
-    point uniform grid.
+    R(q h) = -(2 pi/n_half) sum_{m<n_half} cos(m q h)/m - (pi/n_half^2) cos(n_half q h),
+    one real inverse DFT of that half spectrum. Exact for trigonometric
+    polynomials of degree < n_half on the 2 n_half point uniform grid.
     """
-    n_nodes = 2 * n_half
-    h = np.pi / n_half
-    q = np.arange(n_nodes)
-    m = np.arange(1, n_half)
-    csum = np.cos(np.outer(m, q * h)) / m[:, None]
-    return -(2.0 * np.pi / n_half) * csum.sum(axis=0) - (np.pi / n_half**2) * np.cos(
-        n_half * q * h
-    )
-
-
-def _log_weight_matrix(mesh: BoundaryMesh) -> np.ndarray:
-    return circulant(_log_weights(mesh.n_nodes // 2))
+    m = np.arange(n_half + 1)
+    spec = -(np.pi / n_half) / np.maximum(m, 1)
+    spec[0], spec[n_half] = 0.0, -np.pi / n_half**2
+    return np.fft.irfft(spec, 2 * n_half) * (2 * n_half)
 
 
 def _log_sin_matrix(mesh: BoundaryMesh) -> np.ndarray:
-    """ln(4 sin^2((t_i - t_j)/2)) with a masked diagonal."""
+    """ln(4 sin^2((t_i - t_j)/2)), masked diagonal: on the uniform grid one row
+    in q = i - j, folded to min(q, n - q) so the sine's argument stays small."""
     n = mesh.n_nodes
-    dt = mesh.t[:, None] - mesh.t[None, :]
-    s = 4.0 * np.sin(dt / 2.0) ** 2
-    np.fill_diagonal(s, 1.0)
-    return np.log(s)
+    q = np.arange(n)
+    s = 4.0 * np.sin(0.5 * mesh.h * np.minimum(q, n - q)) ** 2
+    s[0] = 1.0
+    return circulant(np.log(s))
 
 
 def spectral_diff_matrix(n: int) -> np.ndarray:
     """Periodic spectral differentiation matrix on n (even) uniform nodes."""
     if n % 2:
         raise ContractError("spectral differentiation needs an even node count")
-    i = np.arange(n)
-    diff = i[:, None] - i[None, :]
+    diff = np.arange(1 - n, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = 0.5 * (-1.0) ** diff / np.tan(diff * np.pi / n)
-    d[diff == 0] = 0.0
-    return d
+    d[n - 1] = 0.0
+    return toeplitz(d[n - 1:], d[n - 1::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +137,7 @@ def assemble_operators(mesh: BoundaryMesh, k: float, bc: BoundaryCondition) -> n
     rho = np.sqrt(dx * dx + dy * dy)
     np.fill_diagonal(rho, 1.0)
     bessel = _bessel(k * rho)
-    rw = _log_weight_matrix(mesh)
+    rw = circulant(_log_weights(n // 2))
     lg = _log_sin_matrix(mesh)
 
     # diagonal limit of G's smooth part, and the double-layer limits from the
@@ -261,25 +258,25 @@ def far_field_coefficients(
 ) -> np.ndarray:
     """Project the scattered far field onto the outgoing angular templates.
 
-    Far amplitude F(theta) multiplies e^{-jkr}/sqrt(r); coefficients follow
-    from orthonormality of e^{-jn theta}/sqrt(2 pi).
+    The far amplitude F(theta) multiplies e^{-jkr}/sqrt(r), and port n takes
+    the integral of F e^{jn theta}/sqrt(2 pi). F's kernel is
+    c (jk xhat.n - jk) e^{jk xhat.y} (soft) or c (1 - k^2 xhat.n) e^{jk xhat.y}
+    (hard), c = -(j/4) sqrt(2/(pi k)) e^{j pi/4}. By Jacobi-Anger the angular
+    integral of e^{jn theta} e^{jk xhat.y} is 2 pi j^n J_n(k|y|) e^{jn phi} =
+    2 pi j^n sqrt(2 pi) R_n(y)/(2 gamma_n), R_n the standing trace, and the
+    xhat.n factor becomes a normal derivative. The projection is therefore
+    exact, with no angular sampling: the weighted density against
+    dR_n/dn - jk R_n (soft) or R_n + jk dR_n/dn (hard), times
+    c 2 pi j^n/(2 gamma_n) = -j/(2k).
     """
     k = solution.k
-    n_far = max(512, 8 * max(abs(p.n) for p in modes.modes))
-    theta = np.arange(n_far) * (2.0 * np.pi / n_far)
-    xhat = np.column_stack([np.cos(theta), np.sin(theta)])
-    phase = np.exp(1j * k * (xhat @ mesh.nodes.T))          # (n_far, N)
-    xdotn = xhat @ mesh.normals.T
+    values, normal_derivs = standing_mode_traces(mesh, modes, k)
     if solution.bc is BoundaryCondition.SOUND_SOFT:
-        kern = (1j * k * xdotn - 1j * k) * phase
+        ports = normal_derivs - 1j * k * values
     else:
-        kern = (1.0 + 1j * k * 1j * k * xdotn) * phase
-    c_far = -0.25j * np.sqrt(2.0 / (np.pi * k)) * np.exp(1j * np.pi / 4.0)
-    dens = solution.density if solution.density.ndim == 2 else solution.density[:, None]
-    f_theta = c_far * (kern * mesh.weights[None, :]) @ dens  # (n_far, M)
-    orders = np.array([p.n for p in modes.modes])
-    proj = np.exp(1j * np.outer(orders, theta)) * (2.0 * np.pi / n_far) / np.sqrt(2.0 * np.pi)
-    coeffs = proj @ f_theta
+        ports = values + 1j * k * normal_derivs
+    weighted = mesh.weights[:, None] * solution.density.reshape(mesh.n_nodes, -1)
+    coeffs = (-0.5j / k) * (ports.T @ weighted)
     return coeffs if solution.density.ndim == 2 else coeffs[:, 0]
 
 
@@ -377,13 +374,15 @@ def bem_smatrix(
     """Scattering matrix of an arbitrary piecewise-smooth 2D boundary.
 
     S = S_free + projection of the scattered far fields of the M standing
-    excitations. Pass a prebuilt mesh to keep the node set fixed across
-    nearby wavenumbers (finite-difference dS/dk needs that).
+    excitations. Pass a prebuilt mesh of geometry to keep the node set fixed
+    across nearby wavenumbers (finite-difference dS/dk needs that).
     """
     if modes.dim != 2:
         raise ContractError("BEM scattering needs a 2D mode set")
     if mesh is None:
         mesh = mesh_geometry(geometry, k, nodes_per_wavelength, grading_exponent)
+    elif mesh.geometry != geometry:
+        raise ContractError("mesh was built for another geometry")
     values, normal_derivs = standing_mode_traces(mesh, modes, k)
     sol = solve_exterior(mesh, bc, values, normal_derivs, k=k)
     delta = far_field_coefficients(mesh, sol, modes)

@@ -26,13 +26,19 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 # matrices and vectors
 # ---------------------------------------------------------------------------
+def _write_rows(fh, row_fmt, columns):
+    """One row_fmt line per row of the stacked columns, one % per 4096 rows."""
+    table = np.column_stack(columns)
+    for part in np.split(table, range(4096, len(table), 4096)):
+        fh.write((row_fmt * len(part)) % tuple(part.ravel().tolist()))
+
+
 def write_complex_matrix(path, matrix: np.ndarray):
     m = np.asarray(matrix)
+    rows, cols = np.indices(m.shape)
     with open(path, "w") as fh:
         fh.write("row,col,re,im\n")
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                fh.write(f"{i},{j},{_fmt(m[i, j].real)},{_fmt(m[i, j].imag)}\n")
+        _write_rows(fh, f"%d,%d,{FMT},{FMT}\n", [a.ravel() for a in (rows, cols, m.real, m.imag)])
 
 
 def read_complex_matrix(path) -> np.ndarray:
@@ -83,11 +89,10 @@ def write_modeset(path, modes: ModeSet):
 
 def write_field_grid(path, grid):
     """Field samples, row-major (x fastest), header x,y,re,im,masked."""
-    pts = grid.spec.points()
+    cols = [grid.spec.points(), grid.values.real, grid.values.imag, grid.mask]
     with open(path, "w") as fh:
         fh.write("x,y,re,im,masked\n")
-        for (x, y), v, m in zip(pts, grid.values, grid.mask):
-            fh.write(f"{_fmt(x)},{_fmt(y)},{_fmt(v.real)},{_fmt(v.imag)},{int(m)}\n")
+        _write_rows(fh, f"{FMT},{FMT},{FMT},{FMT},%d\n", cols)
 
 
 def write_classification(path, classification):
@@ -101,15 +106,9 @@ def write_classification(path, classification):
 
 
 def write_mesh(path, mesh):
-    nrm = mesh.normals
-    w = mesh.weights
     with open(path, "w") as fh:
         fh.write("x,y,nx,ny,weight\n")
-        for i in range(mesh.n_nodes):
-            fh.write(
-                f"{_fmt(mesh.nodes[i, 0])},{_fmt(mesh.nodes[i, 1])},"
-                f"{_fmt(nrm[i, 0])},{_fmt(nrm[i, 1])},{_fmt(w[i])}\n"
-            )
+        _write_rows(fh, ",".join([FMT] * 5) + "\n", [mesh.nodes, mesh.normals, mesh.weights])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from scipy import special as sp
+from scipy.linalg import circulant
 
 from wsdelay.bem import (
+    BoundarySolution,
     _log_sin_matrix,
-    _log_weight_matrix,
+    _log_weights,
     assemble_operators,
     bem_smatrix,
     far_field_coefficients,
@@ -59,7 +61,7 @@ def four_operator_system(mesh, k, bc):
     z = k * rho
     j0, j1 = sp.j0(z), sp.j1(z)
     h0, h1 = j0 - 1j * sp.y0(z), j1 - 1j * sp.y1(z)
-    rw, lg = _log_weight_matrix(mesh), _log_sin_matrix(mesh)
+    rw, lg = circulant(_log_weights(n // 2)), _log_sin_matrix(mesh)
 
     def split(full, part, diag):
         rest = full - part * lg
@@ -89,6 +91,47 @@ def four_operator_system(mesh, k, bc):
     dspec = spectral_diff_matrix(n)
     hyper = (dspec @ b @ dspec) / sigma[:, None] + k**2 * weighted
     return sigma[:, None] * (-0.5 * np.eye(n) + adjoint) + 1j * k * sigma[:, None] * hyper
+
+
+def sampled_far_field(mesh, solution, modes):
+    """Far-field coefficients by sampling F(theta) in max(512, 8 n_max)
+    directions and summing against e^{jn theta}: the reference for
+    far_field_coefficients' reciprocity projection."""
+    k = solution.k
+    n_far = max(512, 8 * max(abs(p.n) for p in modes.modes))
+    theta = np.arange(n_far) * (2.0 * np.pi / n_far)
+    xhat = np.column_stack([np.cos(theta), np.sin(theta)])
+    phase = np.exp(1j * k * (xhat @ mesh.nodes.T))
+    xdotn = xhat @ mesh.normals.T
+    if solution.bc is SOFT:
+        kern = (1j * k * xdotn - 1j * k) * phase
+    else:
+        kern = (1.0 + 1j * k * 1j * k * xdotn) * phase
+    c_far = -0.25j * np.sqrt(2.0 / (np.pi * k)) * np.exp(1j * np.pi / 4.0)
+    f_theta = c_far * (kern * mesh.weights[None, :]) @ solution.density.reshape(mesh.n_nodes, -1)
+    orders = np.array([p.n for p in modes.modes])
+    proj = np.exp(1j * np.outer(orders, theta)) * (2.0 * np.pi / n_far) / np.sqrt(2.0 * np.pi)
+    coeffs = proj @ f_theta
+    return coeffs if solution.density.ndim == 2 else coeffs[:, 0]
+
+
+def dense_spectral_diff(n):
+    """spectral_diff_matrix from the N^2 entry formula: its bitwise reference."""
+    i = np.arange(n)
+    diff = i[:, None] - i[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = 0.5 * (-1.0) ** diff / np.tan(diff * np.pi / n)
+    d[diff == 0] = 0.0
+    return d
+
+
+def cosine_sum_log_weights(n_half):
+    """_log_weights as the O(N^2) cosine sum, arguments reduced exactly
+    (m q mod N) so the reference carries no rounding of m q h."""
+    n = 2 * n_half
+    m = np.arange(1, n_half)
+    csum = np.cos((2.0 * np.pi / n) * (np.outer(m, np.arange(n)) % n)) / m[:, None]
+    return -(2.0 * np.pi / n_half) * csum.sum(axis=0) - (np.pi / n_half**2) * (-1.0) ** np.arange(n)
 
 
 class TestGeometry:
@@ -360,6 +403,59 @@ class TestAssembly:
             assemble_operators(mesh, 0.0, SOFT)
 
 
+class TestFarField:
+    @pytest.mark.parametrize("k", [0.7, 1.0])
+    @pytest.mark.parametrize(
+        "geom",
+        [make_circle(2.0), make_strip(), make_cavity(3.0)],
+        ids=["circle", "strip", "cavity3"],
+    )
+    def test_matches_sampled_projection(self, geom, k):
+        mesh = mesh_geometry(geom, k)
+        modes = ModeSet.angular(int(k * np.max(np.hypot(*mesh.nodes.T))) + 8, k)
+        values, nds = standing_mode_traces(mesh, modes, k)
+        for bc in (SOFT, HARD):
+            sol = solve_exterior(mesh, bc, values, nds, k=k)
+            single = BoundarySolution(sol.density[:, 3], bc, k, sol.residual)
+            for s in (sol, single):
+                got = far_field_coefficients(mesh, s, modes)
+                want = sampled_far_field(mesh, s, modes)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestQuadratureRows:
+    @pytest.mark.parametrize("n", [64, 446, 622, 692, 842])
+    def test_spectral_diff_bitwise(self, n):
+        assert np.array_equal(spectral_diff_matrix(n), dense_spectral_diff(n))
+
+    def test_spectral_diff_odd_rejected(self):
+        with pytest.raises(ContractError):
+            spectral_diff_matrix(63)
+
+    @pytest.mark.parametrize("n_half", [32, 223, 311, 346, 421])
+    def test_log_weights_match_cosine_sum(self, n_half):
+        want = cosine_sum_log_weights(n_half)
+        assert np.max(np.abs(_log_weights(n_half) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("geom", [make_strip(), make_cavity(3.0)], ids=["strip", "cavity3"])
+    def test_log_sin_no_farther_from_exact(self, geom):
+        mesh = mesh_geometry(geom, 1.0)
+        dt = mesh.t[:, None] - mesh.t[None, :]
+        s = 4.0 * np.sin(dt / 2.0) ** 2
+        np.fill_diagonal(s, 1.0)
+        old = np.log(s)
+        # (i - j) h / 2 = (i - j) pi / N, pi to extended precision
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        q = np.subtract.outer(np.arange(mesh.n_nodes), np.arange(mesh.n_nodes))
+        s_ext = 4.0 * np.sin(q * (pi / mesh.n_nodes)) ** 2
+        np.fill_diagonal(s_ext, 1.0)
+        exact = np.log(s_ext)
+        new = _log_sin_matrix(mesh)
+        assert np.array_equal(np.diag(new), np.zeros(mesh.n_nodes))
+        assert np.max(np.abs(new - exact)) <= np.max(np.abs(old - exact))
+
+
 class TestRotation:
     @pytest.mark.parametrize("bc", [SOFT, HARD])
     def test_rotated_square_is_phase_similar(self, bc):
@@ -420,6 +516,11 @@ class TestBemSMatrix:
         modes = ModeSet.angular(4, 1.0)
         with pytest.raises(QualityGateError):
             bem_smatrix(make_circle(1.0), SOFT, 1.0, modes, gate=1e-16)
+
+    def test_mesh_of_other_geometry_rejected(self):
+        mesh = mesh_geometry(make_cavity(5.0), 1.0)
+        with pytest.raises(ContractError):
+            bem_smatrix(make_cavity(3.0), SOFT, 1.0, ModeSet.angular(4, 1.0), mesh=mesh)
 
     def test_dim_mismatch(self):
         with pytest.raises(ContractError):
