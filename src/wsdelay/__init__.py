@@ -66,7 +66,6 @@ from .smatrix import BoundaryCondition, SMatrix
 from .volumeq import (
     QuadratureSpec,
     RadialProfile,
-    q_entry_volume,
     qtilde_infinity,
     surface_identity_check,
     volume_q_matrix,

@@ -254,7 +254,10 @@ def scattered_field(
 
 
 def far_field_coefficients(
-    mesh: BoundaryMesh, solution: BoundarySolution, modes: ModeSet
+    mesh: BoundaryMesh,
+    solution: BoundarySolution,
+    values: np.ndarray,
+    normal_derivs: np.ndarray,
 ) -> np.ndarray:
     """Project the scattered far field onto the outgoing angular templates.
 
@@ -267,10 +270,11 @@ def far_field_coefficients(
     xhat.n factor becomes a normal derivative. The projection is therefore
     exact, with no angular sampling: the weighted density against
     dR_n/dn - jk R_n (soft) or R_n + jk dR_n/dn (hard), times
-    c 2 pi j^n/(2 gamma_n) = -j/(2k).
+    c 2 pi j^n/(2 gamma_n) = -j/(2k). values and normal_derivs are the
+    standing traces of standing_mode_traces at the solution's k, one column
+    per port, so the solve's right-hand side serves the projection too.
     """
     k = solution.k
-    values, normal_derivs = standing_mode_traces(mesh, modes, k)
     if solution.bc is BoundaryCondition.SOUND_SOFT:
         ports = normal_derivs - 1j * k * values
     else:
@@ -385,7 +389,7 @@ def bem_smatrix(
         raise ContractError("mesh was built for another geometry")
     values, normal_derivs = standing_mode_traces(mesh, modes, k)
     sol = solve_exterior(mesh, bc, values, normal_derivs, k=k)
-    delta = far_field_coefficients(mesh, sol, modes)
+    delta = far_field_coefficients(mesh, sol, values, normal_derivs)
     s = SMatrix(modes=modes, k=k, matrix=free_space_smatrix(modes).matrix + delta)
     if gate is not None:
         res = max(s.unitarity_residual(), s.symmetry_residual())

@@ -50,7 +50,7 @@ from .geometry import (
 from .mie import mie_smatrix, mie_smatrix_deriv
 from .modal import ModeIndex, ModeSet, suggested_mode_count
 from .smatrix import BoundaryCondition
-from .volumeq import STYLES, QuadratureSpec, surface_identity_check, volume_q_matrix
+from .volumeq import QuadratureSpec, surface_identity_check, volume_q_matrix
 from .wigner import q_matrix, smatrix_fd_derivative, validate_smatrix, ws_decompose
 
 UNITS_NOTE = (
@@ -203,8 +203,7 @@ def _sphere_checks(cfg, st, q, gates):
     if st.quad is not None:
         scale = float(np.max(np.abs(np.diag(q.matrix))))
         rows = []
-        for style in STYLES:
-            qv = volume_q_matrix(style, st.bc, k, cfg.a, st.modes, st.quad)
+        for style, qv in volume_q_matrix(st.bc, k, cfg.a, st.modes, st.quad).items():
             gates.add(f"volume_route_{style}", np.max(np.abs(qv.matrix - q.matrix)) / scale, 1e-3)
             for i in range(len(st.modes)):
                 val, ref = qv.matrix[i, i], q.matrix[i, i]

@@ -145,7 +145,11 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.bc not in ("soft", "hard"):
             raise ConfigError(f"bc must be soft or hard, got {self.bc!r}")
-        for name, val in (("k", self.k), ("a", self.a), ("w", self.w)):
+        positive = {"k": self.k, "a": self.a, "w": self.w,
+                    "vol_kr": self.vol_kr, "vol_npw": self.vol_npw}
+        if self.grid_halfwidth is not None:
+            positive["grid_halfwidth"] = self.grid_halfwidth
+        for name, val in positive.items():
             if not np.isfinite(val) or val <= 0:
                 raise ConfigError(f"{name} must be positive and finite")
         if self.mode_count is not None:

@@ -29,23 +29,20 @@ from .specfun import (
     cyl_bessel,
     cyl_bessel_dx,
     sph_bessel,
-    sph_bessel_dx,
+    sph_bessel_table,
     sph_harm,
 )
 
 H1, H2 = BesselKind.HANKEL1, BesselKind.HANKEL2
 
 
-def _hankel_pair(dim: int, order: int, z: float):
+def _hankel1(dim: int, order: int, z: float):
+    """h^(1) (3D) or H^(1) (2D) at z and its z-derivative, one table per order;
+    the outgoing kind is their conjugate."""
     if dim == 3:
-        return sph_bessel(H1, order, z), sph_bessel(H2, order, z)
-    return cyl_bessel(H1, order, z), cyl_bessel(H2, order, z)
-
-
-def _hankel_pair_dx(dim: int, order: int, z: float):
-    if dim == 3:
-        return sph_bessel_dx(H1, order, z), sph_bessel_dx(H2, order, z)
-    return cyl_bessel_dx(H1, order, z), cyl_bessel_dx(H2, order, z)
+        h, dh = sph_bessel_table(H1, order, z)
+        return h[-1, 0], dh[-1, 0]
+    return cyl_bessel(H1, order, z), cyl_bessel_dx(H1, order, z)
 
 
 def modal_reflection(dim: int, bc: BoundaryCondition, order: int, ka: float) -> complex:
@@ -55,11 +52,10 @@ def modal_reflection(dim: int, bc: BoundaryCondition, order: int, ka: float) -> 
     order = abs(int(order)) if dim == 2 else int(order)
     if dim == 3 and order < 0:
         raise DomainError("spherical degree must be >= 0")
-    h1, h2 = _hankel_pair(dim, order, ka)
+    h1, d1 = _hankel1(dim, order, ka)
     if bc is BoundaryCondition.SOUND_SOFT:
-        return -h1 / h2
-    d1, d2 = _hankel_pair_dx(dim, order, ka)
-    return -d1 / d2
+        return -h1 / np.conj(h1)
+    return -d1 / np.conj(d1)
 
 
 def modal_reflection_deriv(
@@ -75,8 +71,8 @@ def modal_reflection_deriv(
     if z <= 0:
         raise DomainError("ka must be positive")
     order = abs(int(order)) if dim == 2 else int(order)
-    h1, h2 = _hankel_pair(dim, order, z)
-    d1, d2 = _hankel_pair_dx(dim, order, z)
+    h1, d1 = _hankel1(dim, order, z)
+    h2, d2 = np.conj(h1), np.conj(d1)
     if bc is BoundaryCondition.SOUND_SOFT:
         dalpha_dz = -(d1 * h2 - h1 * d2) / h2**2
         return a * dalpha_dz

@@ -3,7 +3,11 @@
 All evaluations are for positive real arguments. Spherical Bessel functions
 are computed by recurrence: j_l by downward (Miller-style) recurrence
 normalized against the closed-form j_0/j_1, which is stable for l greater
-than x, and y_l by upward recurrence, which is stable everywhere. Cylindrical
+than x, and y_l by upward recurrence, which is stable everywhere. One
+sph_jy_table call holds every degree 0..l on an argument array; h^(1) is
+j + jy, h^(2) is its conjugate (real arguments), and derivatives come from
+the neighbouring row, so sph_bessel_table gives all degrees of a function
+and its derivative from one pair of recurrences. Cylindrical
 J_n comes from the same downward recurrence (one table of orders 0..n,
 normalized against scipy's J_0/J_1); Y_n and the Hankel functions are
 delegated to scipy's Amos/Cephes routines behind the same argument checks.
@@ -125,84 +129,62 @@ def _miller_downward(order: int, x: np.ndarray, odd: int, f0, f1) -> np.ndarray:
     return jm * scale
 
 
-def _sph_jn_downward(l: int, x: np.ndarray) -> np.ndarray:
-    """j_0..j_l, rows indexed by degree, normalized against closed forms."""
-    x = np.atleast_1d(x)
-    j0 = np.sin(x) / x
-    j1 = np.sin(x) / x**2 - np.cos(x) / x
-    return _miller_downward(l, x, 1, j0, j1)[: l + 1]
-
-
-def _sph_yn_upward(l: int, x: np.ndarray) -> np.ndarray:
-    """y_0..y_l by upward recurrence (stable)."""
-    x = np.atleast_1d(x)
-    ym = np.zeros((l + 1, x.size))
-    y0 = -np.cos(x) / x
-    ym[0] = y0
+def sph_jy_table(l: int, x):
+    """j_0..j_l and y_0..y_l at positive x, rows indexed by degree: j by
+    Miller's downward recurrence normalized against the closed-form j_0/j_1,
+    y by upward recurrence (stable)."""
+    l = int(l)
+    if l < 0:
+        raise DomainError("spherical degree must be >= 0")
+    if l > SPH_DEGREE_MAX:
+        raise CapacityError(f"spherical degree {l} exceeds ceiling {SPH_DEGREE_MAX}")
+    x = np.atleast_1d(_check_x(x))
+    sin, cos = np.sin(x), np.cos(x)
+    j = _miller_downward(l, x, 1, sin / x, sin / x**2 - cos / x)[: l + 1]
+    y = np.zeros((l + 1, x.size))
+    y[0] = -cos / x
     if l >= 1:
-        ym[1] = -np.cos(x) / x**2 - np.sin(x) / x
+        y[1] = -cos / x**2 - sin / x
         for m in range(1, l):
-            ym[m + 1] = (2 * m + 1) / x * ym[m] - ym[m - 1]
-    return ym
-
-
-def _sph_jy(l: int, x: np.ndarray):
-    xa = np.atleast_1d(_check_x(x))
-    j = _sph_jn_downward(l, xa)
-    y = _sph_yn_upward(l, xa)
+            y[m + 1] = (2 * m + 1) / x * y[m] - y[m - 1]
     return j, y
 
 
-def sph_bessel(kind: BesselKind, degree: int, x, ceiling: int = SPH_DEGREE_MAX):
-    """j_l(x), h_l^(1)(x) or h_l^(2)(x) for degree l >= 0."""
-    l = int(degree)
-    if l < 0:
-        raise DomainError("spherical degree must be >= 0")
-    if l > ceiling:
-        raise CapacityError(f"spherical degree {l} exceeds ceiling {ceiling}")
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    j, y = _sph_jy(l, x)
+def _of_kind(kind: BesselKind, j, y):
+    """j_l, h_l^(1) = j_l + j y_l, or h_l^(2) = conj h_l^(1) (real arguments)."""
     if kind is BesselKind.REGULAR_J:
-        out = j[l]
-    elif kind is BesselKind.HANKEL1:
-        out = j[l] + 1j * y[l]
-    else:
-        out = j[l] - 1j * y[l]
-    return out[0] if scalar else out.reshape(np.shape(x))
+        return j
+    h1 = j + 1j * y
+    return h1 if kind is BesselKind.HANKEL1 else np.conj(h1)
 
 
-def sph_bessel_dx(kind: BesselKind, degree: int, x, ceiling: int = SPH_DEGREE_MAX):
-    """d/dx of the chosen spherical function via f_l' = f_{l-1} - (l+1)/x f_l.
+def sph_bessel_table(kind: BesselKind, l: int, x):
+    """Degrees 0..l of the chosen spherical function at positive x and their
+    x-derivatives, rows indexed by degree, from one sph_jy_table.
 
-    The l = 0 case uses the standard extension f_{-1}: j_{-1} = cos(x)/x,
-    y_{-1} = sin(x)/x, so h1_{-1} = e^{jx}/x.
+    f_l' = f_{l-1} - (l+1)/x f_l, with the standard extension below row 0:
+    j_{-1} = cos(x)/x, y_{-1} = sin(x)/x, so h1_{-1} = e^{jx}/x.
     """
-    l = int(degree)
-    if l < 0:
-        raise DomainError("spherical degree must be >= 0")
-    if l > ceiling:
-        raise CapacityError(f"spherical degree {l} exceeds ceiling {ceiling}")
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xa = np.atleast_1d(_check_x(x))
-    j, y = _sph_jy(max(l, 1) if l == 0 else l, xa)
-    if l == 0:
-        jm1 = np.cos(xa) / xa
-        ym1 = np.sin(xa) / xa
-        if kind is BesselKind.REGULAR_J:
-            prev, curr = jm1, j[0]
-        elif kind is BesselKind.HANKEL1:
-            prev, curr = jm1 + 1j * ym1, j[0] + 1j * y[0]
-        else:
-            prev, curr = jm1 - 1j * ym1, j[0] - 1j * y[0]
-    else:
-        if kind is BesselKind.REGULAR_J:
-            prev, curr = j[l - 1], j[l]
-        elif kind is BesselKind.HANKEL1:
-            prev, curr = j[l - 1] + 1j * y[l - 1], j[l] + 1j * y[l]
-        else:
-            prev, curr = j[l - 1] - 1j * y[l - 1], j[l] - 1j * y[l]
-    out = prev - (l + 1) / xa * curr
-    return out[0] if scalar else out.reshape(np.shape(x))
+    x = np.atleast_1d(_check_x(x))
+    f = _of_kind(kind, *sph_jy_table(l, x))
+    below = _of_kind(kind, np.cos(x) / x, np.sin(x) / x)
+    prev = np.concatenate([below[None], f[:-1]])
+    return f, prev - np.arange(1, len(f) + 1)[:, None] / x * f
+
+
+def _shaped(row, x):
+    return row[0] if np.ndim(x) == 0 else row.reshape(np.shape(x))
+
+
+def sph_bessel(kind: BesselKind, degree: int, x):
+    """j_l(x), h_l^(1)(x) or h_l^(2)(x) for degree l >= 0."""
+    j, y = sph_jy_table(degree, x)
+    return _shaped(_of_kind(kind, j[-1], y[-1]), x)
+
+
+def sph_bessel_dx(kind: BesselKind, degree: int, x):
+    """d/dx of the chosen spherical function (see sph_bessel_table)."""
+    return _shaped(sph_bessel_table(kind, degree, x)[1][-1], x)
 
 
 # ---------------------------------------------------------------------------

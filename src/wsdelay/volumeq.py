@@ -12,14 +12,17 @@ extended inward and their gradients are the leading-order radial forms
 
 All three equal j S^dag S' in exact arithmetic. Angular integrals are
 reduced exactly by orthonormality/conjugation of the harmonics, leaving 1D
-radial integrals done by composite Gauss panels.
+radial integrals done by composite Gauss panels. Every degree's radial
+integrals come from one h^(1) table on the panel nodes (specfun's
+sph_bessel_table: one j/y recurrence for all degrees, derivatives from the
+neighbouring row), with h^(2) = conj h^(1) for real arguments, and the
+three styles are combinations of that one set of integrals.
 
 A sharp cutoff at R leaves an O(1/(k^2 R)) oscillatory boundary error. Since
 h_l is exactly a polynomial in 1/r times e^{jkr}/r, the [R, inf) tail of the
 renormalized integrand is a finite combination of power and oscillatory
 moments and is summed in closed form (repeated integration by parts); with
-the tail closure the route is limited only by quadrature. tail="none" keeps
-the raw truncated form for R-convergence studies.
+the tail closure the route is limited only by quadrature.
 """
 
 from dataclasses import dataclass
@@ -35,10 +38,8 @@ from .mie import (
 )
 from .modal import ModeIndex, ModeSet, conjugate_mode
 from .smatrix import BoundaryCondition
-from .specfun import BesselKind, sph_bessel, sph_bessel_dx, sph_harm
+from .specfun import BesselKind, sph_bessel_table, sph_harm
 from .wigner import QMatrix
-
-H1, H2 = BesselKind.HANKEL1, BesselKind.HANKEL2
 
 STYLES = ("symmetric", "a", "b")
 
@@ -49,24 +50,22 @@ class QuadratureSpec:
 
     radius: float                       # outer cutoff R (m)
     nodes_per_wavelength: float = 16.0  # Gauss nodes per radial wavelength
-    tail: str = "analytic"              # "analytic" closes [R, inf); "none" truncates
 
     def validate(self, k: float, a: float):
-        if self.radius * k < 50.0:
+        # negated comparisons, so that NaN fails them
+        if not self.radius * k >= 50.0:
             raise DomainError("need kR >= 50 for the far-field port region")
-        if self.radius < 3.0 * a:
+        if not self.radius >= 3.0 * a:
             raise DomainError("need R >= 3a")
-        if self.nodes_per_wavelength < 4.0:
+        if not self.nodes_per_wavelength >= 4.0:
             raise DomainError("radial quadrature too coarse")
-        if self.tail not in ("analytic", "none"):
-            raise DomainError(f"unknown tail mode {self.tail!r}")
 
 
 @dataclass
 class RadialProfile:
     """Radial factor of the total sphere field for one excitation degree l.
 
-    field(r) = c1 h_l^(1)(kr) + c2 h_l^(2)(kr) outside the scatterer, 0
+    The field is c1 h_l^(1)(kr) + c2 h_l^(2)(kr) outside the scatterer, 0
     inside. c2/c1 is the modal reflection coefficient.
     """
 
@@ -77,24 +76,6 @@ class RadialProfile:
     alpha: complex
     c1: complex
     c2: complex
-
-    def field(self, r):
-        z = self.k * np.asarray(r, dtype=float)
-        return self.c1 * sph_bessel(H1, self.l, z) + self.c2 * sph_bessel(H2, self.l, z)
-
-    def dfield_dr(self, r):
-        z = self.k * np.asarray(r, dtype=float)
-        return self.k * (
-            self.c1 * sph_bessel_dx(H1, self.l, z)
-            + self.c2 * sph_bessel_dx(H2, self.l, z)
-        )
-
-    def boundary_residual(self) -> float:
-        scale = abs(self.c1) * abs(sph_bessel(H1, self.l, self.k * self.a))
-        if self.bc is BoundaryCondition.SOUND_SOFT:
-            return float(abs(self.field(self.a))) / max(scale, 1e-300)
-        scale_d = abs(self.k * self.c1 * sph_bessel_dx(H1, self.l, self.k * self.a))
-        return float(abs(self.dfield_dr(self.a))) / max(scale_d, 1e-300)
 
 
 def make_radial_profile(l: int, bc: BoundaryCondition, k: float, a: float):
@@ -229,33 +210,38 @@ def _pad_add(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # radial integrals
 # ---------------------------------------------------------------------------
-def _free_field_integrals(beta: complex, k: float, quad: QuadratureSpec):
-    """(F_ff, F_gg): far-form free-field ff and gg integrals over [0, R]."""
+def _free_field_integrals(betas: np.ndarray, k: float, quad: QuadratureSpec):
+    """(F_ff, F_gg) per beta: far-form free-field ff and gg integrals over
+    [0, R], from one e^{+-jkr} pair on the panel nodes."""
     r, w = _gauss_panels(0.0, quad.radius, k, quad.nodes_per_wavelength)
-    phi_r = np.exp(1j * k * r) + beta * np.exp(-1j * k * r)
-    psi_r = 1j * k * (np.exp(1j * k * r) - beta * np.exp(-1j * k * r))
-    return np.sum(w * np.abs(phi_r) ** 2), np.sum(w * np.abs(psi_r) ** 2)
+    e_plus, e_minus = np.exp(1j * k * r), np.exp(-1j * k * r)
+    b_minus = betas[:, None] * e_minus
+    phi_r = e_plus + b_minus
+    psi_r = 1j * k * (e_plus - b_minus)
+    return np.sum(w * np.abs(phi_r) ** 2, axis=1), np.sum(w * np.abs(psi_r) ** 2, axis=1)
 
 
-def _radial_differences(profile: RadialProfile, quad: QuadratureSpec):
-    """(D_ff, D_gg): renormalized ff and gg radial integrals incl. tails."""
-    k, a, l = profile.k, profile.a, profile.l
-    beta = outgoing_coefficient(l, profile.alpha)
+def _radial_differences(
+    bc: BoundaryCondition, k: float, a: float, lmax: int, quad: QuadratureSpec
+):
+    """(D_ff, D_gg) for degrees 0..lmax: renormalized ff and gg radial
+    integrals incl. tails, from one h^(1) table on the [a, R] nodes."""
+    profiles = [make_radial_profile(l, bc, k, a) for l in range(lmax + 1)]
+    c1 = np.array([p.c1 for p in profiles])[:, None]
+    c2 = np.array([p.c2 for p in profiles])[:, None]
+    betas = np.array([outgoing_coefficient(p.l, p.alpha) for p in profiles])
+    degree = np.arange(lmax + 1)[:, None]
+    ll = degree * (degree + 1)
 
     r_t, w_t = _gauss_panels(a, quad.radius, k, quad.nodes_per_wavelength)
-    f = profile.field(r_t)
-    df = profile.dfield_dr(r_t)
-    t_ff = np.sum(w_t * np.abs(f) ** 2 * r_t**2)
-    t_gg = np.sum(w_t * (np.abs(df) ** 2 * r_t**2 + l * (l + 1) * np.abs(f) ** 2))
-    f_ff, f_gg = _free_field_integrals(beta, k, quad)
-
-    d_ff = t_ff - f_ff
-    d_gg = t_gg - f_gg
-    if quad.tail == "analytic":
-        tail_ff, tail_gg = _difference_tails(l, beta, k, quad.radius)
-        d_ff = d_ff + tail_ff
-        d_gg = d_gg + tail_gg
-    return complex(d_ff), complex(d_gg)
+    h, dh = sph_bessel_table(BesselKind.HANKEL1, lmax, k * r_t)
+    f = c1 * h + c2 * np.conj(h)
+    df = k * (c1 * dh + c2 * np.conj(dh))
+    t_ff = np.sum(w_t * np.abs(f) ** 2 * r_t**2, axis=1)
+    t_gg = np.sum(w_t * (np.abs(df) ** 2 * r_t**2 + ll * np.abs(f) ** 2), axis=1)
+    f_ff, f_gg = _free_field_integrals(betas, k, quad)
+    tails = np.array([_difference_tails(l, b, k, quad.radius) for l, b in enumerate(betas)])
+    return t_ff - f_ff + tails[:, 0], t_gg - f_gg + tails[:, 1]
 
 
 def _style_corrections(smat: np.ndarray, modes: ModeSet, k: float) -> np.ndarray:
@@ -275,64 +261,34 @@ def _combine(style: str, d_ff, d_gg, k: float, corr=0.0):
     return d_gg / k**2 - corr
 
 
-def q_entry_volume(
-    style: str,
-    p: ModeIndex,
-    q: ModeIndex,
-    bc: BoundaryCondition,
-    k: float,
-    a: float,
-    quad: QuadratureSpec,
-) -> complex:
-    """One (q, p) entry of the volume-route Q for the centered sphere.
-
-    Angular orthogonality makes every p != q entry vanish up to the a/b
-    correction terms, which are evaluated from the sphere's S matrix.
-    """
-    if style not in STYLES:
-        raise DomainError(f"unknown style {style!r}")
-    if p.dim != 3 or q.dim != 3:
-        raise ContractError("volume formulation is implemented for dim=3 only")
-    quad.validate(k, a)
-
-    modes = ModeSet.spherical(max(p.l, q.l), k)
-    corr = _style_corrections(mie_smatrix(3, bc, k, a, modes).matrix, modes, k)
-    if (p.l, p.m) == (q.l, q.m):
-        d_ff, d_gg = _radial_differences(make_radial_profile(p.l, bc, k, a), quad)
-    else:
-        d_ff = d_gg = 0.0
-    return _combine(style, d_ff, d_gg, k, corr[modes.position(q), modes.position(p)])
-
-
 def volume_q_matrix(
-    style: str,
     bc: BoundaryCondition,
     k: float,
     a: float,
     modes: ModeSet,
     quad: QuadratureSpec,
-) -> QMatrix:
-    """Full volume-route Q on a spherical mode set (diagonal per degree)."""
+) -> dict:
+    """Volume-route Q on a spherical mode set in every style, {style: QMatrix}
+    in STYLES order, all from one set of radial integrals (diagonal per
+    degree) and one S for the a/b corrections."""
     if modes.dim != 3:
         raise ContractError("volume formulation is implemented for dim=3 only")
     quad.validate(k, a)
-    lmax = max(p.l for p in modes.modes)
-    diff_by_l = [
-        _radial_differences(make_radial_profile(l, bc, k, a), quad)
-        for l in range(lmax + 1)
-    ]
-    d_ff, d_gg = (np.diag([diff_by_l[p.l][i] for p in modes.modes]) for i in (0, 1))
-    corr = 0.0
-    if style != "symmetric":
-        corr = _style_corrections(mie_smatrix(3, bc, k, a, modes).matrix, modes, k)
-    out = _combine(style, d_ff, d_gg, k, corr)
-    presym = float(
-        np.linalg.norm(out - out.conj().T) / max(np.linalg.norm(out), 1e-300)
-    )
-    herm = 0.5 * (out + out.conj().T)
-    return QMatrix(
-        matrix=herm, k=k, modes=modes, provenance="volume-integral", presym_residual=presym
-    )
+    degrees = [p.l for p in modes.modes]
+    diffs = _radial_differences(bc, k, a, max(degrees), quad)
+    d_ff, d_gg = (np.diag(d[degrees]) for d in diffs)
+    corr = _style_corrections(mie_smatrix(3, bc, k, a, modes).matrix, modes, k)
+    routes = {}
+    for style in STYLES:
+        out = _combine(style, d_ff, d_gg, k, corr)
+        presym = float(
+            np.linalg.norm(out - out.conj().T) / max(np.linalg.norm(out), 1e-300)
+        )
+        routes[style] = QMatrix(
+            matrix=0.5 * (out + out.conj().T), k=k, modes=modes,
+            provenance="volume-integral", presym_residual=presym,
+        )
+    return routes
 
 
 def qtilde_infinity(p: ModeIndex, q: ModeIndex, k: float, quad: QuadratureSpec) -> float:
@@ -344,12 +300,13 @@ def qtilde_infinity(p: ModeIndex, q: ModeIndex, k: float, quad: QuadratureSpec) 
     """
     if p.dim != 3 or q.dim != 3:
         raise ContractError("volume formulation is implemented for dim=3 only")
-    if quad.radius * k < 50.0:
+    if not quad.radius * k >= 50.0:
         raise DomainError("need kR >= 50")
     if (p.l, p.m) != (q.l, q.m):
         return 0.0
     beta = outgoing_coefficient(p.l, 1.0 + 0.0j)
-    return float(_combine("symmetric", *_free_field_integrals(beta, k, quad), k))
+    f_ff, f_gg = _free_field_integrals(np.array([beta]), k, quad)
+    return float(_combine("symmetric", f_ff[0], f_gg[0], k))
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +326,11 @@ class SurfaceIdentityReport:
     k: float
 
 
-def _dk_profile_terms(profile: RadialProfile, r: float):
-    """(field, d/dk field, d/dr field, d2/drdk field) at radius r."""
+def _dk_profile_terms(profile: RadialProfile, z: float, h1: complex, d1: complex):
+    """(field, d/dk field, d/dr field, d2/drdk field) at z = kr, given
+    h_l^(1)(z) and its derivative; h^(2) is their conjugate."""
     l, k, a = profile.l, profile.k, profile.a
-    z = k * r
-    h1, h2 = sph_bessel(H1, l, z), sph_bessel(H2, l, z)
-    d1, d2 = sph_bessel_dx(H1, l, z), sph_bessel_dx(H2, l, z)
+    h2, d2 = np.conj(h1), np.conj(d1)
     ll = l * (l + 1)
     dd1 = -(2.0 / z) * d1 + (ll / z**2 - 1.0) * h1
     dd2 = -(2.0 / z) * d2 + (ll / z**2 - 1.0) * h2
@@ -397,16 +353,15 @@ def surface_identity_check(
     k: float,
     a: float,
     radius: float,
-    n_theta: int = 48,
-    n_phi: int = 96,
 ) -> SurfaceIdentityReport:
     """Closed-form surface integrals vs direct quadrature vs the WS identity.
 
     The closed forms are algebra in S, S' and R and reproduce
     2R delta_pq + j (S^dag S')_qp exactly; the numeric side integrates the
-    true total fields over the sphere r = R and deviates by O(1/kR).
+    true total fields over the sphere r = R (48 Gauss nodes in cos theta,
+    96 in phi) and deviates by O(1/kR).
     """
-    if k * radius < 50.0:
+    if not k * radius >= 50.0:
         raise DomainError("need kR >= 50 for the far-zone surface")
     lmax = max(p.l, q.l)
     modes = ModeSet.spherical(lmax, k)
@@ -442,14 +397,19 @@ def surface_identity_check(
     alg_res = abs(closed - reference) / max(abs(reference), 1.0)
 
     # direct quadrature of the true-field surface integral
-    prof_p = make_radial_profile(p.l, bc, k, a)
-    prof_q = make_radial_profile(q.l, bc, k, a)
-    fp, fp_k, _, fp_rk = _dk_profile_terms(prof_p, radius)
-    fq, _, fq_r, _ = _dk_profile_terms(prof_q, radius)
+    z = k * radius
+    h, dh = sph_bessel_table(BesselKind.HANKEL1, lmax, z)
+    fp, fp_k, _, fp_rk = _dk_profile_terms(
+        make_radial_profile(p.l, bc, k, a), z, h[p.l, 0], dh[p.l, 0]
+    )
+    fq, _, fq_r, _ = _dk_profile_terms(
+        make_radial_profile(q.l, bc, k, a), z, h[q.l, 0], dh[q.l, 0]
+    )
     radial_combo = (
         fp_k * np.conj(fq_r) - np.conj(fq) * fp_rk + np.conj(fq_r) * fp / k
     )
-    u, wu = np.polynomial.legendre.leggauss(n_theta)
+    n_phi = 96
+    u, wu = np.polynomial.legendre.leggauss(48)
     theta = np.arccos(u)
     phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
     tt, pp = np.meshgrid(theta, phi, indexing="ij")

@@ -23,9 +23,9 @@ from wsdelay.smatrix import BoundaryCondition, SMatrix
 from wsdelay.volumeq import (
     QuadratureSpec,
     STYLES,
-    q_entry_volume,
     qtilde_infinity,
     surface_identity_check,
+    volume_q_matrix,
 )
 from wsdelay.wigner import q_matrix, smatrix_fd_derivative, ws_decompose
 
@@ -130,11 +130,13 @@ def test_criterion_2_route_equivalence():
         qref = q_matrix(
             mie_smatrix(3, bc, k, a, modes), mie_smatrix_deriv(3, bc, k, a, modes)
         )
+        routes = volume_q_matrix(bc, k, a, modes, quad)
         for l in range(4):
             p = ModeIndex.spherical(l, 0)
-            ref = qref.matrix[modes.position(p), modes.position(p)].real
+            i = modes.position(p)
+            ref = qref.matrix[i, i].real
             for style in STYLES:
-                rel = abs(q_entry_volume(style, p, p, bc, k, a, quad) - ref) / abs(ref)
+                rel = abs(routes[style].matrix[i, i] - ref) / abs(ref)
                 worst = max(worst, rel)
                 ok &= bool(rel < 1e-3)
     # refinement: doubling the radial density shrinks the residual
@@ -143,13 +145,13 @@ def test_criterion_2_route_equivalence():
     qref = q_matrix(
         mie_smatrix(3, SOFT, 1.0, a, modes), mie_smatrix_deriv(3, SOFT, 1.0, a, modes)
     )
-    ref = qref.matrix[modes.position(p), modes.position(p)].real
-    e_coarse = abs(
-        q_entry_volume("symmetric", p, p, SOFT, 1.0, a, QuadratureSpec(200.0, 8.0)) - ref
-    )
-    e_fine = abs(
-        q_entry_volume("symmetric", p, p, SOFT, 1.0, a, QuadratureSpec(200.0, 16.0)) - ref
-    )
+    i = modes.position(p)
+    ref = qref.matrix[i, i].real
+    errs = []
+    for npw in (8.0, 16.0):
+        routes = volume_q_matrix(SOFT, 1.0, a, modes, QuadratureSpec(200.0, npw))
+        errs.append(abs(routes["symmetric"].matrix[i, i] - ref))
+    e_coarse, e_fine = errs
     ok &= bool(e_fine < e_coarse)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30.0

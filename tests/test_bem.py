@@ -3,6 +3,7 @@ import pytest
 from scipy import special as sp
 from scipy.linalg import circulant
 
+from wsdelay import bem
 from wsdelay.bem import (
     BoundarySolution,
     _log_sin_matrix,
@@ -264,7 +265,7 @@ class TestCircleAgainstClosedForm:
         p = ModeIndex.angular(2)
         col = modes.position(p)
         sol = solve_exterior(mesh, SOFT, values[:, col], k=k)
-        coeffs = far_field_coefficients(mesh, sol, modes)
+        coeffs = far_field_coefficients(mesh, sol, values, nds)
         # scattered amplitude into the conjugate mode: (alpha - 1) x free phase
         alpha = modal_reflection(2, SOFT, 2, k * a)
         expect = 1j * (-1.0) ** 2 * (alpha - 1.0)
@@ -281,7 +282,7 @@ class TestCircleAgainstClosedForm:
         p = ModeIndex.angular(3)
         col = modes.position(p)
         sol = solve_exterior(mesh, HARD, values[:, col], nds[:, col], k=k)
-        coeffs = far_field_coefficients(mesh, sol, modes)
+        coeffs = far_field_coefficients(mesh, sol, values, nds)
         alpha = modal_reflection(2, HARD, 3, k * a)
         expect = 1j * (-1.0) ** 3 * (alpha - 1.0)
         got = coeffs[modes.position(ModeIndex.angular(-3))]
@@ -418,10 +419,20 @@ class TestFarField:
             sol = solve_exterior(mesh, bc, values, nds, k=k)
             single = BoundarySolution(sol.density[:, 3], bc, k, sol.residual)
             for s in (sol, single):
-                got = far_field_coefficients(mesh, s, modes)
+                got = far_field_coefficients(mesh, s, values, nds)
                 want = sampled_far_field(mesh, s, modes)
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_solve_evaluates_the_traces_once(self, monkeypatch):
+        # the right-hand side's traces serve the projection too
+        calls = []
+        batch = bem.regular_waves_batch
+        monkeypatch.setattr(
+            bem, "regular_waves_batch", lambda *args: calls.append(1) or batch(*args)
+        )
+        bem_smatrix(make_circle(2.0), SOFT, 1.0, ModeSet.angular(3, 1.0), gate=None)
+        assert len(calls) == 1
 
 
 class TestQuadratureRows:

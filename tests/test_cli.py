@@ -306,6 +306,22 @@ class TestMainExitCodes:
                 id="volume-q-kr",
             ),
             pytest.param(
+                "scenario=sphere\nmodes=4\nvol_kr=nan\n", ["--check", "volume-q"],
+                id="volume-q-kr-nan",
+            ),
+            pytest.param(
+                "scenario=sphere\nmodes=4\nvol_kr=inf\n", ["--check", "volume-q"],
+                id="volume-q-kr-inf",
+            ),
+            pytest.param(
+                "scenario=sphere\nmodes=4\nvol_npw=nan\n", ["--check", "volume-q"],
+                id="volume-q-npw-nan",
+            ),
+            pytest.param(
+                "scenario=sphere\nmodes=4\nvol_npw=inf\n", ["--check", "volume-q"],
+                id="volume-q-npw-inf",
+            ),
+            pytest.param(
                 f"scenario=custom\nmodes=17\npolyline={DATA}/no_such_polyline.csv\n", [],
                 id="polyline-missing",
             ),

@@ -3,6 +3,7 @@ import pytest
 
 from wsdelay.errors import ContractError, DomainError
 from wsdelay.mie import (
+    _assemble,
     free_space_smatrix,
     mie_smatrix,
     mie_smatrix_deriv,
@@ -18,10 +19,79 @@ from wsdelay.modal import (
     regular_wave,
 )
 from wsdelay.smatrix import BoundaryCondition
-from wsdelay.specfun import BesselKind, sph_bessel
+from wsdelay.specfun import (
+    BesselKind,
+    cyl_bessel,
+    cyl_bessel_dx,
+    sph_bessel,
+    sph_jy_table,
+)
 
 SOFT = BoundaryCondition.SOUND_SOFT
 HARD = BoundaryCondition.SOUND_HARD
+H1, H2 = BesselKind.HANKEL1, BesselKind.HANKEL2
+
+
+# ---------------------------------------------------------------------------
+# reference: both Hankel kinds and both derivatives from their own
+# recurrences, h^(2) = j - jy rather than the conjugate of h^(1)
+# ---------------------------------------------------------------------------
+def ref_sph(l, z, sign):
+    j, y = sph_jy_table(l, z)
+    return (j[l] + 1j * y[l] if sign > 0 else j[l] - 1j * y[l])[0]
+
+
+def ref_sph_dx(l, z, sign):
+    j, y = sph_jy_table(max(l, 1), z)
+    jm1, ym1 = (np.cos(z) / z, np.sin(z) / z) if l == 0 else (j[l - 1][0], y[l - 1][0])
+    if sign > 0:
+        prev, curr = jm1 + 1j * ym1, j[l][0] + 1j * y[l][0]
+    else:
+        prev, curr = jm1 - 1j * ym1, j[l][0] - 1j * y[l][0]
+    return prev - (l + 1) / z * curr
+
+
+def ref_pairs(dim, order, z):
+    """(h1, h2), (h1', h2') as four separate evaluations."""
+    if dim == 3:
+        return ((ref_sph(order, z, 1), ref_sph(order, z, -1)),
+                (ref_sph_dx(order, z, 1), ref_sph_dx(order, z, -1)))
+    return ((cyl_bessel(H1, order, z), cyl_bessel(H2, order, z)),
+            (cyl_bessel_dx(H1, order, z), cyl_bessel_dx(H2, order, z)))
+
+
+def ref_alpha(dim, bc, order, ka):
+    (h1, h2), (d1, d2) = ref_pairs(dim, order, ka)
+    return -h1 / h2 if bc is SOFT else -d1 / d2
+
+
+def ref_dalpha(dim, bc, order, k, a):
+    z = k * a
+    (h1, h2), (d1, d2) = ref_pairs(dim, order, z)
+    if bc is SOFT:
+        return a * (-(d1 * h2 - h1 * d2) / h2**2)
+    c1 = 2.0 if dim == 3 else 1.0
+    big_l = order * (order + 1) if dim == 3 else order**2
+    dd1 = -(c1 / z) * d1 + (big_l / z**2 - 1.0) * h1
+    dd2 = -(c1 / z) * d2 + (big_l / z**2 - 1.0) * h2
+    return a * (-(dd1 * d2 - d1 * dd2) / d2**2)
+
+
+class TestConjugateHankelAgainstReference:
+    @pytest.mark.parametrize("bc", [SOFT, HARD], ids=["soft", "hard"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("ka", [0.05, 0.7, 1.0, 2.0, 10.0, 40.0])
+    def test_smatrix_and_derivative_bitwise(self, bc, dim, ka):
+        k = 1.0
+        modes = ModeSet.spherical(8, k) if dim == 3 else ModeSet.angular(12, k)
+
+        def order(p):
+            return p.l if dim == 3 else abs(p.n)
+
+        want_s = _assemble(modes, lambda p: ref_alpha(dim, bc, order(p), k * ka))
+        want_ds = _assemble(modes, lambda p: ref_dalpha(dim, bc, order(p), k, ka))
+        assert np.array_equal(mie_smatrix(dim, bc, k, ka, modes).matrix, want_s)
+        assert np.array_equal(mie_smatrix_deriv(dim, bc, k, ka, modes).matrix, want_ds)
 
 
 class TestModalReflection:

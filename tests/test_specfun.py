@@ -7,13 +7,16 @@ from scipy import special as sp
 from wsdelay.errors import CapacityError, DomainError
 from wsdelay.specfun import (
     CYL_ORDER_MAX,
+    SPH_DEGREE_MAX,
     BesselKind,
     cyl_bessel,
     cyl_bessel_dx,
     cyl_jn_table,
     sph_bessel,
     sph_bessel_dx,
+    sph_bessel_table,
     sph_harm,
+    sph_jy_table,
 )
 
 J = BesselKind.REGULAR_J
@@ -171,6 +174,51 @@ class TestSphBesselDx:
         fd = (sph_bessel(H1, l, x + h) - sph_bessel(H1, l, x - h)) / (2 * h)
         got = sph_bessel_dx(H1, l, x)
         assert abs(got - fd) / abs(fd) < 1e-7
+
+
+class TestSphTables:
+    X = np.concatenate([np.geomspace(0.05, 2.0, 40), np.linspace(2.0, 400.0, 200)])
+
+    def test_jy_table_against_scipy(self):
+        j, y = sph_jy_table(12, self.X)
+        assert j.shape == y.shape == (13, self.X.size)
+        for l in range(13):
+            # |j_l| <= 1, so absolute near its zeros; y_l relative
+            assert np.allclose(j[l], sp.spherical_jn(l, self.X), rtol=0.0, atol=1e-14)
+            assert np.allclose(y[l], sp.spherical_yn(l, self.X), rtol=1e-12, atol=0.0)
+
+    def test_derivative_rows_against_scipy(self):
+        f, df = sph_bessel_table(J, 12, self.X)
+        h, dh = sph_bessel_table(H1, 12, self.X)
+        for l in range(13):
+            jp = sp.spherical_jn(l, self.X, derivative=True)
+            yp = sp.spherical_yn(l, self.X, derivative=True)
+            assert np.allclose(df[l], jp, rtol=0.0, atol=1e-14)
+            assert np.allclose(dh[l].real, jp, rtol=0.0, atol=1e-14)
+            assert np.allclose(dh[l].imag, yp, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", [J, H1, H2])
+    def test_rows_are_the_single_degree_functions(self, kind):
+        # every row of one table equals the single-degree evaluation bitwise
+        x = np.linspace(60.0, 400.0, 50)
+        f, df = sph_bessel_table(kind, 9, x)
+        for l in range(10):
+            assert np.array_equal(f[l], sph_bessel(kind, l, x))
+            assert np.array_equal(df[l], sph_bessel_dx(kind, l, x))
+
+    def test_outgoing_kind_is_conjugate(self):
+        h1, dh1 = sph_bessel_table(H1, 5, self.X)
+        h2, dh2 = sph_bessel_table(H2, 5, self.X)
+        assert np.array_equal(h2, np.conj(h1))
+        assert np.array_equal(dh2, np.conj(dh1))
+
+    def test_degree_bounds(self):
+        with pytest.raises(DomainError):
+            sph_bessel(J, -1, 1.0)
+        with pytest.raises(CapacityError):
+            sph_bessel_dx(H1, SPH_DEGREE_MAX + 1, 1.0)
+        with pytest.raises(DomainError):
+            sph_jy_table(3, [1.0, np.nan])
 
 
 class TestSphHarm:
