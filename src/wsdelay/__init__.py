@@ -50,8 +50,7 @@ from .mie import (
     free_space_smatrix,
     mie_smatrix,
     mie_smatrix_deriv,
-    modal_reflection,
-    modal_reflection_deriv,
+    reflection_table,
 )
 from .modal import (
     ModeIndex,
@@ -65,7 +64,6 @@ from .modal import (
 from .smatrix import BoundaryCondition, SMatrix
 from .volumeq import (
     QuadratureSpec,
-    RadialProfile,
     qtilde_infinity,
     surface_identity_check,
     volume_q_matrix,

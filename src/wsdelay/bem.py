@@ -47,7 +47,7 @@ from scipy.linalg import circulant, lu_factor, lu_solve, toeplitz
 from .errors import ContractError, DomainError, QualityGateError, SolverError
 from .geometry import BoundaryMesh, Geometry, mesh_geometry
 from .mie import free_space_smatrix
-from .modal import ModeIndex, ModeSet, regular_waves_batch
+from .modal import ModeSet, regular_waves_batch
 from .smatrix import DEFAULT_SMATRIX_GATE, BoundaryCondition, SMatrix
 
 
@@ -177,7 +177,6 @@ class BoundarySolution:
     bc: BoundaryCondition
     k: float
     residual: float
-    excitation: Optional[ModeIndex] = None
 
 
 def solve_exterior(

@@ -159,12 +159,11 @@ def _solve(cfg, st):
         )
 
     dk = cfg.delta_k if cfg.delta_k is not None else 1e-4 * k
-    sprime = smatrix_fd_derivative(provider, k, dk=dk, richardson=cfg.richardson)
+    sprime = smatrix_fd_derivative(provider, k, dk=dk)
     lines = [
         f"solver: combined-field Nystrom, {st.mesh.n_nodes} nodes, "
         f"{cfg.nodes_per_wavelength:g}/wavelength, grading p={cfg.grading_exponent}",
-        f"derivative: central difference, dk={dk:g}"
-        + (" with Richardson pass" if cfg.richardson else ""),
+        f"derivative: central difference, dk={dk:g}",
     ]
     return s, sprime, "finite-difference", solution, lines
 
@@ -196,14 +195,15 @@ def _decompose(cfg, s, sprime, provenance):
     return q, dec, gates
 
 
-def _sphere_checks(cfg, st, q, gates):
+def _sphere_checks(cfg, st, s, sprime, q, gates):
     """Volume routes against j S^dag S' and the Appendix B surface identities,
-    added to the gates; returns the volume routes' residual rows, or None."""
-    k, rows = cfg.k, None
+    both read off the solve's S and S', added to the gates; returns the volume
+    routes' residual rows, or None."""
+    rows = None
     if st.quad is not None:
         scale = float(np.max(np.abs(np.diag(q.matrix))))
         rows = []
-        for style, qv in volume_q_matrix(st.bc, k, cfg.a, st.modes, st.quad).items():
+        for style, qv in volume_q_matrix(s, cfg.a, st.quad).items():
             gates.add(f"volume_route_{style}", np.max(np.abs(qv.matrix - q.matrix)) / scale, 1e-3)
             for i in range(len(st.modes)):
                 val, ref = qv.matrix[i, i], q.matrix[i, i]
@@ -215,8 +215,8 @@ def _sphere_checks(cfg, st, q, gates):
             pairs.append((ModeIndex.spherical(1, 0), ModeIndex.spherical(1, 0)))
             pairs.append((ModeIndex.spherical(0, 0), ModeIndex.spherical(1, 0)))
         alg = num = 0.0
-        for p, pq in pairs:
-            rep = surface_identity_check(p, pq, st.bc, k, cfg.a, cfg.vol_kr / k)
+        reports = surface_identity_check(s, sprime, pairs, cfg.vol_kr / cfg.k)
+        for (p, pq), rep in zip(pairs, reports):
             alg = max(alg, rep.algebraic_residual)
             if (p.l, p.m) == (pq.l, pq.m):
                 num = max(num, rep.numeric_rel_error)
@@ -309,7 +309,7 @@ def run_scenario(cfg, out_dir):
     st = _setup(cfg)
     s, sprime, provenance, solution, solver_lines = _solve(cfg, st)
     q, dec, gates = _decompose(cfg, s, sprime, provenance)
-    residual_rows = _sphere_checks(cfg, st, q, gates)
+    residual_rows = _sphere_checks(cfg, st, s, sprime, q, gates)
     classification, baselines, exports = _field_maps(cfg, st, s, solution, dec)
     report = _report(cfg, st, solver_lines, classification, dec, gates)
     matrices = {"smatrix": s.matrix, "sprime": sprime.matrix,

@@ -127,7 +127,6 @@ class ScenarioConfig:
     w: float = 3.0                    # cavity gap width
     mode_count: Optional[int] = None  # explicit M; default from the circumradius
     delta_k: Optional[float] = None   # FD step; default 1e-4 k
-    richardson: bool = False
     nodes_per_wavelength: float = 12.0
     grading_exponent: int = 4
     grid_nx: int = 301
@@ -178,8 +177,6 @@ class ScenarioConfig:
         return self
 
 
-_BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
 _FIELD_PARSERS = {
     "scenario": str,
     "bc": str,
@@ -188,7 +185,6 @@ _FIELD_PARSERS = {
     "w": float,
     "modes": int,
     "delta_k": float,
-    "richardson": lambda s: _BOOL[s.lower()],
     "nodes_per_wavelength": float,
     "grading_exponent": int,
     "grid_nx": int,

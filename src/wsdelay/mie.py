@@ -10,6 +10,10 @@ geometric phase. |alpha| = 1 always, which makes these matrices unitary and
 symmetric to rounding and turns this module into the high-precision oracle
 for every identity downstream. Wavenumber derivatives are analytic via the
 radial-function recurrences, no finite differences involved.
+
+reflection_table gives alpha_n and d(alpha_n)/dk for every order 0..n_max
+from one h^(1) (3D) or H^(1) (2D) table at ka, with the outgoing kind by
+conjugation; both matrices read their entries off it.
 """
 
 import numpy as np
@@ -27,7 +31,7 @@ from .smatrix import BoundaryCondition, SMatrix
 from .specfun import (
     BesselKind,
     cyl_bessel,
-    cyl_bessel_dx,
+    cyl_hankel1_table,
     sph_bessel,
     sph_bessel_table,
     sph_harm,
@@ -36,52 +40,43 @@ from .specfun import (
 H1, H2 = BesselKind.HANKEL1, BesselKind.HANKEL2
 
 
-def _hankel1(dim: int, order: int, z: float):
-    """h^(1) (3D) or H^(1) (2D) at z and its z-derivative, one table per order;
-    the outgoing kind is their conjugate."""
-    if dim == 3:
-        h, dh = sph_bessel_table(H1, order, z)
-        return h[-1, 0], dh[-1, 0]
-    return cyl_bessel(H1, order, z), cyl_bessel_dx(H1, order, z)
+def radial_second_derivative(dim: int, order, z, f, df):
+    """f'' from the radial ODE f'' = -(c1/z) f' + (L/z^2 - 1) f, with
+    (c1, L) = (2, l(l+1)) spherical and (1, n^2) cylindrical."""
+    c1, big_l = (2.0, order * (order + 1)) if dim == 3 else (1.0, order**2)
+    return -(c1 / z) * df + (big_l / z**2 - 1.0) * f
 
 
-def modal_reflection(dim: int, bc: BoundaryCondition, order: int, ka: float) -> complex:
-    """Outgoing/incoming amplitude ratio for one angular order; |alpha| = 1."""
-    if ka <= 0:
-        raise DomainError("ka must be positive")
-    order = abs(int(order)) if dim == 2 else int(order)
-    if dim == 3 and order < 0:
-        raise DomainError("spherical degree must be >= 0")
-    h1, d1 = _hankel1(dim, order, ka)
-    if bc is BoundaryCondition.SOUND_SOFT:
-        return -h1 / np.conj(h1)
-    return -d1 / np.conj(d1)
-
-
-def modal_reflection_deriv(
-    dim: int, bc: BoundaryCondition, order: int, k: float, a: float
-) -> complex:
-    """d(alpha)/dk, analytic.
-
-    Chain rule through z = ka; second derivatives for the hard case come
-    from the radial ODE f'' = -(c1/z) f' + (L/z^2 - 1) f with (c1, L) =
-    (2, l(l+1)) spherical and (1, n^2) cylindrical.
-    """
-    z = k * a
-    if z <= 0:
-        raise DomainError("ka must be positive")
-    order = abs(int(order)) if dim == 2 else int(order)
-    h1, d1 = _hankel1(dim, order, z)
+def _reflection(dim: int, bc: BoundaryCondition, order: int, z: float, a: float, h1, d1):
+    """(alpha, d(alpha)/dk) of one order from h^(1) and its derivative at z =
+    ka; the outgoing kind is their conjugate, and the chain rule through z
+    gives the factor a."""
     h2, d2 = np.conj(h1), np.conj(d1)
     if bc is BoundaryCondition.SOUND_SOFT:
-        dalpha_dz = -(d1 * h2 - h1 * d2) / h2**2
-        return a * dalpha_dz
-    c1 = 2.0 if dim == 3 else 1.0
-    big_l = order * (order + 1) if dim == 3 else order**2
-    dd1 = -(c1 / z) * d1 + (big_l / z**2 - 1.0) * h1
-    dd2 = -(c1 / z) * d2 + (big_l / z**2 - 1.0) * h2
-    dalpha_dz = -(dd1 * d2 - d1 * dd2) / d2**2
-    return a * dalpha_dz
+        return -h1 / h2, a * (-(d1 * h2 - h1 * d2) / h2**2)
+    dd1 = radial_second_derivative(dim, order, z, h1, d1)
+    dd2 = radial_second_derivative(dim, order, z, h2, d2)
+    return -d1 / d2, a * (-(dd1 * d2 - d1 * dd2) / d2**2)
+
+
+def reflection_table(dim: int, bc: BoundaryCondition, k: float, a: float, n_max: int):
+    """(alpha, dalpha): reflection coefficients alpha_n (|alpha_n| = 1) and
+    their analytic k-derivatives for every order n = 0..n_max, from one
+    Hankel table at z = ka (sph_bessel_table in 3D, cyl_hankel1_table in 2D).
+
+    The few products per order run on scalars: numpy's vectorized complex
+    product may fuse multiply-adds depending on the CPU, which would make
+    the bits of S' machine-dependent.
+    """
+    z = k * a
+    if not z > 0:
+        raise DomainError("ka must be positive")
+    table = sph_bessel_table(H1, n_max, z) if dim == 3 else cyl_hankel1_table(n_max, z)
+    rows = [
+        _reflection(dim, bc, n, z, a, h, d)
+        for n, (h, d) in enumerate(zip(table[0][:, 0], table[1][:, 0]))
+    ]
+    return tuple(np.array(col) for col in zip(*rows))
 
 
 def _column_phase(p: ModeIndex) -> complex:
@@ -100,40 +95,32 @@ def _assemble(modes: ModeSet, alpha_of_mode) -> np.ndarray:
     return s
 
 
-def mie_smatrix(
-    dim: int, bc: BoundaryCondition, k: float, a: float, modes: ModeSet
-) -> SMatrix:
-    """Scattering matrix of the centered sound-soft/hard sphere or cylinder."""
+def _closed_form(dim, bc, k, a, modes, column):
+    """S (column 0) or dS/dk (column 1) from one reflection table."""
     if modes.dim != dim:
         raise ContractError(f"mode set dim {modes.dim} != requested dim {dim}")
     if a <= 0:
         raise DomainError("radius must be positive")
-    cache = {}
 
-    def alpha(p):
-        order = p.l if dim == 3 else abs(p.n)
-        if order not in cache:
-            cache[order] = modal_reflection(dim, bc, order, k * a)
-        return cache[order]
+    def order(p):
+        return p.l if dim == 3 else abs(p.n)
 
-    return SMatrix(modes=modes, k=k, matrix=_assemble(modes, alpha))
+    values = reflection_table(dim, bc, k, a, max(map(order, modes.modes)))[column]
+    return SMatrix(modes=modes, k=k, matrix=_assemble(modes, lambda p: values[order(p)]))
+
+
+def mie_smatrix(
+    dim: int, bc: BoundaryCondition, k: float, a: float, modes: ModeSet
+) -> SMatrix:
+    """Scattering matrix of the centered sound-soft/hard sphere or cylinder."""
+    return _closed_form(dim, bc, k, a, modes, 0)
 
 
 def mie_smatrix_deriv(
     dim: int, bc: BoundaryCondition, k: float, a: float, modes: ModeSet
 ) -> SMatrix:
     """dS/dk with the same single-entry-per-column sparsity as the S matrix."""
-    if modes.dim != dim:
-        raise ContractError(f"mode set dim {modes.dim} != requested dim {dim}")
-    cache = {}
-
-    def dalpha(p):
-        order = p.l if dim == 3 else abs(p.n)
-        if order not in cache:
-            cache[order] = modal_reflection_deriv(dim, bc, order, k, a)
-        return cache[order]
-
-    return SMatrix(modes=modes, k=k, matrix=_assemble(modes, dalpha))
+    return _closed_form(dim, bc, k, a, modes, 1)
 
 
 def free_space_smatrix(modes: ModeSet) -> SMatrix:

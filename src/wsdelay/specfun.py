@@ -10,7 +10,9 @@ the neighbouring row, so sph_bessel_table gives all degrees of a function
 and its derivative from one pair of recurrences. Cylindrical
 J_n comes from the same downward recurrence (one table of orders 0..n,
 normalized against scipy's J_0/J_1); Y_n and the Hankel functions are
-delegated to scipy's Amos/Cephes routines behind the same argument checks.
+delegated to scipy's Amos/Cephes routines behind the same argument checks;
+cyl_hankel1_table holds H^(1) of every order 0..n and, from the
+neighbouring rows, its derivatives.
 
 Spherical harmonics use fully normalized associated Legendre recurrences so
 no factorial ratio is ever materialized; the Condon-Shortley phase (-1)^m is
@@ -54,7 +56,7 @@ def _check_x(x):
 # ---------------------------------------------------------------------------
 # Cylindrical functions (J by recurrence, Y and H scipy-backed)
 # ---------------------------------------------------------------------------
-def cyl_bessel(kind: BesselKind, order: int, x, ceiling: int = CYL_ORDER_MAX):
+def cyl_bessel(kind: BesselKind, order: int, x):
     """J_n(x), H_n^(1)(x) or H_n^(2)(x) for integer order n.
 
     Negative orders are folded with J_{-n} = (-1)^n J_n (same reflection for
@@ -62,8 +64,8 @@ def cyl_bessel(kind: BesselKind, order: int, x, ceiling: int = CYL_ORDER_MAX):
     """
     x = _check_x(x)
     n = int(order)
-    if abs(n) > ceiling:
-        raise CapacityError(f"cylindrical order |{n}| exceeds ceiling {ceiling}")
+    if abs(n) > CYL_ORDER_MAX:
+        raise CapacityError(f"cylindrical order |{n}| exceeds ceiling {CYL_ORDER_MAX}")
     sign = 1.0 if (n >= 0 or n % 2 == 0) else -1.0
     n = abs(n)
     if kind is BesselKind.REGULAR_J:
@@ -73,11 +75,17 @@ def cyl_bessel(kind: BesselKind, order: int, x, ceiling: int = CYL_ORDER_MAX):
     return sign * (_sp.jv(n, x) - 1j * _sp.yv(n, x))
 
 
-def cyl_bessel_dx(kind: BesselKind, order: int, x, ceiling: int = CYL_ORDER_MAX):
-    """d/dx of the chosen cylindrical function, via f' = (f_{n-1} - f_{n+1})/2."""
-    lo = cyl_bessel(kind, order - 1, x, ceiling=ceiling + 1)
-    hi = cyl_bessel(kind, order + 1, x, ceiling=ceiling + 1)
-    return 0.5 * (lo - hi)
+def cyl_hankel1_table(n: int, x):
+    """H^(1)_0..H^(1)_n at positive x and their x-derivatives, rows indexed
+    by order: scipy's J and Y over the order vector, and
+    f_n' = (f_{n-1} - f_{n+1})/2 from the neighbouring rows, f_{-1} = -f_1."""
+    if n > CYL_ORDER_MAX:
+        raise CapacityError(f"cylindrical order {n} exceeds ceiling {CYL_ORDER_MAX}")
+    x = np.atleast_1d(_check_x(x))
+    order = np.arange(n + 2)[:, None]
+    f = _sp.jv(order, x) + 1j * _sp.yv(order, x)
+    prev = np.concatenate([-f[1:2], f[:-2]])
+    return f[:-1], 0.5 * (prev - f[1:])
 
 
 def cyl_jn_table(n: int, x) -> np.ndarray:

@@ -16,7 +16,9 @@ radial integrals done by composite Gauss panels. Every degree's radial
 integrals come from one h^(1) table on the panel nodes (specfun's
 sph_bessel_table: one j/y recurrence for all degrees, derivatives from the
 neighbouring row), with h^(2) = conj h^(1) for real arguments, and the
-three styles are combinations of that one set of integrals.
+three styles are combinations of that one set of integrals. The fields'
+reflection coefficients are read off the S (and, for the surface identity,
+the S') under test, never re-derived here.
 
 A sharp cutoff at R leaves an O(1/(k^2 R)) oscillatory boundary error. Since
 h_l is exactly a polynomial in 1/r times e^{jkr}/r, the [R, inf) tail of the
@@ -30,14 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, ContractError, DomainError
-from .mie import (
-    mie_smatrix,
-    mie_smatrix_deriv,
-    modal_reflection,
-    modal_reflection_deriv,
-)
+from .mie import radial_second_derivative
 from .modal import ModeIndex, ModeSet, conjugate_mode
-from .smatrix import BoundaryCondition
+from .smatrix import SMatrix
 from .specfun import BesselKind, sph_bessel_table, sph_harm
 from .wigner import QMatrix
 
@@ -61,32 +58,13 @@ class QuadratureSpec:
             raise DomainError("radial quadrature too coarse")
 
 
-@dataclass
-class RadialProfile:
-    """Radial factor of the total sphere field for one excitation degree l.
-
-    The field is c1 h_l^(1)(kr) + c2 h_l^(2)(kr) outside the scatterer, 0
-    inside. c2/c1 is the modal reflection coefficient.
-    """
-
-    l: int
-    bc: BoundaryCondition
-    k: float
-    a: float
-    alpha: complex
-    c1: complex
-    c2: complex
-
-
-def make_radial_profile(l: int, bc: BoundaryCondition, k: float, a: float):
-    alpha = modal_reflection(3, bc, l, k * a)
-    c1 = k * 1j ** (l + 1)
-    return RadialProfile(l=l, bc=bc, k=k, a=a, alpha=alpha, c1=c1, c2=c1 * alpha)
-
-
-def outgoing_coefficient(l: int, alpha: complex) -> complex:
-    """beta with far form field*r -> e^{jkr} + beta e^{-jkr}."""
-    return (-1.0) ** (l + 1) * alpha
+def _degree_entries(matrix: np.ndarray, modes: ModeSet, lmax: int) -> np.ndarray:
+    """The (l, 0) diagonal entries for degrees 0..lmax. On S they are the
+    outgoing coefficients beta_l = (-1)^(l+1) alpha_l (far form
+    field*r -> e^{jkr} + beta e^{-jkr}), on S' their k-derivatives: the 3D
+    column phase of (l, 0) is (-1)^(l+1), so both are exact."""
+    rows = [modes.position(ModeIndex.spherical(l, 0)) for l in range(lmax + 1)]
+    return matrix[rows, rows]
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +199,15 @@ def _free_field_integrals(betas: np.ndarray, k: float, quad: QuadratureSpec):
     return np.sum(w * np.abs(phi_r) ** 2, axis=1), np.sum(w * np.abs(psi_r) ** 2, axis=1)
 
 
-def _radial_differences(
-    bc: BoundaryCondition, k: float, a: float, lmax: int, quad: QuadratureSpec
-):
+def _radial_differences(betas: np.ndarray, k: float, a: float, quad: QuadratureSpec):
     """(D_ff, D_gg) for degrees 0..lmax: renormalized ff and gg radial
-    integrals incl. tails, from one h^(1) table on the [a, R] nodes."""
-    profiles = [make_radial_profile(l, bc, k, a) for l in range(lmax + 1)]
-    c1 = np.array([p.c1 for p in profiles])[:, None]
-    c2 = np.array([p.c2 for p in profiles])[:, None]
-    betas = np.array([outgoing_coefficient(p.l, p.alpha) for p in profiles])
+    integrals incl. tails, from one h^(1) table on the [a, R] nodes. The
+    degree-l field is c1 (h_l^(1) + alpha_l h_l^(2)) outside the scatterer,
+    c1 = k j^(l+1), with alpha_l = (-1)^(l+1) beta_l."""
+    lmax = len(betas) - 1
+    c1 = np.array([k * 1j ** (l + 1) for l in range(lmax + 1)])[:, None]
     degree = np.arange(lmax + 1)[:, None]
+    c2 = c1 * ((-1.0) ** (degree + 1) * betas[:, None])
     ll = degree * (degree + 1)
 
     r_t, w_t = _gauss_panels(a, quad.radius, k, quad.nodes_per_wavelength)
@@ -261,23 +238,19 @@ def _combine(style: str, d_ff, d_gg, k: float, corr=0.0):
     return d_gg / k**2 - corr
 
 
-def volume_q_matrix(
-    bc: BoundaryCondition,
-    k: float,
-    a: float,
-    modes: ModeSet,
-    quad: QuadratureSpec,
-) -> dict:
-    """Volume-route Q on a spherical mode set in every style, {style: QMatrix}
-    in STYLES order, all from one set of radial integrals (diagonal per
-    degree) and one S for the a/b corrections."""
+def volume_q_matrix(s: SMatrix, a: float, quad: QuadratureSpec) -> dict:
+    """Volume-route Q of the radius-a sphere whose scattering matrix is s, in
+    every style, {style: QMatrix} in STYLES order: k and the modes are s's,
+    every degree's outgoing coefficient is read off s, and the radial
+    integrals (diagonal per degree) and the a/b corrections come from it."""
+    k, modes = s.k, s.modes
     if modes.dim != 3:
         raise ContractError("volume formulation is implemented for dim=3 only")
     quad.validate(k, a)
     degrees = [p.l for p in modes.modes]
-    diffs = _radial_differences(bc, k, a, max(degrees), quad)
+    diffs = _radial_differences(_degree_entries(s.matrix, modes, max(degrees)), k, a, quad)
     d_ff, d_gg = (np.diag(d[degrees]) for d in diffs)
-    corr = _style_corrections(mie_smatrix(3, bc, k, a, modes).matrix, modes, k)
+    corr = _style_corrections(s.matrix, modes, k)
     routes = {}
     for style in STYLES:
         out = _combine(style, d_ff, d_gg, k, corr)
@@ -304,7 +277,7 @@ def qtilde_infinity(p: ModeIndex, q: ModeIndex, k: float, quad: QuadratureSpec) 
         raise DomainError("need kR >= 50")
     if (p.l, p.m) != (q.l, q.m):
         return 0.0
-    beta = outgoing_coefficient(p.l, 1.0 + 0.0j)
+    beta = (-1.0) ** (p.l + 1) + 0.0j      # alpha = 1
     f_ff, f_gg = _free_field_integrals(np.array([beta]), k, quad)
     return float(_combine("symmetric", f_ff[0], f_gg[0], k))
 
@@ -326,16 +299,13 @@ class SurfaceIdentityReport:
     k: float
 
 
-def _dk_profile_terms(profile: RadialProfile, z: float, h1: complex, d1: complex):
-    """(field, d/dk field, d/dr field, d2/drdk field) at z = kr, given
-    h_l^(1)(z) and its derivative; h^(2) is their conjugate."""
-    l, k, a = profile.l, profile.k, profile.a
+def _dk_profile_terms(l: int, k: float, z: float, alpha, dalpha, h1, d1):
+    """(field, d/dk field, d/dr field, d2/drdk field) of degree l at z = kr,
+    given alpha_l, its k-derivative, h_l^(1)(z) and its derivative; h^(2) is
+    their conjugate."""
     h2, d2 = np.conj(h1), np.conj(d1)
-    ll = l * (l + 1)
-    dd1 = -(2.0 / z) * d1 + (ll / z**2 - 1.0) * h1
-    dd2 = -(2.0 / z) * d2 + (ll / z**2 - 1.0) * h2
-    alpha = profile.alpha
-    dalpha = modal_reflection_deriv(3, profile.bc, l, k, a)
+    dd1 = radial_second_derivative(3, l, z, h1, d1)
+    dd2 = radial_second_derivative(3, l, z, h2, d2)
     pref = 1j ** (l + 1)
     f = k * pref * (h1 + alpha * h2)
     df_dk = pref * ((h1 + alpha * h2) + z * (d1 + alpha * d2) + k * dalpha * h2)
@@ -347,86 +317,90 @@ def _dk_profile_terms(profile: RadialProfile, z: float, h1: complex, d1: complex
 
 
 def surface_identity_check(
-    p: ModeIndex,
-    q: ModeIndex,
-    bc: BoundaryCondition,
-    k: float,
-    a: float,
-    radius: float,
-) -> SurfaceIdentityReport:
-    """Closed-form surface integrals vs direct quadrature vs the WS identity.
+    s: SMatrix, sprime: SMatrix, pairs, radius: float
+) -> list:
+    """Closed-form surface integrals vs direct quadrature vs the WS identity,
+    one SurfaceIdentityReport per (p, q) in pairs.
 
     The closed forms are algebra in S, S' and R and reproduce
     2R delta_pq + j (S^dag S')_qp exactly; the numeric side integrates the
-    true total fields over the sphere r = R (48 Gauss nodes in cos theta,
-    96 in phi) and deviates by O(1/kR).
+    true total fields, whose alpha_l and alpha_l' are read off S and S',
+    over the sphere r = R (48 Gauss nodes in cos theta, 96 in phi) and
+    deviates by O(1/kR). One h^(1) table at kR serves every pair.
     """
-    if not k * radius >= 50.0:
-        raise DomainError("need kR >= 50 for the far-zone surface")
-    lmax = max(p.l, q.l)
-    modes = ModeSet.spherical(lmax, k)
-    s = mie_smatrix(3, bc, k, a, modes).matrix
-    sp = mie_smatrix_deriv(3, bc, k, a, modes).matrix
-    ip, iq = modes.position(p), modes.position(q)
-    ptilde, _ = conjugate_mode(p)
-    ipt = modes.position(ptilde)
-    sign = (-1.0) ** p.m
-    delta = 1.0 if ip == iq else 0.0
-    ssum = np.sum(np.conj(s[:, iq]) * sp[:, ip])
-    e_plus, e_minus = np.exp(2j * k * radius), np.exp(-2j * k * radius)
+    k, modes = s.k, s.modes
+    if modes.dim != 3:
+        raise ContractError("volume formulation is implemented for dim=3 only")
     kr = k * radius
-
-    i1 = (
-        2.0 * kr * delta
-        - sign * (1j + kr) * e_plus * np.conj(s[ipt, iq])
-        - 1j * k * e_minus * sp[iq, ip]
-        + 1j * k * ssum
-        + sign * (1j - kr) * e_minus * s[iq, ipt]
-    )
-    i2 = (
-        -2.0 * kr * delta
-        - 1j * k * e_minus * sp[iq, ip]
-        - sign * kr * e_minus * s[iq, ipt]
-        - sign * kr * e_plus * np.conj(s[ipt, iq])
-        - 1j * k * ssum
-    )
-    i3 = -sign * 1j * e_minus * s[iq, ipt] + 1j * sign * e_plus * np.conj(s[ipt, iq])
-
-    closed = (i1 - i2 + i3) / (2.0 * k)
-    reference = 2.0 * radius * delta + 1j * ssum
-    alg_res = abs(closed - reference) / max(abs(reference), 1.0)
-
-    # direct quadrature of the true-field surface integral
-    z = k * radius
-    h, dh = sph_bessel_table(BesselKind.HANKEL1, lmax, z)
-    fp, fp_k, _, fp_rk = _dk_profile_terms(
-        make_radial_profile(p.l, bc, k, a), z, h[p.l, 0], dh[p.l, 0]
-    )
-    fq, _, fq_r, _ = _dk_profile_terms(
-        make_radial_profile(q.l, bc, k, a), z, h[q.l, 0], dh[q.l, 0]
-    )
-    radial_combo = (
-        fp_k * np.conj(fq_r) - np.conj(fq) * fp_rk + np.conj(fq_r) * fp / k
-    )
+    if not kr >= 50.0:
+        raise DomainError("need kR >= 50 for the far-zone surface")
+    smat, sp = s.matrix, sprime.matrix
+    lmax = max(max(p.l, q.l) for p, q in pairs)
+    h, dh = sph_bessel_table(BesselKind.HANKEL1, lmax, kr)
+    sign = (-1.0) ** np.arange(1, lmax + 2)
+    alpha = sign * _degree_entries(smat, modes, lmax)
+    dalpha = sign * _degree_entries(sp, modes, lmax)
+    profile = {
+        l: _dk_profile_terms(l, k, kr, alpha[l], dalpha[l], h[l, 0], dh[l, 0])
+        for l in {m.l for pair in pairs for m in pair}
+    }
     n_phi = 96
     u, wu = np.polynomial.legendre.leggauss(48)
     theta = np.arccos(u)
     phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    xpq = sph_harm(p.l, p.m, tt, pp) * np.conj(sph_harm(q.l, q.m, tt, pp))
-    angular = np.sum(xpq * wu[:, None]) * (2.0 * np.pi / n_phi)
-    numeric = radial_combo * angular * radius**2 / (2.0 * k)
-    num_err = abs(numeric - closed) / max(abs(closed), 1e-30)
+    e_plus, e_minus = np.exp(2j * k * radius), np.exp(-2j * k * radius)
 
-    return SurfaceIdentityReport(
-        i1=complex(i1),
-        i2=complex(i2),
-        i3=complex(i3),
-        closed_value=complex(closed),
-        reference_value=complex(reference),
-        algebraic_residual=float(alg_res),
-        numeric_value=complex(numeric),
-        numeric_rel_error=float(num_err),
-        radius=radius,
-        k=k,
-    )
+    reports = []
+    for p, q in pairs:
+        ip, iq = modes.position(p), modes.position(q)
+        ipt = modes.position(conjugate_mode(p)[0])
+        sign_p = (-1.0) ** p.m
+        delta = 1.0 if ip == iq else 0.0
+        ssum = np.sum(np.conj(smat[:, iq]) * sp[:, ip])
+
+        i1 = (
+            2.0 * kr * delta
+            - sign_p * (1j + kr) * e_plus * np.conj(smat[ipt, iq])
+            - 1j * k * e_minus * sp[iq, ip]
+            + 1j * k * ssum
+            + sign_p * (1j - kr) * e_minus * smat[iq, ipt]
+        )
+        i2 = (
+            -2.0 * kr * delta
+            - 1j * k * e_minus * sp[iq, ip]
+            - sign_p * kr * e_minus * smat[iq, ipt]
+            - sign_p * kr * e_plus * np.conj(smat[ipt, iq])
+            - 1j * k * ssum
+        )
+        i3 = (-sign_p * 1j * e_minus * smat[iq, ipt]
+              + 1j * sign_p * e_plus * np.conj(smat[ipt, iq]))
+
+        closed = (i1 - i2 + i3) / (2.0 * k)
+        reference = 2.0 * radius * delta + 1j * ssum
+        alg_res = abs(closed - reference) / max(abs(reference), 1.0)
+
+        # direct quadrature of the true-field surface integral
+        fp, fp_k, _, fp_rk = profile[p.l]
+        fq, _, fq_r, _ = profile[q.l]
+        radial_combo = (
+            fp_k * np.conj(fq_r) - np.conj(fq) * fp_rk + np.conj(fq_r) * fp / k
+        )
+        xpq = sph_harm(p.l, p.m, tt, pp) * np.conj(sph_harm(q.l, q.m, tt, pp))
+        angular = np.sum(xpq * wu[:, None]) * (2.0 * np.pi / n_phi)
+        numeric = radial_combo * angular * radius**2 / (2.0 * k)
+        num_err = abs(numeric - closed) / max(abs(closed), 1e-30)
+
+        reports.append(SurfaceIdentityReport(
+            i1=complex(i1),
+            i2=complex(i2),
+            i3=complex(i3),
+            closed_value=complex(closed),
+            reference_value=complex(reference),
+            algebraic_residual=float(alg_res),
+            numeric_value=complex(numeric),
+            numeric_rel_error=float(num_err),
+            radius=radius,
+            k=k,
+        ))
+    return reports

@@ -101,30 +101,21 @@ def validate_smatrix(s: SMatrix, gate: float = DEFAULT_SMATRIX_GATE) -> SMatrixR
     )
 
 
-def smatrix_fd_derivative(provider, k: float, dk: float = None, richardson: bool = False):
+def smatrix_fd_derivative(provider, k: float, dk: float = None):
     """Central-difference dS/dk from an S-matrix provider.
 
     provider(k') must return an SMatrix on the same mode list for every k'.
-    Optional Richardson pass combines steps dk and dk/2 to cancel the
-    leading O(dk^2) truncation term.
     """
     if dk is None:
         dk = 1e-4 * k
     if not dk > 0:
         raise DomainError("finite-difference step must be positive")
-
-    def central(step):
-        sp = provider(k + step)
-        sm = provider(k - step)
-        if not sp.modes.same_modes(sm.modes):
-            raise ContractError("provider returned mismatched mode sets")
-        return sp, (sp.matrix - sm.matrix) / (2.0 * step)
-
-    s_ref, d = central(dk)
-    if richardson:
-        _, d_half = central(dk / 2.0)
-        d = (4.0 * d_half - d) / 3.0
-    modes_at_k = ModeSet(dim=s_ref.modes.dim, modes=s_ref.modes.modes, k=k)
+    sp = provider(k + dk)
+    sm = provider(k - dk)
+    if not sp.modes.same_modes(sm.modes):
+        raise ContractError("provider returned mismatched mode sets")
+    d = (sp.matrix - sm.matrix) / (2.0 * dk)
+    modes_at_k = ModeSet(dim=sp.modes.dim, modes=sp.modes.modes, k=k)
     return SMatrix(modes=modes_at_k, k=k, matrix=d)
 
 

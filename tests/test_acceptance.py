@@ -127,10 +127,9 @@ def test_criterion_2_route_equivalence():
     worst = 0.0
     for bc in (SOFT, HARD):
         modes = ModeSet.spherical(3, k)
-        qref = q_matrix(
-            mie_smatrix(3, bc, k, a, modes), mie_smatrix_deriv(3, bc, k, a, modes)
-        )
-        routes = volume_q_matrix(bc, k, a, modes, quad)
+        s = mie_smatrix(3, bc, k, a, modes)
+        qref = q_matrix(s, mie_smatrix_deriv(3, bc, k, a, modes))
+        routes = volume_q_matrix(s, a, quad)
         for l in range(4):
             p = ModeIndex.spherical(l, 0)
             i = modes.position(p)
@@ -142,14 +141,13 @@ def test_criterion_2_route_equivalence():
     # refinement: doubling the radial density shrinks the residual
     p = ModeIndex.spherical(2, 0)
     modes = ModeSet.spherical(2, 1.0)
-    qref = q_matrix(
-        mie_smatrix(3, SOFT, 1.0, a, modes), mie_smatrix_deriv(3, SOFT, 1.0, a, modes)
-    )
+    s = mie_smatrix(3, SOFT, 1.0, a, modes)
+    qref = q_matrix(s, mie_smatrix_deriv(3, SOFT, 1.0, a, modes))
     i = modes.position(p)
     ref = qref.matrix[i, i].real
     errs = []
     for npw in (8.0, 16.0):
-        routes = volume_q_matrix(SOFT, 1.0, a, modes, QuadratureSpec(200.0, npw))
+        routes = volume_q_matrix(s, a, QuadratureSpec(200.0, npw))
         errs.append(abs(routes["symmetric"].matrix[i, i] - ref))
     e_coarse, e_fine = errs
     ok &= bool(e_fine < e_coarse)
@@ -162,19 +160,21 @@ def test_criterion_3_surface_integral_identity():
     """Closed forms reproduce the WS identity exactly; quadrature to 1%."""
     t0 = time.perf_counter()
     k, a = 1.0, 2.0
+    modes = ModeSet.spherical(2, k)
+    s, sp = mie_smatrix(3, SOFT, k, a, modes), mie_smatrix_deriv(3, SOFT, k, a, modes)
     ok = True
     alg_worst = 0.0
-    for p, q in [
+    pairs = [
         (ModeIndex.spherical(0, 0), ModeIndex.spherical(0, 0)),
         (ModeIndex.spherical(2, 1), ModeIndex.spherical(2, 1)),
         (ModeIndex.spherical(1, 0), ModeIndex.spherical(2, 0)),
-    ]:
-        rep = surface_identity_check(p, q, SOFT, k, a, 200.0)
+    ]
+    for rep in surface_identity_check(s, sp, pairs, 200.0):
         alg_worst = max(alg_worst, rep.algebraic_residual)
         ok &= bool(rep.algebraic_residual < 1e-12)
     p = ModeIndex.spherical(2, 1)
-    e1 = surface_identity_check(p, p, SOFT, k, a, 200.0).numeric_rel_error
-    e2 = surface_identity_check(p, p, SOFT, k, a, 400.0).numeric_rel_error
+    e1, e2 = (surface_identity_check(s, sp, [(p, p)], r)[0].numeric_rel_error
+              for r in (200.0, 400.0))
     ok &= bool(e1 < 0.01)
     ok &= bool(e2 < 0.7 * e1)
     elapsed = time.perf_counter() - t0

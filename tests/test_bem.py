@@ -27,8 +27,8 @@ from wsdelay.geometry import (
     make_strip,
     mesh_geometry,
 )
-from wsdelay.mie import mie_smatrix, modal_reflection
-from wsdelay.modal import ModeIndex, ModeSet, regular_wave
+from wsdelay.mie import mie_smatrix, reflection_table
+from wsdelay.modal import ModeIndex, ModeSet, conjugate_mode, regular_wave
 from wsdelay.smatrix import BoundaryCondition
 from wsdelay.wigner import q_matrix, smatrix_fd_derivative, ws_decompose
 
@@ -267,7 +267,7 @@ class TestCircleAgainstClosedForm:
         sol = solve_exterior(mesh, SOFT, values[:, col], k=k)
         coeffs = far_field_coefficients(mesh, sol, values, nds)
         # scattered amplitude into the conjugate mode: (alpha - 1) x free phase
-        alpha = modal_reflection(2, SOFT, 2, k * a)
+        alpha = reflection_table(2, SOFT, k, a, 2)[0][2]
         expect = 1j * (-1.0) ** 2 * (alpha - 1.0)
         got = coeffs[modes.position(ModeIndex.angular(-2))]
         assert abs(got - expect) < 1e-10
@@ -283,7 +283,7 @@ class TestCircleAgainstClosedForm:
         col = modes.position(p)
         sol = solve_exterior(mesh, HARD, values[:, col], nds[:, col], k=k)
         coeffs = far_field_coefficients(mesh, sol, values, nds)
-        alpha = modal_reflection(2, HARD, 3, k * a)
+        alpha = reflection_table(2, HARD, k, a, 3)[0][3]
         expect = 1j * (-1.0) ** 3 * (alpha - 1.0)
         got = coeffs[modes.position(ModeIndex.angular(-3))]
         assert abs(got - expect) < 1e-3
@@ -336,7 +336,6 @@ class TestSolver:
     def test_scattered_field_matches_separation_solution(self):
         # domain evaluation cross-checked against the closed-form total field
         # of the sound-soft circle
-        from wsdelay.mie import modal_reflection
         from wsdelay.modal import gamma_2d
         from wsdelay.specfun import BesselKind, cyl_bessel
 
@@ -351,7 +350,7 @@ class TestSolver:
         r_eval = 1.5 * a
         pts = r_eval * np.column_stack([np.cos(ang), np.sin(ang)])
         total = regular_wave(p, k, pts) + scattered_field(mesh, sol, pts)
-        alpha = modal_reflection(2, SOFT, p.n, k * a)
+        alpha = reflection_table(2, SOFT, k, a, abs(p.n))[0][abs(p.n)]
         gam = gamma_2d(p.n, k)
         radial = gam * (
             2.0 * cyl_bessel(BesselKind.REGULAR_J, p.n, k * r_eval)
@@ -495,6 +494,36 @@ class TestRotation:
         assert len(s.modes) == 17
         assert np.max(np.abs(s_rot.matrix - expect)) <= 1e-10
         assert np.max(np.abs(delays_rot - delays)) <= 1e-8 * np.max(np.abs(delays))
+
+
+class TestReflection:
+    @pytest.mark.parametrize("bc", [SOFT, HARD])
+    def test_mirrored_quadrilateral_is_port_permuted(self, bc):
+        # reflecting the scatterer across the x-axis maps e^{jn theta} to
+        # e^{-jn theta}, and gamma_{-n} H_{-n} = gamma_n H_n, so incoming and
+        # outgoing port n become port -n: S_R = P S P with P the n <-> -n
+        # permutation, and Q_R = P Q P has the same delays. The shape has no
+        # symmetry of its own. Soft unitarity is 1.9e-3 here, above the
+        # default gate (the corner grading), so no gate is applied.
+        k = 1.0
+        quad = np.array([(-2.0, -1.0), (2.5, -1.5), (1.0, 2.0), (-1.5, 1.2)])
+        mirrored = (quad * [1.0, -1.0])[::-1]          # reversed, so still CCW
+        out = []
+        for verts in (quad, mirrored):
+            geom = make_polyline([tuple(v) for v in verts])
+            mesh = mesh_geometry(geom, k)
+
+            def provider(kp, geom=geom, mesh=mesh):
+                return bem_smatrix(geom, bc, kp, ModeSet.angular(8, kp), mesh=mesh, gate=None)
+
+            s = provider(k)
+            dec = ws_decompose(q_matrix(s, smatrix_fd_derivative(provider, k)), s)
+            out.append((s, dec.delays))
+        (s, delays), (s_ref, delays_ref) = out
+        perm = [s.modes.position(conjugate_mode(p)[0]) for p in s.modes.modes]
+        assert len(s.modes) == 17
+        assert np.max(np.abs(s_ref.matrix - s.matrix[np.ix_(perm, perm)])) <= 1e-10
+        assert np.max(np.abs(delays_ref - delays)) <= 1e-8 * np.max(np.abs(delays))
 
 
 class TestBemSMatrix:

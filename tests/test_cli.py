@@ -1,10 +1,12 @@
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from wsdelay import mie, specfun
 from wsdelay.cli import main, run_scenario
 from wsdelay.errors import ConfigError
 from wsdelay.io import (
@@ -153,6 +155,34 @@ class TestRunScenario:
         assert len(lines) == 1 + 3 * 4  # three routes, four diagonal entries
         assert all(float(l.split(",")[-1]) < 1e-3 for l in lines[1:])
 
+    def test_sphere_checks_read_the_solved_matrices(self, tmp_path, monkeypatch):
+        # one table at ka per closed-form matrix, one on the Gauss nodes and
+        # one at kR; the checks build no S or S' of their own
+        originals = {
+            "sph_bessel_table": specfun.sph_bessel_table,
+            "mie_smatrix": mie.mie_smatrix,
+            "mie_smatrix_deriv": mie.mie_smatrix_deriv,
+        }
+        calls = dict.fromkeys(originals, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for modname, module in list(sys.modules.items()):
+            if modname == "wsdelay" or modname.startswith("wsdelay."):
+                for name, fn in originals.items():
+                    if getattr(module, name, None) is fn:
+                        monkeypatch.setattr(module, name, counted(name, fn))
+        cfg = ScenarioConfig(scenario="sphere", bc="soft", a=2.0, mode_count=16,
+                             checks=("volume-q", "appendix-b"))
+        assert run_scenario(cfg, str(tmp_path / "o"))["passed"]
+        assert calls["sph_bessel_table"] <= 4
+        assert calls["mie_smatrix"] == 1
+        assert calls["mie_smatrix_deriv"] == 1
+
     def test_artifacts_written(self, cylinder_run):
         _, summary, out = cylinder_run
         for name in (
@@ -300,6 +330,9 @@ class TestMainExitCodes:
             ),
             pytest.param(
                 "scenario=strip\nmodes=11\ngrid_halfwidth=-5\n", [], id="halfwidth"
+            ),
+            pytest.param(
+                "scenario=cylinder\na=2\nmodes=9\nrichardson=true\n", [], id="richardson-gone"
             ),
             pytest.param(
                 "scenario=sphere\nmodes=4\nvol_kr=10\n", ["--check", "volume-q"],

@@ -7,9 +7,8 @@ from wsdelay.mie import (
     free_space_smatrix,
     mie_smatrix,
     mie_smatrix_deriv,
-    modal_reflection,
-    modal_reflection_deriv,
     outgoing_partial_wave,
+    reflection_table,
 )
 from wsdelay.modal import (
     ModeIndex,
@@ -22,7 +21,6 @@ from wsdelay.smatrix import BoundaryCondition
 from wsdelay.specfun import (
     BesselKind,
     cyl_bessel,
-    cyl_bessel_dx,
     sph_bessel,
     sph_jy_table,
 )
@@ -33,8 +31,9 @@ H1, H2 = BesselKind.HANKEL1, BesselKind.HANKEL2
 
 
 # ---------------------------------------------------------------------------
-# reference: both Hankel kinds and both derivatives from their own
-# recurrences, h^(2) = j - jy rather than the conjugate of h^(1)
+# reference: one order at a time, both Hankel kinds and both derivatives
+# from their own evaluations, h^(2) = j - jy rather than the conjugate of
+# h^(1)
 # ---------------------------------------------------------------------------
 def ref_sph(l, z, sign):
     j, y = sph_jy_table(l, z)
@@ -51,13 +50,17 @@ def ref_sph_dx(l, z, sign):
     return prev - (l + 1) / z * curr
 
 
+def ref_cyl_dx(kind, order, z):
+    return 0.5 * (cyl_bessel(kind, order - 1, z) - cyl_bessel(kind, order + 1, z))
+
+
 def ref_pairs(dim, order, z):
     """(h1, h2), (h1', h2') as four separate evaluations."""
     if dim == 3:
         return ((ref_sph(order, z, 1), ref_sph(order, z, -1)),
                 (ref_sph_dx(order, z, 1), ref_sph_dx(order, z, -1)))
     return ((cyl_bessel(H1, order, z), cyl_bessel(H2, order, z)),
-            (cyl_bessel_dx(H1, order, z), cyl_bessel_dx(H2, order, z)))
+            (ref_cyl_dx(H1, order, z), ref_cyl_dx(H2, order, z)))
 
 
 def ref_alpha(dim, bc, order, ka):
@@ -82,6 +85,10 @@ class TestConjugateHankelAgainstReference:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("ka", [0.05, 0.7, 1.0, 2.0, 10.0, 40.0])
     def test_smatrix_and_derivative_bitwise(self, bc, dim, ka):
+        # 2D: the same scipy calls per order, so bitwise. 3D: one spherical
+        # table for every degree starts Miller's recurrence above the
+        # highest degree, not above each one, which moves S and S' by
+        # rounding (4e-16 measured)
         k = 1.0
         modes = ModeSet.spherical(8, k) if dim == 3 else ModeSet.angular(12, k)
 
@@ -90,39 +97,46 @@ class TestConjugateHankelAgainstReference:
 
         want_s = _assemble(modes, lambda p: ref_alpha(dim, bc, order(p), k * ka))
         want_ds = _assemble(modes, lambda p: ref_dalpha(dim, bc, order(p), k, ka))
-        assert np.array_equal(mie_smatrix(dim, bc, k, ka, modes).matrix, want_s)
-        assert np.array_equal(mie_smatrix_deriv(dim, bc, k, ka, modes).matrix, want_ds)
+        got_s = mie_smatrix(dim, bc, k, ka, modes).matrix
+        got_ds = mie_smatrix_deriv(dim, bc, k, ka, modes).matrix
+        if dim == 2:
+            assert np.array_equal(got_s, want_s)
+            assert np.array_equal(got_ds, want_ds)
+        else:
+            assert np.max(np.abs(got_s - want_s)) <= 1e-15
+            assert np.max(np.abs(got_ds - want_ds)) <= 1e-15 * np.max(np.abs(want_ds))
 
 
 class TestModalReflection:
     def test_soft_sphere_monopole_closed_form(self):
         # alpha_0 = e^{2jka} from h_0^(1,2) = -+j e^{+-jx}/x
         for ka in [0.7, 2.0, 5.3]:
-            got = modal_reflection(3, SOFT, 0, ka)
+            got = reflection_table(3, SOFT, 1.0, ka, 0)[0][0]
             assert got == pytest.approx(np.exp(2j * ka), rel=1e-13)
 
     def test_boundary_residual_oracle(self):
         # total radial field h1 + alpha h2 vanishes at r = a (soft)
         ka = 2.0
-        for l in range(0, 6):
-            alpha = modal_reflection(3, SOFT, l, ka)
+        alphas = reflection_table(3, SOFT, 1.0, ka, 5)[0]
+        for l, alpha in enumerate(alphas):
             res = sph_bessel(BesselKind.HANKEL1, l, ka) + alpha * sph_bessel(
                 BesselKind.HANKEL2, l, ka
             )
             assert abs(res) < 1e-12
 
     def test_unimodular(self):
-        assert abs(modal_reflection(2, HARD, 7, 5.3)) == pytest.approx(1.0, abs=1e-12)
-        assert abs(modal_reflection(3, HARD, 3, 1.1)) == pytest.approx(1.0, abs=1e-12)
+        for dim, n_max, ka in [(2, 7, 5.3), (3, 3, 1.1)]:
+            alpha = reflection_table(dim, HARD, 1.0, ka, n_max)[0]
+            assert np.max(np.abs(np.abs(alpha) - 1.0)) <= 1e-12
 
     def test_high_order_no_scattering_phase(self):
         # far below the caustic the mode barely senses the scatterer
-        alpha = modal_reflection(3, SOFT, 40, 5.0)
+        alpha = reflection_table(3, SOFT, 1.0, 5.0, 40)[0][40]
         assert abs(np.angle(alpha)) < 1e-12
 
     def test_invalid_ka(self):
         with pytest.raises(DomainError):
-            modal_reflection(3, SOFT, 0, -1.0)
+            reflection_table(3, SOFT, 1.0, -1.0, 0)
 
 
 class TestMieSMatrix:
@@ -219,8 +233,7 @@ class TestDerivative:
     def test_soft_monopole_delay(self):
         # j conj(alpha) dalpha/dk = -2a for the soft sphere monopole
         for k, a in [(0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 3.0)]:
-            alpha = modal_reflection(3, SOFT, 0, k * a)
-            dalpha = modal_reflection_deriv(3, SOFT, 0, k, a)
+            (alpha,), (dalpha,) = reflection_table(3, SOFT, k, a, 0)
             delay = 1j * np.conj(alpha) * dalpha
             assert delay.real == pytest.approx(-2 * a, abs=1e-8)
             assert abs(delay.imag) < 1e-10
@@ -237,10 +250,10 @@ class TestDerivative:
     def test_against_central_difference(self, dim, bc, order, k, a):
         dk = 1e-5
         fd = (
-            modal_reflection(dim, bc, order, (k + dk) * a)
-            - modal_reflection(dim, bc, order, (k - dk) * a)
+            reflection_table(dim, bc, k + dk, a, order)[0][order]
+            - reflection_table(dim, bc, k - dk, a, order)[0][order]
         ) / (2 * dk)
-        got = modal_reflection_deriv(dim, bc, order, k, a)
+        got = reflection_table(dim, bc, k, a, order)[1][order]
         assert abs(got - fd) / abs(fd) < 1e-7
 
     def test_matrix_derivative_sparsity_matches(self):
@@ -259,10 +272,7 @@ class TestDerivative:
 
     def test_high_order_delays_vanish(self):
         # modes far beyond the caustic barely dwell near the scatterer
-        k, a = 1.0, 5.0
-        def delay(l):
-            alpha = modal_reflection(3, SOFT, l, k * a)
-            return abs(1j * np.conj(alpha) * modal_reflection_deriv(3, SOFT, l, k, a))
-
-        assert delay(12) < 1e-2 * delay(1)
-        assert delay(20) < 1e-8 * delay(1)
+        alpha, dalpha = reflection_table(3, SOFT, 1.0, 5.0, 20)
+        delay = np.abs(1j * np.conj(alpha) * dalpha)
+        assert delay[12] < 1e-2 * delay[1]
+        assert delay[20] < 1e-8 * delay[1]

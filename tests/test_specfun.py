@@ -10,7 +10,7 @@ from wsdelay.specfun import (
     SPH_DEGREE_MAX,
     BesselKind,
     cyl_bessel,
-    cyl_bessel_dx,
+    cyl_hankel1_table,
     cyl_jn_table,
     sph_bessel,
     sph_bessel_dx,
@@ -59,8 +59,19 @@ class TestCylBessel:
 
     def test_derivative_against_finite_difference(self):
         x, h = 4.2, 1e-6
-        fd = (cyl_bessel(H1, 3, x + h) - cyl_bessel(H1, 3, x - h)) / (2 * h)
-        assert cyl_bessel_dx(H1, 3, x) == pytest.approx(fd, rel=1e-8)
+        _, df = cyl_hankel1_table(3, x)
+        for n in (0, 3):
+            fd = (cyl_bessel(H1, n, x + h) - cyl_bessel(H1, n, x - h)) / (2 * h)
+            assert df[n, 0] == pytest.approx(fd, rel=1e-8)
+
+    def test_hankel1_table_rows_are_the_single_order_functions(self):
+        x = np.array([0.3, 4.2, 60.0])
+        f, _ = cyl_hankel1_table(7, x)
+        assert f.shape == (8, 3)
+        for n in range(8):
+            assert np.array_equal(f[n], cyl_bessel(H1, n, x))
+        with pytest.raises(CapacityError):
+            cyl_hankel1_table(CYL_ORDER_MAX + 1, 1.0)
 
     def test_domain_and_capacity_errors(self):
         with pytest.raises(DomainError):

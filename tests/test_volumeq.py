@@ -5,7 +5,7 @@ import pytest
 
 from wsdelay import volumeq
 from wsdelay.errors import ContractError, DomainError
-from wsdelay.mie import mie_smatrix, mie_smatrix_deriv, modal_reflection_deriv
+from wsdelay.mie import mie_smatrix, mie_smatrix_deriv
 from wsdelay.modal import ModeIndex, ModeSet, conjugate_mode
 from wsdelay.smatrix import BoundaryCondition
 from wsdelay.specfun import BesselKind, sph_bessel_table, sph_jy_table
@@ -13,11 +13,10 @@ from wsdelay.volumeq import (
     QuadratureSpec,
     STYLES,
     _combine,
+    _degree_entries,
     _difference_tails,
     _gauss_panels,
     _style_corrections,
-    make_radial_profile,
-    outgoing_coefficient,
     qtilde_infinity,
     surface_identity_check,
     volume_q_matrix,
@@ -42,6 +41,19 @@ def reference_q(bc, k, a, lmax):
     )
 
 
+def routes_for(bc, k, a, modes, quad):
+    return volume_q_matrix(mie_smatrix(3, bc, k, a, modes), a, quad)
+
+
+def closed_form(bc, k=1.0, a=2.0, lmax=5):
+    modes = ModeSet.spherical(lmax, k)
+    return mie_smatrix(3, bc, k, a, modes), mie_smatrix_deriv(3, bc, k, a, modes)
+
+
+def surface(pairs, radius, bc=SOFT):
+    return surface_identity_check(*closed_form(bc), pairs, radius)
+
+
 def entry(routes, style, p, q, modes):
     """The (q, p) entry of one style's volume-route Q."""
     return routes[style].matrix[modes.position(q), modes.position(p)]
@@ -49,7 +61,8 @@ def entry(routes, style, p, q, modes):
 
 # ---------------------------------------------------------------------------
 # references: the per-degree, per-style volume route with one pair of
-# recurrences per function, h^(2) = j - jy and h^(2)' formed on its own
+# recurrences per function, h^(2) = j - jy and h^(2)' formed on its own;
+# alpha_l and alpha_l' come off the (l, 0) diagonal of the same S and S'
 # ---------------------------------------------------------------------------
 def ref_hankel(l, z, sign):
     """h_l^(1) (sign +1) or h_l^(2) (sign -1) from its own j/y table."""
@@ -71,13 +84,18 @@ def ref_hankel_dx(l, z, sign):
     return prev - (l + 1) / z * curr
 
 
-def ref_radial_differences(profile, quad):
-    k, a, l = profile.k, profile.a, profile.l
-    beta = outgoing_coefficient(l, profile.alpha)
+def ref_diagonal(matrix, modes, l):
+    i = modes.position(ModeIndex.spherical(l, 0))
+    return matrix[i, i]
+
+
+def ref_radial_differences(l, beta, k, a, quad):
+    c1 = k * 1j ** (l + 1)
+    c2 = c1 * ((-1.0) ** (l + 1) * beta)
     r_t, w_t = _gauss_panels(a, quad.radius, k, quad.nodes_per_wavelength)
     z = k * r_t
-    f = profile.c1 * ref_hankel(l, z, 1) + profile.c2 * ref_hankel(l, z, -1)
-    df = k * (profile.c1 * ref_hankel_dx(l, z, 1) + profile.c2 * ref_hankel_dx(l, z, -1))
+    f = c1 * ref_hankel(l, z, 1) + c2 * ref_hankel(l, z, -1)
+    df = k * (c1 * ref_hankel_dx(l, z, 1) + c2 * ref_hankel_dx(l, z, -1))
     t_ff = np.sum(w_t * np.abs(f) ** 2 * r_t**2)
     t_gg = np.sum(w_t * (np.abs(df) ** 2 * r_t**2 + l * (l + 1) * np.abs(f) ** 2))
     r, w = _gauss_panels(0.0, quad.radius, k, quad.nodes_per_wavelength)
@@ -89,16 +107,17 @@ def ref_radial_differences(profile, quad):
     return complex(d_ff), complex(d_gg)
 
 
-def ref_volume_q_matrix(style, bc, k, a, modes, quad):
+def ref_volume_q_matrix(style, s, a, quad):
+    k, modes = s.k, s.modes
     lmax = max(p.l for p in modes.modes)
     diff_by_l = [
-        ref_radial_differences(make_radial_profile(l, bc, k, a), quad)
+        ref_radial_differences(l, ref_diagonal(s.matrix, modes, l), k, a, quad)
         for l in range(lmax + 1)
     ]
     d_ff, d_gg = (np.diag([diff_by_l[p.l][i] for p in modes.modes]) for i in (0, 1))
     corr = 0.0
     if style != "symmetric":
-        corr = _style_corrections(mie_smatrix(3, bc, k, a, modes).matrix, modes, k)
+        corr = _style_corrections(s.matrix, modes, k)
     out = _combine(style, d_ff, d_gg, k, corr)
     presym = float(
         np.linalg.norm(out - out.conj().T) / max(np.linalg.norm(out), 1e-300)
@@ -109,17 +128,13 @@ def ref_volume_q_matrix(style, bc, k, a, modes, quad):
     )
 
 
-def ref_dk_profile_terms(profile, z, *_):
-    """The radial terms from four separate evaluations at z, ignoring the
-    table rows passed in."""
-    l, k, a = profile.l, profile.k, profile.a
+def ref_dk_profile_terms(l, k, z, alpha, dalpha):
+    """The radial terms from four separate evaluations at z."""
     h1, h2 = ref_hankel(l, z, 1)[0], ref_hankel(l, z, -1)[0]
     d1, d2 = ref_hankel_dx(l, z, 1)[0], ref_hankel_dx(l, z, -1)[0]
     ll = l * (l + 1)
     dd1 = -(2.0 / z) * d1 + (ll / z**2 - 1.0) * h1
     dd2 = -(2.0 / z) * d2 + (ll / z**2 - 1.0) * h2
-    alpha = profile.alpha
-    dalpha = modal_reflection_deriv(3, profile.bc, l, k, a)
     pref = 1j ** (l + 1)
     f = k * pref * (h1 + alpha * h2)
     df_dk = pref * ((h1 + alpha * h2) + z * (d1 + alpha * d2) + k * dalpha * h2)
@@ -136,12 +151,12 @@ class TestOneTableAgainstPerDegreeReference:
     @pytest.mark.parametrize("kr", [200.0, 400.0])
     def test_every_style_bitwise(self, bc, lmax, kr):
         k, a = 1.0, 2.0
-        modes = ModeSet.spherical(lmax, k)
+        s = mie_smatrix(3, bc, k, a, ModeSet.spherical(lmax, k))
         quad = QuadratureSpec(radius=kr / k)
-        routes = volume_q_matrix(bc, k, a, modes, quad)
+        routes = volume_q_matrix(s, a, quad)
         assert list(routes) == list(STYLES)
         for style in STYLES:
-            ref = ref_volume_q_matrix(style, bc, k, a, modes, quad)
+            ref = ref_volume_q_matrix(style, s, a, quad)
             assert np.array_equal(routes[style].matrix, ref.matrix), style
             assert routes[style].presym_residual == ref.presym_residual, style
 
@@ -158,29 +173,55 @@ class TestOneTableAgainstPerDegreeReference:
     )
     @pytest.mark.parametrize("radius", [200.0, 400.0])
     def test_surface_identity_bitwise(self, monkeypatch, bc, p, q, radius):
-        args = (ModeIndex.spherical(*p), ModeIndex.spherical(*q), bc, 1.0, 2.0, radius)
-        got = surface_identity_check(*args)
-        monkeypatch.setattr(volumeq, "_dk_profile_terms", ref_dk_profile_terms)
-        want = surface_identity_check(*args)
+        pairs = [(ModeIndex.spherical(*p), ModeIndex.spherical(*q))]
+        s, sp = closed_form(bc)
+        (got,) = surface_identity_check(s, sp, pairs, radius)
+
+        def ref_terms(l, k, z, *_):
+            # alpha_l and alpha_l' off the (l, 0) diagonals, ignoring the
+            # coefficients and table rows passed in
+            sign = (-1.0) ** (l + 1)
+            return ref_dk_profile_terms(l, k, z, sign * ref_diagonal(s.matrix, s.modes, l),
+                                        sign * ref_diagonal(sp.matrix, sp.modes, l))
+
+        monkeypatch.setattr(volumeq, "_dk_profile_terms", ref_terms)
+        (want,) = surface_identity_check(s, sp, pairs, radius)
         for fld in fields(got):
             assert getattr(got, fld.name) == getattr(want, fld.name), fld.name
+
+    def test_one_call_serves_every_pair(self):
+        pairs = [
+            (ModeIndex.spherical(0, 0), ModeIndex.spherical(0, 0)),
+            (ModeIndex.spherical(2, -1), ModeIndex.spherical(2, 1)),
+            (ModeIndex.spherical(1, 0), ModeIndex.spherical(3, 0)),
+        ]
+        together = surface(pairs, 200.0, bc=HARD)
+        assert len(together) == len(pairs)
+        for pair, got in zip(pairs, together):
+            (want,) = surface([pair], 200.0, bc=HARD)
+            assert got == want
 
 
 class TestRadialProfile:
     @pytest.mark.parametrize("bc", [SOFT, HARD])
     @pytest.mark.parametrize("l", [0, 1, 4])
     def test_boundary_condition_satisfied(self, bc, l):
-        prof = make_radial_profile(l, bc, 1.0, 2.0)
-        h, dh = sph_bessel_table(H1, l, prof.k * prof.a)
+        # the (l, 0) diagonal of S is beta_l = (-1)^(l+1) alpha_l, and the
+        # degree-l field h^(1) + alpha_l h^(2) meets the boundary condition
+        k, a = 1.0, 2.0
+        modes = ModeSet.spherical(4, k)
+        beta = _degree_entries(mie_smatrix(3, bc, k, a, modes).matrix, modes, 4)[l]
+        alpha = (-1.0) ** (l + 1) * beta
+        h, dh = sph_bessel_table(H1, l, k * a)
         f = h if bc is SOFT else dh                 # field or its radial derivative
-        value = prof.c1 * f[l, 0] + prof.c2 * np.conj(f[l, 0])
-        assert abs(value) / abs(prof.c1 * f[l, 0]) < 1e-10
+        value = f[l, 0] + alpha * np.conj(f[l, 0])
+        assert abs(value) / abs(f[l, 0]) < 1e-10
 
 
 class TestVolumeQEntries:
     def test_soft_monopole_reference(self):
         modes = ModeSet.spherical(0, 1.0)
-        routes = volume_q_matrix(SOFT, 1.0, 1.0, modes, QUAD)
+        routes = routes_for(SOFT, 1.0, 1.0, modes, QUAD)
         for style in STYLES:
             v = entry(routes, style, P00, P00, modes)
             assert v.real == pytest.approx(-2.0, abs=2e-5)
@@ -189,7 +230,7 @@ class TestVolumeQEntries:
 
     def test_off_block_entries_vanish(self):
         modes = ModeSet.spherical(2, 1.0)
-        routes = volume_q_matrix(SOFT, 1.0, 1.0, modes, QUAD)
+        routes = routes_for(SOFT, 1.0, 1.0, modes, QUAD)
         p, q = ModeIndex.spherical(1, 0), ModeIndex.spherical(2, 0)
         for style in STYLES:
             assert entry(routes, style, p, q, modes) == 0.0
@@ -202,7 +243,7 @@ class TestVolumeQEntries:
     def test_route_equivalence_all_styles(self, bc):
         k, a = 1.0, 2.0  # ka = 2
         qref, modes = reference_q(bc, k, a, 3)
-        routes = volume_q_matrix(bc, k, a, modes, QUAD)
+        routes = routes_for(bc, k, a, modes, QUAD)
         for l in range(4):
             p = ModeIndex.spherical(l, 0)
             ref = qref.matrix[modes.position(p), modes.position(p)].real
@@ -213,7 +254,7 @@ class TestVolumeQEntries:
     def test_styles_agree_pairwise(self):
         p = ModeIndex.spherical(1, 0)
         modes = ModeSet.spherical(1, 1.0)
-        routes = volume_q_matrix(SOFT, 1.0, 2.0, modes, QUAD)
+        routes = routes_for(SOFT, 1.0, 2.0, modes, QUAD)
         vals = {style: entry(routes, style, p, p, modes) for style in STYLES}
         assert abs(vals["a"] - vals["b"]) / abs(vals["symmetric"]) < 1e-3
         combo = 0.5 * (vals["a"] + vals["b"])
@@ -227,14 +268,14 @@ class TestVolumeQEntries:
         errs = []
         for npw in (8.0, 16.0):
             quad = QuadratureSpec(radius=200.0, nodes_per_wavelength=npw)
-            routes = volume_q_matrix(SOFT, k, a, modes, quad)
+            routes = routes_for(SOFT, k, a, modes, quad)
             errs.append(abs(entry(routes, "symmetric", p, p, modes) - ref))
         assert errs[1] < errs[0] / 4.0
 
     def test_r_independence_with_tail_closure(self):
         modes = ModeSet.spherical(0, 1.0)
         v1, v2 = (
-            entry(volume_q_matrix(SOFT, 1.0, 1.0, modes, QuadratureSpec(r)), "symmetric",
+            entry(routes_for(SOFT, 1.0, 1.0, modes, QuadratureSpec(r)), "symmetric",
                   P00, P00, modes)
             for r in (160.0, 200.0)
         )
@@ -243,9 +284,9 @@ class TestVolumeQEntries:
     def test_validation(self):
         modes = ModeSet.spherical(0, 1.0)
         with pytest.raises(DomainError):
-            volume_q_matrix(SOFT, 1.0, 1.0, modes, QuadratureSpec(30.0))
+            routes_for(SOFT, 1.0, 1.0, modes, QuadratureSpec(30.0))
         with pytest.raises(ContractError):
-            volume_q_matrix(SOFT, 1.0, 1.0, ModeSet.angular(0, 1.0), QUAD)
+            volume_q_matrix(mie_smatrix(2, SOFT, 1.0, 1.0, ModeSet.angular(0, 1.0)), 1.0, QUAD)
 
     @pytest.mark.parametrize(
         "quad",
@@ -268,7 +309,7 @@ class TestVolumeQMatrix:
         k, a = 1.0, 2.0
         modes = ModeSet.spherical(2, k)
         qref, _ = reference_q(SOFT, k, a, 2)
-        qvol = volume_q_matrix(SOFT, k, a, modes, QUAD)[style]
+        qvol = routes_for(SOFT, k, a, modes, QUAD)[style]
         scale = np.max(np.abs(np.diag(qref.matrix)))
         assert np.max(np.abs(qvol.matrix - qref.matrix)) / scale < 1e-3
         assert qvol.provenance == "volume-integral"
@@ -313,24 +354,31 @@ class TestSurfaceIdentity:
         ],
     )
     def test_closed_form_is_algebraically_exact(self, p, q):
-        rep = surface_identity_check(p, q, SOFT, 1.0, 2.0, 200.0)
+        (rep,) = surface([(p, q)], 200.0)
         assert rep.algebraic_residual < 1e-12
+
+    def test_validation(self):
+        s2 = mie_smatrix(2, SOFT, 1.0, 1.0, ModeSet.angular(1, 1.0))
+        with pytest.raises(ContractError):
+            surface_identity_check(s2, s2, [(P00, P00)], 200.0)
+        with pytest.raises(DomainError):
+            surface([(P00, P00)], 30.0)
 
     def test_numeric_quadrature_matches_closed_form(self):
         p = ModeIndex.spherical(2, 1)
-        rep = surface_identity_check(p, p, SOFT, 1.0, 2.0, 200.0)
+        (rep,) = surface([(p, p)], 200.0)
         assert rep.numeric_rel_error < 0.01
 
     def test_numeric_error_improves_with_radius(self):
         p = ModeIndex.spherical(2, 1)
-        e1 = surface_identity_check(p, p, SOFT, 1.0, 2.0, 200.0).numeric_rel_error
-        e2 = surface_identity_check(p, p, SOFT, 1.0, 2.0, 400.0).numeric_rel_error
+        e1 = surface([(p, p)], 200.0)[0].numeric_rel_error
+        e2 = surface([(p, p)], 400.0)[0].numeric_rel_error
         assert e2 < 0.7 * e1
 
     def test_oscillatory_terms_cancel_in_combination(self):
         # combined closed form depends on R only through 2R delta_pq
         p = ModeIndex.spherical(1, 0)
         r1, r2 = 200.0, 214.7
-        c1 = surface_identity_check(p, p, SOFT, 1.0, 2.0, r1).closed_value
-        c2 = surface_identity_check(p, p, SOFT, 1.0, 2.0, r2).closed_value
+        c1 = surface([(p, p)], r1)[0].closed_value
+        c2 = surface([(p, p)], r2)[0].closed_value
         assert abs((c2 - c1) - 2.0 * (r2 - r1)) < 1e-10 * max(abs(c1), abs(c2))
