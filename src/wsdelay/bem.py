@@ -20,7 +20,9 @@ interior resonances:
 assemble_operators builds only the matrix the boundary condition solves.
 Every kernel has the form j a (Y0 + j J0) + b (Y1 + j J1) at z = k rho with
 real a and b, so one evaluation of J0, Y0, J1, Y1 serves all of them and the
-matrices are assembled from real and imaginary parts. The soft matrix is one
+matrices are assembled from real and imaginary parts. rho is symmetric bit
+for bit, so that quartet is evaluated on one triangle and mirrored, and all
+kernel work runs in cache-sized blocks of rows. The soft matrix is one
 log-split of sigma(tau) (dG/dn_y - j k G), the representation kernel itself.
 The hard matrix rewrites T by the Maue identity as tangential derivatives
 around a single-layer kernel plus a k^2 (n.n)-weighted single layer, so only
@@ -106,62 +108,87 @@ def _kernel(a, b, bessel):
     return b * y1 - a * j0, a * y0 + b * j1
 
 
-def _log_split(a, b, bessel, rw, lg, h, diag=None):
-    """Nystrom matrix of the kernel K = _kernel(a, b) = K1 ln(4 sin^2) + K2.
+def _log_split(a, b, bessel, rw, lg, h, diag, out):
+    """Nystrom rows of the kernel K = _kernel(a, b) = K1 ln(4 sin^2) + K2.
 
-    Y_n(z) carries (2/pi) J_n(z) ln z, so K1 = (b J1 + j a J0)/pi. Returns
-    rw*K1 + h*(K - K1 ln 4sin^2), built from real and imaginary parts. diag,
-    when given, holds the complex coincident-point limits (K1_ii, K2_ii).
+    Y_n(z) carries (2/pi) J_n(z) ln z, so K1 = (b J1 + j a J0)/pi. Writes
+    rw*K1 + h*(K - K1 ln 4sin^2) into the complex out, from real and
+    imaginary parts. diag, unless None, is (i0, K1_ii, K2_ii): the rows
+    collocate at nodes i0, i0+1, ..., so their complex coincident-point
+    limits go on the diagonal that starts at column i0.
     """
     j0, _, j1, _ = bessel
-    out = np.empty(lg.shape, dtype=complex)
     parts = (b * j1 / np.pi, a * j0 / np.pi)
     for full, part, dst, take in zip(
         _kernel(a, b, bessel), parts, (out.real, out.imag), (np.real, np.imag)
     ):
         full -= part * lg
         if diag is not None:
-            np.fill_diagonal(part, take(diag[0]))
-            np.fill_diagonal(full, take(diag[1]))
+            i0, limit_part, limit_full = diag
+            np.fill_diagonal(part[:, i0:], take(limit_part))
+            np.fill_diagonal(full[:, i0:], take(limit_full))
         dst[...] = rw * part + h * full
-    return out
+
+
+# rows per assembly block: a block's real temporaries (_ROW_BLOCK x N) stay
+# cache-sized, and the Bessel triangle's overhead over N^2/2 is N _ROW_BLOCK/2
+_ROW_BLOCK = 64
 
 
 def assemble_operators(mesh: BoundaryMesh, k: float, bc: BoundaryCondition) -> np.ndarray:
-    """Combined-field collocation matrix of bc at k (hard rows scaled by |x'|)."""
+    """Combined-field collocation matrix of bc at k (hard rows scaled by |x'|).
+
+    Assembled in blocks of rows. rho is symmetric bit for bit, as
+    x_i - x_j = -(x_j - x_i) exactly, and so are J0, Y0, J1 and Y1 at k rho:
+    each block evaluates them from its diagonal on and copies their transpose
+    into the rows below, where the later blocks read them.
+    """
     if k <= 0:
         raise DomainError("wavenumber must be positive")
     xp, sigma, h = mesh.xp, mesh.speed, mesh.h
     n = mesh.n_nodes
-    dx, dy = (mesh.nodes[:, None, c] - mesh.nodes[None, :, c] for c in (0, 1))
-    rho = np.sqrt(dx * dx + dy * dy)
-    np.fill_diagonal(rho, 1.0)
-    bessel = _bessel(k * rho)
     rw = circulant(_log_weights(n // 2))
     lg = _log_sin_matrix(mesh)
+    quartet = np.empty((4, n, n))
+    mat = np.empty((n, n), dtype=complex)
 
     # diagonal limit of G's smooth part, and the double-layer limits from the
     # curvature-like factor x1'' x2' - x2'' x1'
     g0_diag = -0.25j - (np.euler_gamma + np.log(k * sigma / 2.0)) / (2 * np.pi)
     curv = (mesh.xpp[:, 0] * xp[:, 1] - mesh.xpp[:, 1] * xp[:, 0]) / (4.0 * np.pi)
-    if bc is BoundaryCondition.SOUND_SOFT:
-        # sigma(tau) (dG/dn_y - j k G), q = (x - y) . (x2', -x1')(tau)
-        q = dx * xp[None, :, 1] - dy * xp[None, :, 0]
-        diag = (0.25j * k * sigma / np.pi, curv / sigma**2 - 1j * k * g0_diag * sigma)
-        mat = _log_split(0.25 * k * sigma[None, :], -0.25 * k * q / rho, bessel, rw, lg, h, diag)
+    soft = bc is BoundaryCondition.SOUND_SOFT
+    if soft:
+        limits = (0.25j * k * sigma / np.pi, curv / sigma**2 - 1j * k * g0_diag * sigma)
+    else:
+        limits = (-0.25j * k**3 * sigma**2 / np.pi, curv / sigma + 1j * k**3 * sigma**2 * g0_diag)
+        jg = np.empty((n, n), dtype=complex)
+    for i0 in range(0, n, _ROW_BLOCK):
+        i1 = min(i0 + _ROW_BLOCK, n)
+        dx, dy = (mesh.nodes[i0:i1, None, c] - mesh.nodes[None, :, c] for c in (0, 1))
+        rho = np.sqrt(dx * dx + dy * dy)
+        np.fill_diagonal(rho[:, i0:], 1.0)
+        for table, upper in zip(quartet, _bessel(k * rho[:, i0:])):
+            table[i0:i1, i0:] = upper
+            table[i1:, i0:i1] = upper[:, i1 - i0:].T
+        split = (quartet[:, i0:i1], rw[i0:i1], lg[i0:i1], h)
+        diag = (i0, limits[0][i0:i1], limits[1][i0:i1])
+        if soft:
+            # sigma(tau) (dG/dn_y - j k G), q = (x - y) . (x2', -x1')(tau)
+            q = dx * xp[None, :, 1] - dy * xp[None, :, 0]
+            _log_split(0.25 * k * sigma[None, :], -0.25 * k * q / rho, *split, diag, mat[i0:i1])
+            continue
+        # sigma(t) [K' + j k^3 (n.n) S], p = (x - y) . (x2', -x1')(t) and
+        # xx = x'(t) . x'(tau) = sigma(t) sigma(tau) (n.n), plus the Maue term
+        # j k D B D, B the log-split of G (jg below is that of j G)
+        p = dx * xp[i0:i1, None, 1] - dy * xp[i0:i1, None, 0]
+        xx = xp[i0:i1, None, 0] * xp[None, :, 0] + xp[i0:i1, None, 1] * xp[None, :, 1]
+        b = 0.25 * k * p * sigma[None, :] / rho
+        _log_split(-0.25 * k**3 * xx, b, *split, diag, mat[i0:i1])
+        diag = (i0, -0.25j / np.pi, 1j * g0_diag[i0:i1])
+        _log_split(-0.25, 0.0, *split, diag, jg[i0:i1])
+    if soft:
         mat[np.diag_indices(n)] += 0.5
         return mat
-
-    # sigma(t) [K' + j k^3 (n.n) S], p = (x - y) . (x2', -x1')(t) and
-    # xx = x'(t) . x'(tau) = sigma(t) sigma(tau) (n.n), plus the Maue term
-    # j k D B D, B the log-split of G (jg below is that of j G)
-    p = dx * xp[:, None, 1] - dy * xp[:, None, 0]
-    xx = xp[:, None, 0] * xp[None, :, 0] + xp[:, None, 1] * xp[None, :, 1]
-    diag = (-0.25j * k**3 * sigma**2 / np.pi, curv / sigma + 1j * k**3 * sigma**2 * g0_diag)
-    mat = _log_split(
-        -0.25 * k**3 * xx, 0.25 * k * p * sigma[None, :] / rho, bessel, rw, lg, h, diag
-    )
-    jg = _log_split(-0.25, 0.0, bessel, rw, lg, h, (-0.25j / np.pi, 1j * g0_diag))
     dspec = spectral_diff_matrix(n)
     mat.real += k * (dspec @ jg.real @ dspec)
     mat.imag += k * (dspec @ jg.imag @ dspec)
@@ -281,72 +308,6 @@ def far_field_coefficients(
     weighted = mesh.weights[:, None] * solution.density.reshape(mesh.n_nodes, -1)
     coeffs = (-0.5j / k) * (ports.T @ weighted)
     return coeffs if solution.density.ndim == 2 else coeffs[:, 0]
-
-
-def offnode_dirichlet_residual(
-    mesh: BoundaryMesh,
-    solution: BoundarySolution,
-    incident_fn,
-    offset: float = 0.37,
-    exclude_corner_radius: float = 0.0,
-) -> float:
-    """Collocate the soft combined-field equation between the solve's nodes.
-
-    The equation is the boundary condition, so its residual at parameters the
-    solve never saw measures how well the condition holds along the whole
-    curve. The density is evaluated there by trigonometric interpolation and
-    the log-quadrature weights by their general-point formula. Returns the
-    max residual normalized by the incident sup-norm.
-
-    The density of the combined-field equation is singular at corners, where
-    pointwise interpolation necessarily degrades even though far-field
-    functionals stay accurate; exclude_corner_radius drops sample points
-    within that distance of a corner vertex.
-    """
-    k = solution.k
-    n = mesh.n_nodes
-    n_half = n // 2
-    tstar = mesh.t + offset * mesh.h
-    pos, vel = mesh.embed(tstar)
-
-    # general-point log weights R_j(t*)
-    m = np.arange(1, n_half)
-    dt = tstar[:, None] - mesh.t[None, :]
-    em_star = np.exp(1j * np.outer(tstar, m))
-    em_node = np.exp(1j * np.outer(mesh.t, m))
-    csum = np.real(em_star / m[None, :] @ em_node.conj().T)
-    rw = -(2.0 * np.pi / n_half) * csum - (np.pi / n_half**2) * np.cos(n_half * dt)
-
-    # K - j k S: the soft kernel sigma(tau) (dG/dn_y - j k G) of assemble_operators
-    dx = pos[:, None, :] - mesh.nodes[None, :, :]
-    rho = np.sqrt(np.sum(dx**2, axis=-1))
-    lg = np.log(4.0 * np.sin(dt / 2.0) ** 2)
-    q = dx[:, :, 0] * mesh.xp[None, :, 1] - dx[:, :, 1] * mesh.xp[None, :, 0]
-    combined = _log_split(
-        0.25 * k * mesh.speed[None, :], -0.25 * k * q / rho, _bessel(k * rho), rw, lg, mesh.h
-    )
-
-    # trigonometric interpolation of the density at t*
-    delta = tstar[:, None] - mesh.t[None, :]
-    basis = np.sin(n * delta / 2.0) / np.tan(delta / 2.0) / n
-    psi = solution.density if solution.density.ndim == 1 else solution.density[:, 0]
-    psi_star = basis @ psi
-
-    lhs = 0.5 * psi_star + combined @ psi
-    inc = incident_fn(pos)
-    scale = float(np.max(np.abs(inc)))
-    residual = np.abs(lhs + inc)
-    if exclude_corner_radius > 0.0 and mesh.geometry.corners:
-        corners = np.asarray(mesh.geometry.corners, dtype=float)
-        dmin = np.min(
-            np.hypot(
-                pos[:, None, 0] - corners[None, :, 0],
-                pos[:, None, 1] - corners[None, :, 1],
-            ),
-            axis=1,
-        )
-        residual = residual[dmin > exclude_corner_radius]
-    return float(np.max(residual) / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 from scipy.linalg import circulant
+from scipy.spatial import ConvexHull, QhullError
 
 from wsdelay import bem
 from wsdelay.bem import (
@@ -11,7 +14,6 @@ from wsdelay.bem import (
     assemble_operators,
     bem_smatrix,
     far_field_coefficients,
-    offnode_dirichlet_residual,
     scattered_field,
     solve_exterior,
     spectral_diff_matrix,
@@ -29,7 +31,7 @@ from wsdelay.geometry import (
 )
 from wsdelay.mie import mie_smatrix, reflection_table
 from wsdelay.modal import ModeIndex, ModeSet, conjugate_mode, regular_wave
-from wsdelay.smatrix import BoundaryCondition
+from wsdelay.smatrix import DEFAULT_SMATRIX_GATE, BoundaryCondition
 from wsdelay.wigner import q_matrix, smatrix_fd_derivative, ws_decompose
 
 SOFT = BoundaryCondition.SOUND_SOFT
@@ -92,6 +94,122 @@ def four_operator_system(mesh, k, bc):
     dspec = spectral_diff_matrix(n)
     hyper = (dspec @ b @ dspec) / sigma[:, None] + k**2 * weighted
     return sigma[:, None] * (-0.5 * np.eye(n) + adjoint) + 1j * k * sigma[:, None] * hyper
+
+
+def full_log_split(a, b, bessel, rw, lg, h, diag):
+    """_log_split on whole N x N matrices, diag the limits (K1_ii, K2_ii) on
+    the main diagonal: the log-split of full_matrix_assembly."""
+    j0, _, j1, _ = bessel
+    out = np.empty(lg.shape, dtype=complex)
+    parts = (b * j1 / np.pi, a * j0 / np.pi)
+    for full, part, dst, take in zip(
+        bem._kernel(a, b, bessel), parts, (out.real, out.imag), (np.real, np.imag)
+    ):
+        full -= part * lg
+        np.fill_diagonal(part, take(diag[0]))
+        np.fill_diagonal(full, take(diag[1]))
+        dst[...] = rw * part + h * full
+    return out
+
+
+def full_matrix_assembly(mesh, k, bc):
+    """assemble_operators on whole N x N matrices, with the Bessel quartet
+    evaluated at every entry: the bitwise reference for the row-blocked,
+    one-triangle assembly."""
+    xp, sigma, h = mesh.xp, mesh.speed, mesh.h
+    n = mesh.n_nodes
+    dx, dy = (mesh.nodes[:, None, c] - mesh.nodes[None, :, c] for c in (0, 1))
+    rho = np.sqrt(dx * dx + dy * dy)
+    np.fill_diagonal(rho, 1.0)
+    bessel = bem._bessel(k * rho)
+    rw = circulant(_log_weights(n // 2))
+    lg = _log_sin_matrix(mesh)
+    g0_diag = -0.25j - (np.euler_gamma + np.log(k * sigma / 2.0)) / (2 * np.pi)
+    curv = (mesh.xpp[:, 0] * xp[:, 1] - mesh.xpp[:, 1] * xp[:, 0]) / (4.0 * np.pi)
+    if bc is SOFT:
+        q = dx * xp[None, :, 1] - dy * xp[None, :, 0]
+        diag = (0.25j * k * sigma / np.pi, curv / sigma**2 - 1j * k * g0_diag * sigma)
+        mat = full_log_split(
+            0.25 * k * sigma[None, :], -0.25 * k * q / rho, bessel, rw, lg, h, diag
+        )
+        mat[np.diag_indices(n)] += 0.5
+        return mat
+    p = dx * xp[:, None, 1] - dy * xp[:, None, 0]
+    xx = xp[:, None, 0] * xp[None, :, 0] + xp[:, None, 1] * xp[None, :, 1]
+    diag = (-0.25j * k**3 * sigma**2 / np.pi, curv / sigma + 1j * k**3 * sigma**2 * g0_diag)
+    mat = full_log_split(
+        -0.25 * k**3 * xx, 0.25 * k * p * sigma[None, :] / rho, bessel, rw, lg, h, diag
+    )
+    jg = full_log_split(-0.25, 0.0, bessel, rw, lg, h, (-0.25j / np.pi, 1j * g0_diag))
+    dspec = spectral_diff_matrix(n)
+    mat.real += k * (dspec @ jg.real @ dspec)
+    mat.imag += k * (dspec @ jg.imag @ dspec)
+    mat[np.diag_indices(n)] -= 0.5 * sigma
+    return mat
+
+
+def offnode_dirichlet_residual(
+    mesh, solution, incident_fn, offset=0.37, exclude_corner_radius=0.0
+):
+    """Collocate the soft combined-field equation between the solve's nodes.
+
+    The equation is the boundary condition, so its residual at parameters the
+    solve never saw measures how well the condition holds along the whole
+    curve. The density is evaluated there by trigonometric interpolation and
+    the log-quadrature weights by their general-point formula. Returns the
+    max residual normalized by the incident sup-norm.
+
+    The density of the combined-field equation is singular at corners, where
+    pointwise interpolation necessarily degrades even though far-field
+    functionals stay accurate; exclude_corner_radius drops sample points
+    within that distance of a corner vertex.
+    """
+    k = solution.k
+    n = mesh.n_nodes
+    n_half = n // 2
+    tstar = mesh.t + offset * mesh.h
+    pos, _ = mesh.embed(tstar)
+
+    # general-point log weights R_j(t*)
+    m = np.arange(1, n_half)
+    dt = tstar[:, None] - mesh.t[None, :]
+    em_star = np.exp(1j * np.outer(tstar, m))
+    em_node = np.exp(1j * np.outer(mesh.t, m))
+    csum = np.real(em_star / m[None, :] @ em_node.conj().T)
+    rw = -(2.0 * np.pi / n_half) * csum - (np.pi / n_half**2) * np.cos(n_half * dt)
+
+    # K - j k S: the soft kernel sigma(tau) (dG/dn_y - j k G) of assemble_operators
+    dx = pos[:, None, :] - mesh.nodes[None, :, :]
+    rho = np.sqrt(np.sum(dx**2, axis=-1))
+    lg = np.log(4.0 * np.sin(dt / 2.0) ** 2)
+    q = dx[:, :, 0] * mesh.xp[None, :, 1] - dx[:, :, 1] * mesh.xp[None, :, 0]
+    combined = np.empty(lg.shape, dtype=complex)
+    bem._log_split(
+        0.25 * k * mesh.speed[None, :], -0.25 * k * q / rho, bem._bessel(k * rho),
+        rw, lg, mesh.h, diag=None, out=combined,
+    )
+
+    # trigonometric interpolation of the density at t*
+    delta = tstar[:, None] - mesh.t[None, :]
+    basis = np.sin(n * delta / 2.0) / np.tan(delta / 2.0) / n
+    psi = solution.density if solution.density.ndim == 1 else solution.density[:, 0]
+    psi_star = basis @ psi
+
+    lhs = 0.5 * psi_star + combined @ psi
+    inc = incident_fn(pos)
+    scale = float(np.max(np.abs(inc)))
+    residual = np.abs(lhs + inc)
+    if exclude_corner_radius > 0.0 and mesh.geometry.corners:
+        corners = np.asarray(mesh.geometry.corners, dtype=float)
+        dmin = np.min(
+            np.hypot(
+                pos[:, None, 0] - corners[None, :, 0],
+                pos[:, None, 1] - corners[None, :, 1],
+            ),
+            axis=1,
+        )
+        residual = residual[dmin > exclude_corner_radius]
+    return float(np.max(residual) / scale)
 
 
 def sampled_far_field(mesh, solution, modes):
@@ -402,6 +520,33 @@ class TestAssembly:
         with pytest.raises(DomainError):
             assemble_operators(mesh, 0.0, SOFT)
 
+    @pytest.mark.parametrize("bc", [SOFT, HARD])
+    @pytest.mark.parametrize("k", [0.7, 1.0])
+    @pytest.mark.parametrize(
+        "geom",
+        [make_circle(2.0), make_strip(), make_cavity(3.0), make_cavity(5.0)],
+        ids=["circle", "strip", "cavity3", "cavity5"],
+    )
+    def test_row_blocks_match_full_matrix_bitwise(self, geom, k, bc):
+        # N from 32 to 842, none a multiple of the row block: the Bessel
+        # triangle's mirror, the blocks' diagonal limits and the ragged last
+        # block all change no bit
+        mesh = mesh_geometry(geom, k)
+        assert mesh.n_nodes % bem._ROW_BLOCK
+        got = assemble_operators(mesh, k, bc)
+        assert np.array_equal(got, full_matrix_assembly(mesh, k, bc))
+
+    def test_bessel_quartet_evaluated_on_one_triangle(self, monkeypatch):
+        # J0, Y0, J1 and Y1 at k rho are symmetric, so about half the N^2
+        # entries are evaluated; the Maue core reads the same quartet
+        sizes = []
+        bessel = bem._bessel
+        monkeypatch.setattr(bem, "_bessel", lambda z: sizes.append(np.size(z)) or bessel(z))
+        mesh = mesh_geometry(make_cavity(3.0), 1.0)
+        assert mesh.n_nodes == 842
+        assemble_operators(mesh, 1.0, HARD)
+        assert sum(sizes) <= 0.55 * mesh.n_nodes**2
+
 
 class TestFarField:
     @pytest.mark.parametrize("k", [0.7, 1.0])
@@ -524,6 +669,63 @@ class TestReflection:
         assert len(s.modes) == 17
         assert np.max(np.abs(s_ref.matrix - s.matrix[np.ix_(perm, perm)])) <= 1e-10
         assert np.max(np.abs(delays_ref - delays)) <= 1e-8 * np.max(np.abs(delays))
+
+
+def convex_hull_polygon(points):
+    """Counterclockwise hull vertices of (angle, radius) points; draws whose
+    points coincide or are collinear have no hull and are rejected."""
+    xy = np.array([(r * np.cos(a), r * np.sin(a)) for a, r in points])
+    try:
+        hull = ConvexHull(xy)
+    except QhullError:
+        assume(False)
+    return [tuple(v) for v in xy[hull.vertices]]
+
+
+QUADRILATERAL = [(1.09, 1.51), (-1.96, 0.77), (-1.91, -2.25), (-0.81, -1.63)]
+# an (angle, radius) draw whose hull is a triangle with a 5.2 degree corner at
+# (2 cos 2, 2 sin 2): the default mesh's 32 nodes per segment leave that
+# corner unresolved, and the hard S fails its own gates
+SHARP_TRIANGLE = [(0.0, 2.0), (0.0, 2.0), (0.0, 1.5), (2.0, 2.0)]
+
+
+class TestReciprocity:
+    # S = S^T (reciprocity) holds for any scatterer, so it is checked on
+    # random convex polygons: hulls of 4-6 points at radius 1.5-3, the shapes
+    # the soft grading defect was measured on. Symmetry is held to the gate,
+    # or to the solve's own unitarity residual where that exceeds the gate
+    # (unresolved sharp corners, pinned below)
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 2.0 * np.pi), st.floats(1.5, 3.0)),
+            min_size=4,
+            max_size=6,
+        )
+    )
+    @example(SHARP_TRIANGLE)
+    def test_hard_smatrix_symmetric_on_random_convex_polygons(self, points):
+        geom = make_polyline(convex_hull_polygon(points))
+        s = bem_smatrix(geom, HARD, 1.0, ModeSet.angular(8, 1.0), gate=None)
+        assert s.symmetry_residual() <= max(DEFAULT_SMATRIX_GATE, s.unitarity_residual())
+
+    @pytest.mark.parametrize(
+        "vertices, bc",
+        [
+            pytest.param(QUADRILATERAL, SOFT, marks=pytest.mark.xfail(strict=True)),
+            (QUADRILATERAL, HARD),
+            pytest.param(
+                convex_hull_polygon(SHARP_TRIANGLE), HARD, marks=pytest.mark.xfail(strict=True)
+            ),
+        ],
+        ids=["quadrilateral-soft", "quadrilateral-hard", "sharp-triangle-hard"],
+    )
+    def test_symmetry_gate_on_pinned_shapes(self, vertices, bc):
+        # quadrilateral: soft symmetry 6.0e-3, hard 4.8e-5, the corner grading
+        # defect of the soft formulation; sharp triangle: hard symmetry
+        # 1.3e-3 and unitarity 2.1e-2, the unresolved corner
+        s = bem_smatrix(make_polyline(vertices), bc, 1.0, ModeSet.angular(8, 1.0), gate=None)
+        assert s.symmetry_residual() <= DEFAULT_SMATRIX_GATE
 
 
 class TestBemSMatrix:
