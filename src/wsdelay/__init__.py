@@ -57,14 +57,12 @@ from .modal import (
     ModeSet,
     conjugate_mode,
     incoming_wave,
-    outgoing_template,
     regular_wave,
     suggested_mode_count,
 )
 from .smatrix import BoundaryCondition, SMatrix
 from .volumeq import (
     QuadratureSpec,
-    qtilde_infinity,
     surface_identity_check,
     volume_q_matrix,
 )

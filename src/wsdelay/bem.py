@@ -31,6 +31,12 @@ share one log-split, the Maue core is the other. Hard rows are scaled by
 |x'(t_i)|, which removes the 1/|x'| of the outer arc-length derivative at
 nodes graded into corners.
 
+Field points are summed in boxes: about each box centre, Graf's addition
+theorem separates H0 for the nodes far from the box into point and node
+factors, the source-to-local step of a one-level fast multipole method
+(V. Rokhlin, J. Comput. Phys. 86, 1990), so Bessel functions are evaluated
+per far node and box, not per point-node pair. Near nodes keep the kernel.
+
 Scattering columns are driven by the regular standing excitation (incoming
 mode plus its free-space response), which is finite everywhere regardless of
 where the basis origin lies relative to the scatterer; the S matrix is the
@@ -51,6 +57,7 @@ from .geometry import BoundaryMesh, Geometry, mesh_geometry
 from .mie import free_space_smatrix
 from .modal import ModeSet, regular_waves_batch
 from .smatrix import DEFAULT_SMATRIX_GATE, BoundaryCondition, SMatrix
+from .specfun import cyl_jn_table
 
 
 # ---------------------------------------------------------------------------
@@ -256,26 +263,110 @@ def _rep_kernel(bc, k, rho, rdotn):
     return -im, re
 
 
+# field points are binned into square boxes of about this side, in wavelengths
+_BOX_WAVELENGTHS = 1.4
+
+
+def _graf_order(kr_box: float, rho: float) -> int:
+    """Graf truncation P for box radius r_box and far nodes at least r_box/rho
+    away: rho^P < 1e-16, and J_n(k r_box)'s bound (e k r_box/2n)^n/sqrt(2 pi n) < 1e-17."""
+    n_j = 1
+    while (np.e * kr_box / (2 * n_j)) ** n_j / np.sqrt(2 * np.pi * n_j) >= 1e-17:
+        n_j += 1
+    return max(n_j, int(np.ceil(np.log(1e-16) / np.log(rho))))
+
+
+def _powers(base, order):
+    """Rows base^0 .. base^order, by cumulative products."""
+    rows = np.broadcast_to(base, (order, len(base)))
+    return np.cumprod(np.vstack([np.ones_like(base), rows]), axis=0)
+
+
+def _graf_sources(bc, k, offset, dist, normals, order):
+    """Rows n = -P..P of the far nodes' coefficient block T.
+
+    With U_n = H_n(k r) e^{-jn theta} in the nodes' polar coordinates about
+    the box centre, dU_n/dn = (k/2)(conj(nu) U_{n-1} - nu U_{n+1}),
+    nu = n_x + j n_y, and T_n = -(j/4)(dU_n/dn - jk U_n) soft or
+    -(j/4)(U_n + jk dU_n/dn) hard. H_0 and H_1 come from _bessel, higher
+    orders by upward recurrence (stable for H), and U_{-n} = (-1)^n H_n e^{jn theta}.
+    """
+    z = k * dist
+    j0, y0, j1, y1 = _bessel(z)
+    h = np.empty((order + 2, len(z)), dtype=complex)
+    h[0], h[1] = j0 - 1j * y0, j1 - 1j * y1
+    for n in range(1, order + 1):
+        h[n + 1] = (2 * n / z) * h[n] - h[n - 1]
+    phase = _powers(np.exp(-1j * np.arctan2(offset[:, 1], offset[:, 0])), order + 1)
+    u = np.concatenate([h[:0:-1] * phase[:0:-1].conj(), h * phase])    # n = -(P+1)..P+1
+    u[order % 2:order + 1:2] *= -1.0
+    g, f = (-0.25j, -0.25 * k) if bc is BoundaryCondition.SOUND_SOFT else (0.25 * k, -0.25j)
+    nu = normals[:, 0] + 1j * normals[:, 1]
+    return (0.5 * k * g) * (nu.conj() * u[:-2] - nu * u[2:]) + f * u[1:-1]
+
+
+def _boxes(pts: np.ndarray, k: float):
+    """Square boxes of side at least _BOX_WAVELENGTHS wavelengths over the points:
+    (box radius, each point's box centre, the point rows of every nonempty box)."""
+    lo = pts.min(axis=0)
+    span = float(np.max(pts.max(axis=0) - lo))
+    least = _BOX_WAVELENGTHS * 2.0 * np.pi / k
+    count = max(int(span / least), 1)
+    side = max(span / count, least)
+    cell = np.minimum((pts - lo) // side, count - 1)
+    key = cell[:, 0] * count + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    boxes = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+    return side / np.sqrt(2.0), lo + (cell + 0.5) * side, boxes
+
+
 def scattered_field(
     mesh: BoundaryMesh, solution: BoundarySolution, points: np.ndarray
 ) -> np.ndarray:
-    """Evaluate the scattered field at points away from the boundary."""
+    """Evaluate the scattered field at points away from the boundary.
+
+    The points are binned into square boxes of side about 1.4 wavelengths.
+    Nodes closer to a box centre c than twice the box radius r_box enter
+    through the representation kernel; the far ones through Graf's addition
+    theorem (DLMF 10.23.7), H0(k|x - y|) = sum_{|n|<=P} B_n(x) U_n(y) with
+    B_n = J_n(k r_x) e^{jn theta_x}, U_n = H_n(k r_y) e^{-jn theta_y} about c:
+    a = T (w psi) with T of _graf_sources, then B a. Far nodes give rho <= 1/2,
+    so one cyl_jn_table of that order serves every box. A box with fewer
+    points than its 2P+1 terms takes the direct sum.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dens = solution.density if solution.density.ndim == 2 else solution.density[:, None]
-    chunk = 4096
-    w = mesh.weights
-    (node_x, node_y), (nrm_x, nrm_y) = mesh.nodes.T, mesh.normals.T
+    k, bc = solution.k, solution.bc
+    w, nodes, normals = mesh.weights, mesh.nodes, mesh.normals
     out = np.empty((len(pts), dens.shape[1]), dtype=complex)
-    for lo in range(0, len(pts), chunk):
-        hi = min(lo + chunk, len(pts))
-        dx = pts[lo:hi, 0, None] - node_x
-        dy = pts[lo:hi, 1, None] - node_y
+
+    def direct(rows, cols):
+        dx, dy = (pts[rows, c, None] - nodes[cols, c] for c in (0, 1))
         rho = np.maximum(np.sqrt(dx * dx + dy * dy), 1e-14)
-        kern_re, kern_im = _rep_kernel(solution.bc, solution.k, rho, dx * nrm_x + dy * nrm_y)
+        kern_re, kern_im = _rep_kernel(bc, k, rho, dx * normals[cols, 0] + dy * normals[cols, 1])
         kern = np.empty(rho.shape, dtype=complex)
-        kern.real = kern_re * w
-        kern.imag = kern_im * w
-        out[lo:hi] = kern @ dens
+        kern.real, kern.imag = kern_re * w[cols], kern_im * w[cols]
+        return kern @ dens[cols]
+
+    if not len(pts):
+        return out if solution.density.ndim == 2 else out[:, 0]
+    r_box, centres, boxes = _boxes(pts, k)
+    local = pts - centres
+    jn = cyl_jn_table(_graf_order(k * r_box, 0.5), k * np.hypot(local[:, 0], local[:, 1]))
+    spin = np.exp(1j * np.arctan2(local[:, 1], local[:, 0]))
+    for rows in boxes:
+        offset = nodes - centres[rows[0]]
+        dist = np.hypot(offset[:, 0], offset[:, 1])
+        far = dist >= 2.0 * r_box
+        order = _graf_order(k * r_box, r_box / np.min(dist[far])) if np.any(far) else 0
+        far &= len(rows) > 2 * order
+        out[rows] = direct(rows, ~far)
+        if np.any(far):
+            t = _graf_sources(bc, k, offset[far], dist[far], normals[far], order)
+            pos = _powers(spin[rows], order) * jn[: order + 1, rows]
+            b = np.vstack([pos[:0:-1].conj(), pos])      # n = -P..P, B_-n = (-1)^n conj B_n
+            b[(order - 1) % 2:order:2] *= -1.0
+            out[rows] += b.T @ (t @ (w[far, None] * dens[far]))
     return out if solution.density.ndim == 2 else out[:, 0]
 
 

@@ -18,9 +18,10 @@ import numpy as np
 from .bem import BoundarySolution, scattered_field
 from .errors import ContractError, DomainError
 from .geometry import BoundaryMesh, Geometry
-from .mie import free_space_smatrix, outgoing_partial_wave
-from .modal import ModeSet, regular_waves_batch
+from .mie import free_space_smatrix
+from .modal import ModeSet, gamma_2d, polar_coordinates, regular_waves_batch
 from .smatrix import SMatrix
+from .specfun import cyl_hankel1_table
 
 MODE_LABELS = ("corner", "ballistic", "surface-wave", "non-propagating", "cavity")
 
@@ -118,7 +119,9 @@ def modal_excitation_fields(
 
     Valid wherever the outgoing partial-wave expansion converges, i.e.
     outside the circumscribing circle; the mask removes interior points, so
-    this serves the circular-cylinder scenarios.
+    this serves the circular-cylinder scenarios. Every port's outgoing wave
+    conj(gamma_n) H^(2)_n(kr) e^{-jn theta}/sqrt(2 pi) comes from one H^(1)
+    table, with H^(2) = conj H^(1) at real arguments and H_{-n} = (-1)^n H_n.
     """
     if s.modes.dim != 2:
         raise ContractError("modal field evaluation is 2D")
@@ -127,10 +130,13 @@ def modal_excitation_fields(
     mask = _grid_mask(geometry, pts, 0.02 * lam)
     live = ~mask
     delta = s.matrix - free_space_smatrix(s.modes).matrix
+    r, theta, _ = polar_coordinates(pts[live], 2)
+    orders = np.array([m.n for m in s.modes.modes])
+    h1 = cyl_hankel1_table(int(np.max(np.abs(orders))), s.k * r)[0]
+    scale = [np.conj(gamma_2d(n, s.k)) * (-1.0) ** min(n, 0) for n in orders]
+    outgoing = np.conj(h1[np.abs(orders)]).T * scale
+    outgoing *= np.exp(-1j * np.outer(theta, orders)) / np.sqrt(2.0 * np.pi)
     fields = np.zeros((len(pts), len(s.modes)), dtype=complex)
-    outgoing = np.zeros((int(np.sum(live)), len(s.modes)), dtype=complex)
-    for row, m in enumerate(s.modes.modes):
-        outgoing[:, row] = outgoing_partial_wave(m, s.k, pts[live])
     fields[live] = regular_waves_batch(s.modes, s.k, pts[live]) + outgoing @ delta
     return ExcitationFieldCache(spec=spec, fields=fields, mask=mask, modes=s.modes, k=s.k)
 

@@ -41,32 +41,6 @@ def write_complex_matrix(path, matrix: np.ndarray):
         _write_rows(fh, f"%d,%d,{FMT},{FMT}\n", [a.ravel() for a in (rows, cols, m.real, m.imag)])
 
 
-def read_complex_matrix(path) -> np.ndarray:
-    rows, cols, res, ims = [], [], [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "row,col,re,im":
-            raise ConfigError(f"{path}: unexpected matrix header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ConfigError(f"{path}:{lineno}: malformed matrix row")
-            try:
-                rows.append(int(parts[0]))
-                cols.append(int(parts[1]))
-                res.append(float(parts[2]))
-                ims.append(float(parts[3]))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    n_rows, n_cols = max(rows) + 1, max(cols) + 1
-    out = np.zeros((n_rows, n_cols), dtype=complex)
-    out[rows, cols] = np.array(res) + 1j * np.array(ims)
-    return out
-
-
 def write_spectrum(path, delays: np.ndarray):
     """Delay spectrum, ascending; index is 1-based like the mode numbering."""
     with open(path, "w") as fh:

@@ -19,25 +19,11 @@ conjugation; both matrices read their entries off it.
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .modal import (
-    ModeIndex,
-    ModeSet,
-    angular_factor,
-    conjugate_mode,
-    gamma_2d,
-    polar_coordinates,
-)
+from .modal import ModeIndex, ModeSet, conjugate_mode
 from .smatrix import BoundaryCondition, SMatrix
-from .specfun import (
-    BesselKind,
-    cyl_bessel,
-    cyl_hankel1_table,
-    sph_bessel,
-    sph_bessel_table,
-    sph_harm,
-)
+from .specfun import BesselKind, cyl_hankel1_table, sph_bessel_table
 
-H1, H2 = BesselKind.HANKEL1, BesselKind.HANKEL2
+H1 = BesselKind.HANKEL1
 
 
 def radial_second_derivative(dim: int, order, z, f, df):
@@ -132,17 +118,3 @@ def free_space_smatrix(modes: ModeSet) -> SMatrix:
         modes=modes, k=modes.k, matrix=_assemble(modes, lambda p: 1.0 + 0.0j)
     )
 
-
-def outgoing_partial_wave(m: ModeIndex, k: float, points):
-    """Exact radial continuation of the outgoing far-field template.
-
-    The outgoing partial wave whose r -> infinity limit is
-    conj(X_m) e^{-jkr}/r (3D) or conj(X_m) e^{-jkr}/sqrt(r) (2D); used to
-    reconstruct total fields of centered scatterers at finite radius.
-    """
-    r, theta, phi = polar_coordinates(points, m.dim)
-    if m.dim == 3:
-        radial = k * (-1j) ** (m.l + 1) * sph_bessel(H2, m.l, k * r)
-        return radial * np.conj(sph_harm(m.l, m.m, theta, phi))
-    radial = np.conj(gamma_2d(m.n, k)) * cyl_bessel(H2, m.n, k * r)
-    return radial * np.conj(angular_factor(m, theta))

@@ -23,8 +23,6 @@ import numpy as np
 from .errors import ContractError, DomainError, SingularPointError
 from .specfun import BesselKind, cyl_bessel, cyl_jn_table, sph_bessel, sph_harm
 
-FAR_ZONE_KR_MIN = 50.0
-
 
 @dataclass(frozen=True, order=False)
 class ModeIndex:
@@ -270,19 +268,3 @@ def regular_waves_batch(modes: ModeSet, k: float, points, normals=None):
         return values.T
     return values.T, normal_derivs.T
 
-
-def outgoing_template(m: ModeIndex, k: float, points):
-    """Far-zone outgoing basis function conj(X_m) e^{-jkr}/r (2D: /sqrt(r)).
-
-    Only defined in the far zone; kr below the threshold is a domain error.
-    """
-    if k <= 0:
-        raise DomainError("wavenumber must be positive")
-    r, theta, phi = polar_coordinates(points, m.dim)
-    if np.any(k * r < FAR_ZONE_KR_MIN):
-        raise DomainError(
-            f"outgoing template undefined in the near zone (need kr >= {FAR_ZONE_KR_MIN})"
-        )
-    if m.dim == 3:
-        return np.conj(sph_harm(m.l, m.m, theta, phi)) * np.exp(-1j * k * r) / r
-    return np.conj(angular_factor(m, theta)) * np.exp(-1j * k * r) / np.sqrt(r)

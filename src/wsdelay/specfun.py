@@ -190,11 +190,6 @@ def sph_bessel(kind: BesselKind, degree: int, x):
     return _shaped(_of_kind(kind, j[-1], y[-1]), x)
 
 
-def sph_bessel_dx(kind: BesselKind, degree: int, x):
-    """d/dx of the chosen spherical function (see sph_bessel_table)."""
-    return _shaped(sph_bessel_table(kind, degree, x)[1][-1], x)
-
-
 # ---------------------------------------------------------------------------
 # Spherical harmonics
 # ---------------------------------------------------------------------------

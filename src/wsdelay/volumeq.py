@@ -264,24 +264,6 @@ def volume_q_matrix(s: SMatrix, a: float, quad: QuadratureSpec) -> dict:
     return routes
 
 
-def qtilde_infinity(p: ModeIndex, q: ModeIndex, k: float, quad: QuadratureSpec) -> float:
-    """Free-field normalizer integral; analytically 2R delta_pq.
-
-    Uses the free-space outgoing coefficient. The angular reduction makes
-    p != q vanish identically; the diagonal radial integrand is evaluated
-    numerically over [0, R].
-    """
-    if p.dim != 3 or q.dim != 3:
-        raise ContractError("volume formulation is implemented for dim=3 only")
-    if not quad.radius * k >= 50.0:
-        raise DomainError("need kR >= 50")
-    if (p.l, p.m) != (q.l, q.m):
-        return 0.0
-    beta = (-1.0) ** (p.l + 1) + 0.0j      # alpha = 1
-    f_ff, f_gg = _free_field_integrals(np.array([beta]), k, quad)
-    return float(_combine("symmetric", f_ff[0], f_gg[0], k))
-
-
 # ---------------------------------------------------------------------------
 # surface-integral identity (closed forms vs quadrature)
 # ---------------------------------------------------------------------------

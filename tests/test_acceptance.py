@@ -23,11 +23,11 @@ from wsdelay.smatrix import BoundaryCondition, SMatrix
 from wsdelay.volumeq import (
     QuadratureSpec,
     STYLES,
-    qtilde_infinity,
     surface_identity_check,
     volume_q_matrix,
 )
 from wsdelay.wigner import q_matrix, smatrix_fd_derivative, ws_decompose
+from test_volumeq import qtilde_infinity
 
 SOFT = BoundaryCondition.SOUND_SOFT
 HARD = BoundaryCondition.SOUND_HARD

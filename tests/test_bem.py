@@ -20,6 +20,7 @@ from wsdelay.bem import (
     standing_mode_traces,
 )
 from wsdelay.errors import ContractError, DomainError, GeometryError, QualityGateError
+from wsdelay.fields import GridSpec, bem_excitation_fields
 from wsdelay.geometry import (
     kress_w,
     make_cavity,
@@ -495,6 +496,83 @@ class TestSolver:
         pts = np.vstack([far, near])
         got = scattered_field(mesh, sol, pts)
         want = complex_hankel_field(mesh, sol, pts)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def field_test_points(geom, mesh, k, halfwidth):
+    """Points the field maps would evaluate, in three sets: a lattice of
+    spacing lambda/7 whose live points include the row next to the masked
+    band, a lambda/12 cluster over one box side centred on a boundary node
+    (a box straddling the boundary), and scattered off-grid points."""
+    lam = 2.0 * np.pi / k
+    band = float(np.max(mesh.weights))
+    n = int(2.0 * halfwidth / (lam / 7.0)) + 1
+    axis = np.linspace(-halfwidth, halfwidth, n)
+    lattice = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+    side = np.linspace(-0.7 * lam, 0.7 * lam, 17)
+    cluster = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
+    cluster += mesh.nodes[mesh.n_nodes // 3]
+    scattered = np.random.default_rng(12).uniform(-halfwidth, halfwidth, size=(300, 2))
+    sets = []
+    for pts in (lattice, cluster, scattered):
+        dist = geom.distance_to_boundary(pts)
+        sets.append(pts[~geom.contains(pts) & (dist >= band)])
+    dist = geom.distance_to_boundary(sets[0])
+    assert np.any(dist < band + lam / 7.0)
+    assert len(sets[1]) > 100
+    return np.vstack(sets)
+
+
+class TestFieldBoxes:
+    @pytest.mark.parametrize("bc", [SOFT, HARD])
+    @pytest.mark.parametrize("k", [0.7, 1.0])
+    @pytest.mark.parametrize(
+        "geom, halfwidth",
+        [(make_strip(), 40.0), (make_cavity(3.0), 25.0), (make_circle(2.0), 30.0)],
+        ids=["strip", "cavity3", "circle"],
+    )
+    def test_matches_direct_sum(self, monkeypatch, geom, halfwidth, k, bc):
+        _, sol, mesh = bem_smatrix(
+            geom, bc, k, ModeSet.angular(3, k), gate=None, return_solution=True
+        )
+        pts = field_test_points(geom, mesh, k, halfwidth)
+        sizes = []
+        bessel = bem._bessel
+        monkeypatch.setattr(bem, "_bessel", lambda z: sizes.append(np.size(z)) or bessel(z))
+        got = scattered_field(mesh, sol, pts)
+        # the expansions carried a large part of the sum
+        assert sum(sizes) < 0.6 * len(pts) * mesh.n_nodes
+        want = np.vstack([complex_hankel_field(mesh, sol, pts[i:i + 512])
+                          for i in range(0, len(pts), 512)])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_strip_map_bessel_work_bounded(self, monkeypatch):
+        # the 101 x 101 strip map at k = 1: about 11 % of the point-node pairs
+        # take the kernel (near nodes, and boxes too small to expand), plus
+        # one H0/H1 pair per far node and box; the direct sum evaluated the
+        # quartet at every pair
+        k = 1.0
+        modes = ModeSet.angular(5, k)
+        _, sol, mesh = bem_smatrix(
+            make_strip(), SOFT, k, modes, gate=None, return_solution=True
+        )
+        sizes = []
+        bessel = bem._bessel
+        monkeypatch.setattr(bem, "_bessel", lambda z: sizes.append(np.size(z)) or bessel(z))
+        spec = GridSpec(-40.0, 40.0, -40.0, 40.0, 101, 101)
+        cache = bem_excitation_fields(mesh, sol, modes, spec)
+        assert sum(sizes) <= 0.25 * np.sum(~cache.mask) * mesh.n_nodes
+
+    def test_empty_and_single_point(self):
+        k = 1.0
+        _, sol, mesh = bem_smatrix(
+            make_circle(2.0), SOFT, k, ModeSet.angular(2, k), gate=None, return_solution=True
+        )
+        assert scattered_field(mesh, sol, np.empty((0, 2))).shape == (0, 5)
+        pt = np.array([7.0, -3.0])
+        got = scattered_field(mesh, sol, pt)
+        assert got.shape == (1, 5)
+        want = complex_hankel_field(mesh, sol, pt[None])
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 

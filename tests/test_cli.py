@@ -13,7 +13,6 @@ from wsdelay.io import (
     _FIELD_PARSERS,
     ScenarioConfig,
     parse_config,
-    read_complex_matrix,
     read_polyline,
     write_complex_matrix,
 )
@@ -21,6 +20,33 @@ from wsdelay.modal import suggested_mode_count
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def read_complex_matrix(path) -> np.ndarray:
+    """Parse write_complex_matrix's row,col,re,im CSV back into a matrix."""
+    rows, cols, res, ims = [], [], [], []
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != "row,col,re,im":
+            raise ConfigError(f"{path}: unexpected matrix header {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise ConfigError(f"{path}:{lineno}: malformed matrix row")
+            try:
+                rows.append(int(parts[0]))
+                cols.append(int(parts[1]))
+                res.append(float(parts[2]))
+                ims.append(float(parts[3]))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    n_rows, n_cols = max(rows) + 1, max(cols) + 1
+    out = np.zeros((n_rows, n_cols), dtype=complex)
+    out[rows, cols] = np.array(res) + 1j * np.array(ims)
+    return out
 
 
 def write(path, text):

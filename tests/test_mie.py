@@ -2,28 +2,34 @@ import numpy as np
 import pytest
 
 from wsdelay.errors import ContractError, DomainError
+from wsdelay.fields import GridSpec, modal_excitation_fields
+from wsdelay.geometry import make_circle
 from wsdelay.mie import (
     _assemble,
     free_space_smatrix,
     mie_smatrix,
     mie_smatrix_deriv,
-    outgoing_partial_wave,
     reflection_table,
 )
 from wsdelay.modal import (
     ModeIndex,
     ModeSet,
+    angular_factor,
+    gamma_2d,
     incoming_wave,
-    outgoing_template,
+    polar_coordinates,
     regular_wave,
+    regular_waves_batch,
 )
 from wsdelay.smatrix import BoundaryCondition
 from wsdelay.specfun import (
     BesselKind,
     cyl_bessel,
     sph_bessel,
+    sph_harm,
     sph_jy_table,
 )
+from test_modal import outgoing_template
 
 SOFT = BoundaryCondition.SOUND_SOFT
 HARD = BoundaryCondition.SOUND_HARD
@@ -61,6 +67,19 @@ def ref_pairs(dim, order, z):
                 (ref_sph_dx(order, z, 1), ref_sph_dx(order, z, -1)))
     return ((cyl_bessel(H1, order, z), cyl_bessel(H2, order, z)),
             (ref_cyl_dx(H1, order, z), ref_cyl_dx(H2, order, z)))
+
+
+def outgoing_partial_wave(m: ModeIndex, k: float, points):
+    """Exact radial continuation of the outgoing far-field template, one port
+    at a time: the outgoing partial wave whose r -> infinity limit is
+    conj(X_m) e^{-jkr}/r (3D) or conj(X_m) e^{-jkr}/sqrt(r) (2D). The
+    reference for modal_excitation_fields' batched outgoing waves."""
+    r, theta, phi = polar_coordinates(points, m.dim)
+    if m.dim == 3:
+        radial = k * (-1j) ** (m.l + 1) * sph_bessel(H2, m.l, k * r)
+        return radial * np.conj(sph_harm(m.l, m.m, theta, phi))
+    radial = np.conj(gamma_2d(m.n, k)) * cyl_bessel(H2, m.n, k * r)
+    return radial * np.conj(angular_factor(m, theta))
 
 
 def ref_alpha(dim, bc, order, ka):
@@ -190,6 +209,26 @@ class TestMieSMatrix:
             if s.matrix[row, col] != 0.0:
                 total = total + s.matrix[row, col] * outgoing_partial_wave(q, k, pts)
         assert np.max(np.abs(total)) < 1e-10
+
+
+class TestModalExcitationFields:
+    @pytest.mark.parametrize("bc", [SOFT, HARD])
+    def test_matches_partial_wave_sum(self, bc):
+        # the batched Hankel table against one scipy call per port, on the
+        # cylinder scenarios' a = 2 and default M = 13
+        k, a = 1.0, 2.0
+        geom, modes = make_circle(a), ModeSet.angular(6, k)
+        s = mie_smatrix(2, bc, k, a, modes)
+        spec = GridSpec(-6.0, 6.0, -6.0, 6.0, nx=61, ny=61)
+        cache = modal_excitation_fields(s, geom, spec)
+        live = ~cache.mask
+        pts = spec.points()[live]
+        delta = s.matrix - free_space_smatrix(modes).matrix
+        want = regular_waves_batch(modes, k, pts)
+        for row, q in enumerate(modes.modes):
+            want += outgoing_partial_wave(q, k, pts)[:, None] * delta[row]
+        assert np.all(cache.fields[cache.mask] == 0.0)
+        assert np.max(np.abs(cache.fields[live] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestFreeSpaceConsistency:

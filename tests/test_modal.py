@@ -5,16 +5,36 @@ from wsdelay.errors import ContractError, DomainError, SingularPointError
 from wsdelay.modal import (
     ModeIndex,
     ModeSet,
+    angular_factor,
     angular_mode_list,
     conjugate_mode,
     gamma_2d,
     incoming_wave,
-    outgoing_template,
+    polar_coordinates,
     regular_wave,
     regular_waves_batch,
     suggested_mode_count,
 )
 from wsdelay.specfun import sph_harm
+
+FAR_ZONE_KR_MIN = 50.0
+
+
+def outgoing_template(m: ModeIndex, k: float, points):
+    """Far-zone outgoing basis function conj(X_m) e^{-jkr}/r (2D: /sqrt(r)).
+
+    Only defined in the far zone; kr below the threshold is a domain error.
+    """
+    if k <= 0:
+        raise DomainError("wavenumber must be positive")
+    r, theta, phi = polar_coordinates(points, m.dim)
+    if np.any(k * r < FAR_ZONE_KR_MIN):
+        raise DomainError(
+            f"outgoing template undefined in the near zone (need kr >= {FAR_ZONE_KR_MIN})"
+        )
+    if m.dim == 3:
+        return np.conj(sph_harm(m.l, m.m, theta, phi)) * np.exp(-1j * k * r) / r
+    return np.conj(angular_factor(m, theta)) * np.exp(-1j * k * r) / np.sqrt(r)
 
 
 class TestModeOrdering:

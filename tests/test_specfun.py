@@ -13,7 +13,6 @@ from wsdelay.specfun import (
     cyl_hankel1_table,
     cyl_jn_table,
     sph_bessel,
-    sph_bessel_dx,
     sph_bessel_table,
     sph_harm,
     sph_jy_table,
@@ -22,6 +21,13 @@ from wsdelay.specfun import (
 J = BesselKind.REGULAR_J
 H1 = BesselKind.HANKEL1
 H2 = BesselKind.HANKEL2
+
+
+def sph_bessel_dx(kind, degree, x):
+    """d/dx of one spherical function of one degree, shaped like x: the last
+    derivative row of sph_bessel_table."""
+    row = sph_bessel_table(kind, degree, x)[1][-1]
+    return row[0] if np.ndim(x) == 0 else row.reshape(np.shape(x))
 
 
 def j1_series(x, terms=40):

@@ -15,9 +15,9 @@ from wsdelay.volumeq import (
     _combine,
     _degree_entries,
     _difference_tails,
+    _free_field_integrals,
     _gauss_panels,
     _style_corrections,
-    qtilde_infinity,
     surface_identity_check,
     volume_q_matrix,
 )
@@ -28,6 +28,24 @@ HARD = BoundaryCondition.SOUND_HARD
 H1 = BesselKind.HANKEL1
 
 P00 = ModeIndex.spherical(0, 0)
+
+
+def qtilde_infinity(p: ModeIndex, q: ModeIndex, k: float, quad: QuadratureSpec) -> float:
+    """Free-field normalizer integral; analytically 2R delta_pq.
+
+    Uses the free-space outgoing coefficient. The angular reduction makes
+    p != q vanish identically; the diagonal radial integrand is evaluated
+    numerically over [0, R].
+    """
+    if p.dim != 3 or q.dim != 3:
+        raise ContractError("volume formulation is implemented for dim=3 only")
+    if not quad.radius * k >= 50.0:
+        raise DomainError("need kR >= 50")
+    if (p.l, p.m) != (q.l, q.m):
+        return 0.0
+    beta = (-1.0) ** (p.l + 1) + 0.0j      # alpha = 1
+    f_ff, f_gg = _free_field_integrals(np.array([beta]), k, quad)
+    return float(_combine("symmetric", f_ff[0], f_gg[0], k))
 QUAD = QuadratureSpec(radius=200.0)
 
 
@@ -374,6 +392,23 @@ class TestSurfaceIdentity:
         e1 = surface([(p, p)], 200.0)[0].numeric_rel_error
         e2 = surface([(p, p)], 400.0)[0].numeric_rel_error
         assert e2 < 0.7 * e1
+
+    @pytest.mark.parametrize("bc", [SOFT, HARD])
+    @pytest.mark.parametrize("k", [0.5, 1.0])
+    @pytest.mark.parametrize("radius", [200.0, 400.0])
+    def test_numeric_delay_part_sees_the_sign_of_alpha(self, bc, k, radius):
+        # the monopole field (e^{jkr} + beta e^{-jkr})/r is exact at every r,
+        # so its surface integral is exactly 2R + j (S^dag S')_00 plus the
+        # term of the -f/r part of df/dr, -(1 + Re(beta e^{-2jkR}))/(k^2 R).
+        # With 2R subtracted that term is resolved; flipping the sign of
+        # alpha_0 and alpha_0' moves it by 2 |Re(beta e^{-2jkR})|/(k^2 R),
+        # which the relative error against 2R hides
+        s, sp = closed_form(bc, k=k)
+        (rep,) = surface_identity_check(s, sp, [(P00, P00)], radius)
+        i = s.modes.position(P00)
+        wave = s.matrix[i, i] * np.exp(-2j * k * radius)
+        want = rep.reference_value - 2.0 * radius - (1.0 + wave.real) / (k * k * radius)
+        assert abs(rep.numeric_value - 2.0 * radius - want) < 1e-9
 
     def test_oscillatory_terms_cancel_in_combination(self):
         # combined closed form depends on R only through 2R delta_pq
