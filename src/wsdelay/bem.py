@@ -218,7 +218,8 @@ def solve_exterior(
     bc: BoundaryCondition,
     trace: np.ndarray,
     normal_trace: np.ndarray = None,
-    k: float = None,
+    *,
+    k: float,
 ) -> BoundarySolution:
     """Solve the combined-field equation for given incident boundary data.
 
@@ -226,8 +227,6 @@ def solve_exterior(
     normal derivative (required for sound-hard). Both may carry multiple
     right-hand sides as columns.
     """
-    if k is None:
-        k = mesh.k_design
     if bc is BoundaryCondition.SOUND_HARD:
         if normal_trace is None:
             raise ContractError("sound-hard solve needs the incident normal derivative")
@@ -422,7 +421,6 @@ def bem_smatrix(
     modes: ModeSet,
     mesh: BoundaryMesh = None,
     nodes_per_wavelength: float = 12.0,
-    grading_exponent: int = 4,
     gate: Optional[float] = DEFAULT_SMATRIX_GATE,
     return_solution: bool = False,
 ):
@@ -435,7 +433,7 @@ def bem_smatrix(
     if modes.dim != 2:
         raise ContractError("BEM scattering needs a 2D mode set")
     if mesh is None:
-        mesh = mesh_geometry(geometry, k, nodes_per_wavelength, grading_exponent)
+        mesh = mesh_geometry(geometry, k, nodes_per_wavelength)
     elif mesh.geometry != geometry:
         raise ContractError("mesh was built for another geometry")
     values, normal_derivs = standing_mode_traces(mesh, modes, k)

@@ -42,6 +42,7 @@ from .fields import (
 )
 from .geometry import (
     CAVITY_INTERIOR_BOX,
+    GRADING_EXPONENT,
     BoundaryMesh,
     Geometry,
     make_geometry,
@@ -51,7 +52,7 @@ from .mie import mie_smatrix, mie_smatrix_deriv
 from .modal import ModeIndex, ModeSet, suggested_mode_count
 from .smatrix import BoundaryCondition
 from .volumeq import QuadratureSpec, surface_identity_check, volume_q_matrix
-from .wigner import q_matrix, smatrix_fd_derivative, validate_smatrix, ws_decompose
+from .wigner import fd_step, q_matrix, smatrix_fd_derivative, validate_smatrix, ws_decompose
 
 UNITS_NOTE = (
     "units: meters; k in 1/m; c_sound = 1 m/s; delays in s are numerically lengths"
@@ -128,7 +129,7 @@ def _setup(cfg) -> _Setup:
             raise ConfigError(f"export mode {idx1} out of range 1..{len(modes)}")
     mesh = grid = quad = None
     if cfg.scenario not in ("sphere", "cylinder"):
-        mesh = mesh_geometry(geometry, k, cfg.nodes_per_wavelength, cfg.grading_exponent)
+        mesh = mesh_geometry(geometry, k, cfg.nodes_per_wavelength)
     if dim == 2:
         hw = _grid_halfwidth(cfg, circumradius)
         grid = GridSpec(-hw, hw, -hw, hw, cfg.grid_nx, cfg.grid_ny)
@@ -158,11 +159,11 @@ def _solve(cfg, st):
             mesh=st.mesh, gate=None,
         )
 
-    dk = cfg.delta_k if cfg.delta_k is not None else 1e-4 * k
+    dk = fd_step(k, cfg.delta_k)
     sprime = smatrix_fd_derivative(provider, k, dk=dk)
     lines = [
         f"solver: combined-field Nystrom, {st.mesh.n_nodes} nodes, "
-        f"{cfg.nodes_per_wavelength:g}/wavelength, grading p={cfg.grading_exponent}",
+        f"{cfg.nodes_per_wavelength:g}/wavelength, grading p={GRADING_EXPONENT}",
         f"derivative: central difference, dk={dk:g}",
     ]
     return s, sprime, "finite-difference", solution, lines
@@ -226,10 +227,11 @@ def _sphere_checks(cfg, st, s, sprime, q, gates):
 
 
 def _field_maps(cfg, st, s, solution, dec):
-    """Classify the delay eigenmodes from their total-field maps.
+    """Classify the delay eigenmodes from their energy fractions.
 
     Returns (classification, baselines, [(index, FieldGrid)] of the exported
-    modes); the excitation cache and the mode-field matrix die on return.
+    modes); only the exported modes get point values, and the excitation
+    cache dies on return.
     """
     if st.grid is None:
         return None, None, []
@@ -237,19 +239,15 @@ def _field_maps(cfg, st, s, solution, dec):
         cache = modal_excitation_fields(s, st.geometry, st.grid)
     else:
         cache = bem_excitation_fields(st.mesh, solution, st.modes, st.grid)
-    mode_fields = mode_field_matrix(cache, dec.w)
     interior = CAVITY_INTERIOR_BOX if cfg.scenario == "cavity" else None
     regions = region_masks(st.geometry, st.grid, cfg.k, cache.mask, interior_box=interior)
-    metrics = [
-        localization_metrics(mode_fields[:, i], regions)
-        for i in range(mode_fields.shape[1])
-    ]
+    fractions = localization_metrics(cache, dec.w, regions)
     thresholds = ClassificationThresholds(tau_ballistic=2.0 * st.circumradius)
-    classification = classify_modes(dec.delays, metrics, thresholds)
+    classification = classify_modes(dec.delays, fractions, regions.baselines, thresholds)
+    values = mode_field_matrix(cache, dec.w[:, [i - 1 for i in cfg.export_modes]])
     exports = [
-        (i, FieldGrid(spec=st.grid, values=mode_fields[:, i - 1].copy(),
-                      mask=cache.mask, k=cfg.k))
-        for i in cfg.export_modes
+        (i, FieldGrid(spec=st.grid, values=values[:, j], mask=cache.mask))
+        for j, i in enumerate(cfg.export_modes)
     ]
     return classification, regions.baselines, exports
 

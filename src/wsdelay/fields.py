@@ -1,13 +1,16 @@
 """Total-field maps for delay eigenmodes and their phenomenological labels.
 
 Total fields of the M standing excitations are cached on a Cartesian grid;
-by linearity the field of a delay eigenmode is the W-weighted combination of
-those columns. Localization metrics (energy fractions near the boundary, at
-corners and inside a cavity void) quantify what the eigenmode illuminates,
-and a threshold cascade sorts the modes into the observed families: corner
-diffraction, beam-like ballistic reflection, boundary-guided surface waves,
-non-propagating (caustic radius beyond the scatterer) and trapped cavity
-modes.
+by linearity the field of a delay eigenmode w is F w, the w-weighted
+combination of those columns. Localization metrics (energy fractions near
+the boundary, at corners and inside a cavity void) quantify what the
+eigenmode illuminates. Each region's energy is the quadratic form
+w^H G_r w of the Gram matrix G_r = F_r^H F_r over the region's rows, so the
+metrics need no point values of any mode; only the exported modes get
+them. A threshold cascade sorts the modes into the observed
+families: corner diffraction, beam-like ballistic reflection,
+boundary-guided surface waves, non-propagating (caustic radius beyond the
+scatterer) and trapped cavity modes.
 """
 
 from dataclasses import dataclass
@@ -41,13 +44,6 @@ class GridSpec:
         if self.nx < 2 or self.ny < 2:
             raise DomainError("grid needs at least 2x2 points")
 
-    @property
-    def spacing(self):
-        return (
-            (self.xmax - self.xmin) / (self.nx - 1),
-            (self.ymax - self.ymin) / (self.ny - 1),
-        )
-
     def points(self) -> np.ndarray:
         """Grid points, row-major: y varies slowest."""
         x = np.linspace(self.xmin, self.xmax, self.nx)
@@ -64,17 +60,14 @@ class FieldGrid:
     spec: GridSpec
     values: np.ndarray
     mask: np.ndarray
-    k: float
 
 
 @dataclass
 class ExcitationFieldCache:
     """Total fields of every port excitation at the grid points."""
 
-    spec: GridSpec
-    fields: np.ndarray          # (n_points, M) complex
+    fields: np.ndarray          # (n_points, M) complex, 0 where masked
     mask: np.ndarray            # (n_points,) True where not evaluated
-    modes: ModeSet
     k: float
 
 
@@ -109,7 +102,7 @@ def bem_excitation_fields(
     fields[live] = regular_waves_batch(modes, k, pts[live]) + scattered_field(
         mesh, solution, pts[live]
     )
-    return ExcitationFieldCache(spec=spec, fields=fields, mask=mask, modes=modes, k=k)
+    return ExcitationFieldCache(fields=fields, mask=mask, k=k)
 
 
 def modal_excitation_fields(
@@ -138,11 +131,11 @@ def modal_excitation_fields(
     outgoing *= np.exp(-1j * np.outer(theta, orders)) / np.sqrt(2.0 * np.pi)
     fields = np.zeros((len(pts), len(s.modes)), dtype=complex)
     fields[live] = regular_waves_batch(s.modes, s.k, pts[live]) + outgoing @ delta
-    return ExcitationFieldCache(spec=spec, fields=fields, mask=mask, modes=s.modes, k=s.k)
+    return ExcitationFieldCache(fields=fields, mask=mask, k=s.k)
 
 
 def mode_field_matrix(cache: ExcitationFieldCache, w: np.ndarray) -> np.ndarray:
-    """All delay-eigenmode fields at once: columns = cache.fields @ W."""
+    """Fields of the delay eigenmodes in W's columns: cache.fields @ W."""
     out = cache.fields @ w
     out[cache.mask, :] = 0.0
     return out
@@ -151,16 +144,6 @@ def mode_field_matrix(cache: ExcitationFieldCache, w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # localization metrics and classification
 # ---------------------------------------------------------------------------
-@dataclass
-class LocalizationMetrics:
-    boundary_fraction: float
-    corner_fraction: float
-    interior_fraction: float
-    boundary_baseline: float
-    corner_baseline: float
-    interior_baseline: float
-
-
 @dataclass
 class RegionMasks:
     boundary: np.ndarray
@@ -215,26 +198,24 @@ def region_masks(
 
 
 def localization_metrics(
-    values: np.ndarray, regions: RegionMasks
-) -> LocalizationMetrics:
-    """Energy fractions of a field over the metric regions.
+    cache: ExcitationFieldCache, w: np.ndarray, regions: RegionMasks
+) -> np.ndarray:
+    """Energy fractions (boundary, corner, interior) of W's columns, (3, M).
 
-    A uniform field returns each region's area fraction (the baseline), so
-    fraction/baseline measures concentration.
+    A region's energy is Re diag(W^H G_r W), with G_r = F_r^H F_r over the
+    region's rows of cache.fields; the total takes every row, since masked
+    rows hold 0. An empty region gives exact zeros. A uniform field returns
+    each region's area fraction (the baseline), so fraction/baseline
+    measures concentration.
     """
-    energy = np.abs(values) ** 2
-    total = float(np.sum(energy[regions.live]))
-    if total == 0.0:
-        total = 1.0
-    bb, cb, ib = regions.baselines
-    return LocalizationMetrics(
-        boundary_fraction=float(np.sum(energy[regions.boundary])) / total,
-        corner_fraction=float(np.sum(energy[regions.corner])) / total,
-        interior_fraction=float(np.sum(energy[regions.interior])) / total,
-        boundary_baseline=bb,
-        corner_baseline=cb,
-        interior_baseline=ib,
-    )
+
+    def energy(f):
+        return np.sum(w.conj() * ((f.conj().T @ f) @ w), axis=0).real
+
+    total = energy(cache.fields)
+    total[total == 0.0] = 1.0
+    rows = (regions.boundary, regions.corner, regions.interior)
+    return np.array([energy(cache.fields[r]) for r in rows]) / total
 
 
 @dataclass(frozen=True)
@@ -269,45 +250,47 @@ class ModeClassification:
 
 def classify_modes(
     delays: np.ndarray,
-    metrics: list,
+    fractions: np.ndarray,
+    baselines: tuple,
     thresholds: ClassificationThresholds = ClassificationThresholds(),
 ) -> list:
     """Sort delay eigenmodes into the phenomenological families.
 
-    Rules, in precedence order per delay regime; a mode fitting no rule gets
-    the nearest label and a warning flag.
+    fractions is localization_metrics' (3, M) array and baselines the
+    regions' (boundary, corner, interior) area fractions. Rules, in
+    precedence order per delay regime; a mode fitting no rule gets the
+    nearest label and a warning flag.
     """
-    out = []
     th = thresholds
-    for i, (delay, m) in enumerate(zip(delays, metrics)):
-        boundary_hot = m.boundary_fraction > th.boundary_factor * m.boundary_baseline
-        corner_hot = m.corner_fraction > th.corner_factor * max(m.corner_baseline, 1e-12)
-        interior_hot = (
-            m.interior_baseline > 0
-            and m.interior_fraction > th.interior_factor * m.interior_baseline
-        )
+    bb, cb, ib = baselines
+    bf, cf, xf = fractions
+    boundary_hot = bf > th.boundary_factor * bb
+    corner_hot = cf > th.corner_factor * max(cb, 1e-12)
+    interior_hot = (ib > 0) & (xf > th.interior_factor * ib)
+    out = []
+    for i, delay in enumerate(delays):
         warning = False
         if delay > th.tau0:
-            if interior_hot:
+            if interior_hot[i]:
                 label = "cavity"
-            elif boundary_hot:
+            elif boundary_hot[i]:
                 label = "surface-wave"
             else:
                 label, warning = "surface-wave", True
         elif delay < -th.tau0:
-            if corner_hot:
+            if corner_hot[i]:
                 label = "corner"
-            elif delay >= -th.tau_ballistic and boundary_hot:
+            elif delay >= -th.tau_ballistic and boundary_hot[i]:
                 label = "ballistic"
             else:
                 # specular reflection is the nearest family for any negative
                 # delay that is not corner-concentrated
                 label, warning = "ballistic", True
         else:
-            if boundary_hot:
+            if boundary_hot[i]:
                 # caustic-edge modes may also light the corner band; they
                 # still belong to the specular family
-                label, warning = "ballistic", corner_hot
+                label, warning = "ballistic", bool(corner_hot[i])
             elif abs(delay) > 0.1 * th.tau0:
                 # transitional: the delay says it touches the scatterer even
                 # though the boundary band is not clearly hot
@@ -319,9 +302,9 @@ def classify_modes(
                 index=i,
                 label=label,
                 delay=float(delay),
-                boundary_fraction=m.boundary_fraction,
-                corner_fraction=m.corner_fraction,
-                interior_fraction=m.interior_fraction,
+                boundary_fraction=float(bf[i]),
+                corner_fraction=float(cf[i]),
+                interior_fraction=float(xf[i]),
                 warning=warning,
             )
         )

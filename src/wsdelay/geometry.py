@@ -11,12 +11,10 @@ node ever lands on a corner. Circles keep their native uniform spacing.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, GeometryError
-from .smatrix import BoundaryCondition
 
 STRIP_HALF_LENGTH = 25.0
 STRIP_Y_BOTTOM = -0.25
@@ -24,6 +22,7 @@ STRIP_Y_TOP = 0.75
 CAVITY_OUTER = 15.0   # outer square half-side
 CAVITY_INNER = 11.0   # inner void half-side (wall thickness 4)
 CAVITY_INTERIOR_BOX = (-CAVITY_INNER, CAVITY_INNER, -CAVITY_INNER, CAVITY_INNER)
+GRADING_EXPONENT = 4  # Kress grading of straight segments toward their ends
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,6 @@ class Geometry:
 
     name: str
     segments: tuple
-    bc: Optional[BoundaryCondition] = None
     corners: tuple = field(default_factory=tuple)
 
     @property
@@ -98,7 +96,7 @@ class Geometry:
         return best
 
 
-def _polygon(name, vertices, bc=None):
+def _polygon(name, vertices):
     verts = [tuple(map(float, v)) for v in vertices]
     n = len(verts)
     segs = []
@@ -116,7 +114,7 @@ def _polygon(name, vertices, bc=None):
     if area <= 0:
         raise GeometryError("polygon must be counterclockwise (positive area)")
     _reject_self_intersection(verts)
-    return Geometry(name=name, segments=tuple(segs), bc=bc, corners=tuple(verts))
+    return Geometry(name=name, segments=tuple(segs), corners=tuple(verts))
 
 
 def _reject_self_intersection(verts):
@@ -259,9 +257,6 @@ class BoundaryMesh:
     xp: np.ndarray           # dx/dt, (N, 2)
     xpp: np.ndarray          # d2x/dt2, (N, 2)
     segment_id: np.ndarray
-    nodes_per_wavelength: float
-    grading_exponent: int
-    k_design: float
 
     @property
     def n_nodes(self) -> int:
@@ -297,16 +292,14 @@ class BoundaryMesh:
                 continue
             span = counts[si] * self.h
             xi = (tvals[mask] - starts[si]) / span
-            pos[mask], vel[mask], _ = _segment_map(
-                seg, xi, 1.0 / span, self.grading_exponent
-            )
+            pos[mask], vel[mask], _ = _segment_map(seg, xi, 1.0 / span)
         return pos, vel
 
 
-def _segment_map(seg, xi, dxi_dt, p):
+def _segment_map(seg, xi, dxi_dt):
     """Position, velocity and acceleration on one segment at local xi in
     [0, 1], for a global parameter advancing xi at the rate dxi_dt; lines
-    take the Kress grading of exponent p, circles their uniform angle."""
+    take the Kress grading of GRADING_EXPONENT, circles their uniform angle."""
     if isinstance(seg, Circle):
         phi = 2.0 * np.pi * xi
         c, r = np.asarray(seg.center), seg.radius
@@ -315,7 +308,7 @@ def _segment_map(seg, xi, dxi_dt, p):
         vel = r * np.column_stack([-np.sin(phi), np.cos(phi)]) * dphi
         acc = -r * np.column_stack([np.cos(phi), np.sin(phi)]) * dphi**2
         return pos, vel, acc
-    w, w1, w2 = kress_w(xi, p)
+    w, w1, w2 = kress_w(xi, GRADING_EXPONENT)
     a = np.asarray(seg.start)
     d = np.asarray(seg.end) - a
     return a + np.outer(w, d), np.outer(w1 * dxi_dt, d), np.outer(w2 * dxi_dt**2, d)
@@ -325,7 +318,6 @@ def mesh_geometry(
     geometry: Geometry,
     k: float,
     nodes_per_wavelength: float = 12.0,
-    grading_exponent: int = 4,
 ) -> BoundaryMesh:
     """Graded composite mesh with globally uniform parameter spacing.
 
@@ -337,8 +329,6 @@ def mesh_geometry(
         raise DomainError("wavenumber must be positive")
     if not nodes_per_wavelength >= 6:
         raise DomainError("need at least 6 nodes per wavelength")
-    if not grading_exponent >= 2:
-        raise DomainError("grading exponent must be at least 2")
     wavelength = 2.0 * np.pi / k
     counts = []
     for seg in geometry.segments:
@@ -361,7 +351,7 @@ def mesh_geometry(
     for si, (seg, n) in enumerate(zip(geometry.segments, counts)):
         tj = (offset + np.arange(n) + 0.5) * h
         xi = (np.arange(n) + 0.5) / n
-        pos, vel, acc = _segment_map(seg, xi, 1.0 / (n * h), grading_exponent)
+        pos, vel, acc = _segment_map(seg, xi, 1.0 / (n * h))
         t_all.append(tj)
         nodes.append(pos)
         xp.append(vel)
@@ -377,7 +367,4 @@ def mesh_geometry(
         xp=np.vstack(xp),
         xpp=np.vstack(xpp),
         segment_id=np.concatenate(seg_id),
-        nodes_per_wavelength=float(nodes_per_wavelength),
-        grading_exponent=int(grading_exponent),
-        k_design=float(k),
     )

@@ -100,9 +100,8 @@ class ScenarioConfig:
     a: float = 1.0                    # sphere/cylinder radius
     w: float = 3.0                    # cavity gap width
     mode_count: Optional[int] = None  # explicit M; default from the circumradius
-    delta_k: Optional[float] = None   # FD step; default 1e-4 k
+    delta_k: Optional[float] = None   # FD step; default wigner.fd_step
     nodes_per_wavelength: float = 12.0
-    grading_exponent: int = 4
     grid_nx: int = 301
     grid_ny: int = 301
     grid_halfwidth: Optional[float] = None
@@ -160,7 +159,6 @@ _FIELD_PARSERS = {
     "modes": int,
     "delta_k": float,
     "nodes_per_wavelength": float,
-    "grading_exponent": int,
     "grid_nx": int,
     "grid_ny": int,
     "grid_halfwidth": float,
@@ -193,8 +191,11 @@ def parse_config(path) -> ScenarioConfig:
             key, val = key.strip(), val.strip()
             if key not in _FIELD_PARSERS:
                 raise ConfigError(f"unknown key {key!r}", line=lineno)
+            name = _FIELD_NAMES.get(key, key)
+            if name in values:
+                raise ConfigError(f"repeated key {key!r}", line=lineno)
             try:
-                values[_FIELD_NAMES.get(key, key)] = _FIELD_PARSERS[key](val)
+                values[name] = _FIELD_PARSERS[key](val)
             except ConfigError:
                 raise
             except Exception as exc:

@@ -86,7 +86,6 @@ class ModeSet:
     dim: int
     modes: tuple
     k: float
-    origin_note: str = "basis centered at the coordinate origin"
     _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):

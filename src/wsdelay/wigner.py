@@ -101,13 +101,17 @@ def validate_smatrix(s: SMatrix, gate: float = DEFAULT_SMATRIX_GATE) -> SMatrixR
     )
 
 
+def fd_step(k: float, dk: float = None) -> float:
+    """The central-difference step: dk when given, else 1e-4 k."""
+    return 1e-4 * k if dk is None else dk
+
+
 def smatrix_fd_derivative(provider, k: float, dk: float = None):
-    """Central-difference dS/dk from an S-matrix provider.
+    """Central-difference dS/dk from an S-matrix provider, at fd_step(k, dk).
 
     provider(k') must return an SMatrix on the same mode list for every k'.
     """
-    if dk is None:
-        dk = 1e-4 * k
+    dk = fd_step(k, dk)
     if not dk > 0:
         raise DomainError("finite-difference step must be positive")
     sp = provider(k + dk)

@@ -326,26 +326,18 @@ def test_criterion_9_structural_suite(strip_soft, strip_hard, cavity_hard):
 
 def test_classification_stability(strip_soft, cavity_hard):
     """Group counts move by at most 2 under +-20% of any single threshold."""
-    from wsdelay.fields import (
-        ClassificationThresholds,
-        LocalizationMetrics,
-        classify_modes,
-        group_counts,
-    )
+    from wsdelay.fields import ClassificationThresholds, classify_modes, group_counts
 
     worst = 0
     for bundle in (strip_soft, cavity_hard):
         cls = bundle["classification"]
         delays = np.array([c.delay for c in cls])
-        bb, cb, ib = bundle["baselines"]
-        mets = [
-            LocalizationMetrics(
-                c.boundary_fraction, c.corner_fraction, c.interior_fraction, bb, cb, ib
-            )
-            for c in cls
-        ]
+        baselines = bundle["baselines"]
+        fractions = np.array(
+            [[c.boundary_fraction, c.corner_fraction, c.interior_fraction] for c in cls]
+        ).T
         base = ClassificationThresholds(tau_ballistic=2.0 * bundle["circumradius"])
-        counts0 = group_counts(classify_modes(delays, mets, base))
+        counts0 = group_counts(classify_modes(delays, fractions, baselines, base))
         for knob in (
             "tau0",
             "tau_ballistic",
@@ -357,6 +349,6 @@ def test_classification_stability(strip_soft, cavity_hard):
                 th = ClassificationThresholds(
                     **{**base.__dict__, knob: getattr(base, knob) * f}
                 )
-                counts = group_counts(classify_modes(delays, mets, th))
+                counts = group_counts(classify_modes(delays, fractions, baselines, th))
                 worst = max(worst, max(abs(counts[k] - counts0[k]) for k in counts0))
     assert worst <= 2, f"count change {worst} under single-threshold perturbation"

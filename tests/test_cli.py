@@ -82,6 +82,12 @@ class TestConfigParsing:
             parse_config(p)
         assert "line 2" in str(err.value)
 
+    def test_repeated_key_reports_line(self, tmp_path):
+        p = write(tmp_path / "c.cfg", "scenario=strip\nk=1\n# again\nk=2\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(p)
+        assert "line 4" in str(err.value)
+
     def test_missing_equals_reports_line(self, tmp_path):
         p = write(tmp_path / "c.cfg", "scenario=strip\njust words\n")
         with pytest.raises(ConfigError) as err:
@@ -342,10 +348,11 @@ class TestMainExitCodes:
                 "scenario=strip\nmodes=11\nnodes_per_wavelength=nan\n", [], id="npw-nan"
             ),
             pytest.param(
-                "scenario=strip\nmodes=11\ngrading_exponent=0\n", [], id="grading-0"
+                "scenario=cylinder\na=2\nmodes=9\ngrading_exponent=4\n", [],
+                id="grading-gone",
             ),
             pytest.param(
-                "scenario=strip\nmodes=11\ngrading_exponent=1\n", [], id="grading-1"
+                "scenario=cylinder\na=2\nmodes=9\nk=1\nk=2\n", [], id="duplicate-key"
             ),
             pytest.param("scenario=strip\nmodes=11\ndelta_k=nan\n", [], id="dk-nan"),
             pytest.param(

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from wsdelay import cli
 from wsdelay.bem import bem_smatrix
 from wsdelay.errors import DomainError
 from wsdelay.fields import (
     ClassificationThresholds,
+    ExcitationFieldCache,
     GridSpec,
-    LocalizationMetrics,
     bem_excitation_fields,
     classify_modes,
     group_counts,
@@ -15,11 +16,14 @@ from wsdelay.fields import (
     modal_excitation_fields,
     region_masks,
 )
-from wsdelay.geometry import make_circle, mesh_geometry
+from wsdelay.geometry import CAVITY_INTERIOR_BOX, make_circle, make_geometry, mesh_geometry
+from wsdelay.io import ScenarioConfig
 from wsdelay.modal import ModeSet
 from wsdelay.smatrix import BoundaryCondition
+from wsdelay.wigner import q_matrix, smatrix_fd_derivative, ws_decompose
 
 SOFT = BoundaryCondition.SOUND_SOFT
+HARD = BoundaryCondition.SOUND_HARD
 
 
 @pytest.fixture(scope="module")
@@ -110,14 +114,86 @@ class TestModeFields:
         assert diff < 1e-5 * scale
 
 
+def reference_fractions(cache, w, regions):
+    """Per-mode energy sums, sum |F w|^2 over each region's points."""
+    out = np.zeros((3, w.shape[1]))
+    for i in range(w.shape[1]):
+        energy = np.abs(np.where(cache.mask, 0.0, cache.fields @ w[:, i])) ** 2
+        total = float(np.sum(energy[regions.live])) or 1.0
+        rows = (regions.boundary, regions.corner, regions.interior)
+        out[:, i] = [float(np.sum(energy[r])) / total for r in rows]
+    return out
+
+
+# (kind, geometry parameters, M, grid half-width, interior box)
+SCENES = {
+    "strip": ("strip", {}, 111, 40.0, None),
+    "cavity-w3": ("cavity", {"w": 3.0}, 71, 25.0, CAVITY_INTERIOR_BOX),
+    "circle-a2": ("circle", {"a": 2.0}, 13, 20.0, None),
+}
+
+
+@pytest.fixture(scope="module", params=[
+    pytest.param((scene, bc), id=f"{scene}-{name}")
+    for scene in SCENES for name, bc in (("soft", SOFT), ("hard", HARD))
+])
+def delay_case(request):
+    """Excitation cache, delay eigenvectors and regions of one scenario on a
+    61 x 61 grid, with the CLI's own derivative and masks."""
+    scene, bc = request.param
+    kind, params, m, hw, box = SCENES[scene]
+    k = 1.0
+    geom = make_geometry(kind, **params)
+    mesh = mesh_geometry(geom, k)
+    modes = ModeSet.with_count(2, m, k)
+    s, sol, _ = bem_smatrix(geom, bc, k, modes, mesh=mesh, gate=None, return_solution=True)
+
+    def provider(kp):
+        return bem_smatrix(geom, bc, kp, ModeSet.with_count(2, m, kp), mesh=mesh, gate=None)
+
+    dec = ws_decompose(q_matrix(s, smatrix_fd_derivative(provider, k)), s)
+    spec = GridSpec(-hw, hw, -hw, hw, nx=61, ny=61)
+    cache = bem_excitation_fields(mesh, sol, modes, spec)
+    return cache, dec.w, region_masks(geom, spec, k, cache.mask, interior_box=box)
+
+
+class TestGramFractions:
+    def test_match_per_mode_sums(self, delay_case):
+        cache, w, regions = delay_case
+        fractions = localization_metrics(cache, w, regions)
+        assert fractions.shape == (3, w.shape[1])
+        assert np.max(np.abs(fractions - reference_fractions(cache, w, regions))) <= 1e-14
+        assert np.all(fractions >= 0.0)
+        for row, region in enumerate((regions.boundary, regions.corner, regions.interior)):
+            if not np.any(region):
+                assert np.all(fractions[row] == 0.0)
+
+
+class TestFieldMapsExportOnly:
+    def test_mode_fields_only_for_exported_columns(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recording(cache, w):
+            calls.append(w.copy())
+            return mode_field_matrix(cache, w)
+
+        monkeypatch.setattr(cli, "mode_field_matrix", recording)
+        cfg = ScenarioConfig(scenario="cylinder", a=2.0, mode_count=9, grid_nx=41,
+                             grid_ny=41, export_modes=(3, 1))
+        summary = cli.run_scenario(cfg, str(tmp_path / "o"))
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], summary["decomposition"].w[:, [2, 0]])
+
+
 class TestMetrics:
     def test_uniform_field_gives_baselines(self, circle_case):
         geom, modes, _, cache, spec = circle_case
         regions = region_masks(geom, spec, cache.k, cache.mask)
-        vals = np.ones(len(spec.points()), dtype=complex)
-        m = localization_metrics(vals, regions)
-        assert m.boundary_fraction == pytest.approx(m.boundary_baseline, rel=1e-12)
-        assert m.corner_fraction == 0.0  # circle has no corners
+        uniform = np.where(cache.mask, 0.0, 1.0 + 0.0j)[:, None]
+        flat = ExcitationFieldCache(fields=uniform, mask=cache.mask, k=cache.k)
+        bf, cf, _ = localization_metrics(flat, np.ones((1, 1)), regions)[:, 0]
+        assert bf == pytest.approx(regions.baselines[0], rel=1e-12)
+        assert cf == 0.0  # circle has no corners
 
     def test_interior_box(self, circle_case):
         geom, modes, _, cache, spec = circle_case
@@ -128,15 +204,15 @@ class TestMetrics:
         assert np.sum(regions.interior) == 0
 
 
-def _metric(bnd=0.0, cor=0.0, intr=0.0, bb=0.1, cb=0.02, ib=0.2):
-    return LocalizationMetrics(
-        boundary_fraction=bnd,
-        corner_fraction=cor,
-        interior_fraction=intr,
-        boundary_baseline=bb,
-        corner_baseline=cb,
-        interior_baseline=ib,
-    )
+BASELINES = (0.1, 0.02, 0.2)
+
+
+def _metric(bnd=0.0, cor=0.0, intr=0.0):
+    return (bnd, cor, intr)
+
+
+def _fractions(*metrics):
+    return np.array(metrics).T
 
 
 class TestClassification:
@@ -150,18 +226,21 @@ class TestClassification:
             _metric(bnd=0.4, cor=0.02),     # boundary-hot, positive
             _metric(bnd=0.2, intr=0.9),     # interior-dominant, positive
         ]
-        labels = [c.label for c in classify_modes(delays, metrics, th)]
+        fractions = _fractions(*metrics)
+        labels = [c.label for c in classify_modes(delays, fractions, BASELINES, th)]
         assert labels == ["corner", "ballistic", "non-propagating", "surface-wave", "cavity"]
-        assert not any(c.warning for c in classify_modes(delays, metrics, th))
+        assert not any(c.warning for c in classify_modes(delays, fractions, BASELINES, th))
 
     def test_fallthrough_flags_warning(self):
         th = ClassificationThresholds()
-        out = classify_modes(np.array([-50.0]), [_metric(bnd=0.05, cor=0.01)], th)
+        out = classify_modes(
+            np.array([-50.0]), _fractions(_metric(bnd=0.05, cor=0.01)), BASELINES, th
+        )
         assert out[0].label == "ballistic" and out[0].warning
 
     def test_group_counts(self):
         th = ClassificationThresholds()
         delays = np.array([-20.0, 0.0, 0.0])
         metrics = [_metric(cor=0.5), _metric(), _metric()]
-        counts = group_counts(classify_modes(delays, metrics, th))
+        counts = group_counts(classify_modes(delays, _fractions(*metrics), BASELINES, th))
         assert counts["corner"] == 1 and counts["non-propagating"] == 2
