@@ -56,8 +56,6 @@ from .modal import (
     ModeIndex,
     ModeSet,
     conjugate_mode,
-    incoming_wave,
-    regular_wave,
     suggested_mode_count,
 )
 from .smatrix import BoundaryCondition, SMatrix

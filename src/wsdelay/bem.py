@@ -420,7 +420,6 @@ def bem_smatrix(
     k: float,
     modes: ModeSet,
     mesh: BoundaryMesh = None,
-    nodes_per_wavelength: float = 12.0,
     gate: Optional[float] = DEFAULT_SMATRIX_GATE,
     return_solution: bool = False,
 ):
@@ -428,12 +427,13 @@ def bem_smatrix(
 
     S = S_free + projection of the scattered far fields of the M standing
     excitations. Pass a prebuilt mesh of geometry to keep the node set fixed
-    across nearby wavenumbers (finite-difference dS/dk needs that).
+    across nearby wavenumbers (finite-difference dS/dk needs that). With
+    return_solution, returns (S, boundary solution).
     """
     if modes.dim != 2:
         raise ContractError("BEM scattering needs a 2D mode set")
     if mesh is None:
-        mesh = mesh_geometry(geometry, k, nodes_per_wavelength)
+        mesh = mesh_geometry(geometry, k)
     elif mesh.geometry != geometry:
         raise ContractError("mesh was built for another geometry")
     values, normal_derivs = standing_mode_traces(mesh, modes, k)
@@ -447,5 +447,5 @@ def bem_smatrix(
                 f"scattering matrix fails quality gate ({res:.2e} > {gate:.2e})"
             )
     if return_solution:
-        return s, sol, mesh
+        return s, sol
     return s

@@ -22,6 +22,7 @@ from . import io as wio
 from .bem import bem_smatrix
 from .errors import (
     AccuracyError,
+    CapacityError,
     ConfigError,
     DomainError,
     GeometryError,
@@ -149,7 +150,7 @@ def _solve(cfg, st):
         s = mie_smatrix(st.dim, st.bc, k, cfg.a, modes)
         sprime = mie_smatrix_deriv(st.dim, st.bc, k, cfg.a, modes)
         return s, sprime, "analytic", None, [f"solver: separation of variables, a={cfg.a:g}"]
-    s, solution, _ = bem_smatrix(
+    s, solution = bem_smatrix(
         st.geometry, st.bc, k, modes, mesh=st.mesh, gate=None, return_solution=True
     )
 
@@ -356,7 +357,7 @@ def main(argv=None) -> int:
 
     try:
         summary = run_scenario(cfg, args.out)
-    except (ConfigError, DomainError, GeometryError) as exc:
+    except (ConfigError, DomainError, GeometryError, CapacityError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except (SolverError, AccuracyError) as exc:

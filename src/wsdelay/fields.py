@@ -68,7 +68,6 @@ class ExcitationFieldCache:
 
     fields: np.ndarray          # (n_points, M) complex, 0 where masked
     mask: np.ndarray            # (n_points,) True where not evaluated
-    k: float
 
 
 def _grid_mask(geometry: Geometry, pts: np.ndarray, band: float) -> np.ndarray:
@@ -97,12 +96,11 @@ def bem_excitation_fields(
     band = float(np.max(mesh.weights))
     mask = _grid_mask(mesh.geometry, pts, band)
     live = ~mask
-    k = solution.k
+    block = scattered_field(mesh, solution, pts[live])
+    block += regular_waves_batch(modes, solution.k, pts[live])
     fields = np.zeros((len(pts), len(modes)), dtype=complex)
-    fields[live] = regular_waves_batch(modes, k, pts[live]) + scattered_field(
-        mesh, solution, pts[live]
-    )
-    return ExcitationFieldCache(fields=fields, mask=mask, k=k)
+    fields[live] = block
+    return ExcitationFieldCache(fields=fields, mask=mask)
 
 
 def modal_excitation_fields(
@@ -123,15 +121,17 @@ def modal_excitation_fields(
     mask = _grid_mask(geometry, pts, 0.02 * lam)
     live = ~mask
     delta = s.matrix - free_space_smatrix(s.modes).matrix
-    r, theta, _ = polar_coordinates(pts[live], 2)
+    r, theta = polar_coordinates(pts[live])
     orders = np.array([m.n for m in s.modes.modes])
     h1 = cyl_hankel1_table(int(np.max(np.abs(orders))), s.k * r)[0]
     scale = [np.conj(gamma_2d(n, s.k)) * (-1.0) ** min(n, 0) for n in orders]
     outgoing = np.conj(h1[np.abs(orders)]).T * scale
     outgoing *= np.exp(-1j * np.outer(theta, orders)) / np.sqrt(2.0 * np.pi)
+    block = outgoing @ delta
+    block += regular_waves_batch(s.modes, s.k, pts[live])
     fields = np.zeros((len(pts), len(s.modes)), dtype=complex)
-    fields[live] = regular_waves_batch(s.modes, s.k, pts[live]) + outgoing @ delta
-    return ExcitationFieldCache(fields=fields, mask=mask, k=s.k)
+    fields[live] = block
+    return ExcitationFieldCache(fields=fields, mask=mask)
 
 
 def mode_field_matrix(cache: ExcitationFieldCache, w: np.ndarray) -> np.ndarray:

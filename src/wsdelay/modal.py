@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError, SingularPointError
-from .specfun import BesselKind, cyl_bessel, cyl_jn_table, sph_bessel, sph_harm
+from .specfun import cyl_jn_table
 
 
 @dataclass(frozen=True, order=False)
@@ -155,33 +155,20 @@ def suggested_mode_count(k: float, a: float, c: float, dim: int) -> int:
 # ---------------------------------------------------------------------------
 # coordinates
 # ---------------------------------------------------------------------------
-def polar_coordinates(points, dim, allow_origin=False):
+def polar_coordinates(points, allow_origin=False):
+    """(r, theta) of 2D points about the basis origin."""
     pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] != dim:
-        raise ContractError(f"points must have {dim} components")
-    if dim == 2:
-        r = np.hypot(pts[..., 0], pts[..., 1])
-        theta = np.arctan2(pts[..., 1], pts[..., 0])
-    else:
-        r = np.sqrt(np.sum(pts**2, axis=-1))
+    if pts.shape[-1] != 2:
+        raise ContractError("points must have 2 components")
+    r = np.hypot(pts[..., 0], pts[..., 1])
+    theta = np.arctan2(pts[..., 1], pts[..., 0])
     if np.any(r == 0.0):
         if not allow_origin:
             raise SingularPointError("field evaluation at the basis origin")
         # regular fields are finite at the origin: J_n(0) kills the
         # undefined angle for n != 0; clamp r so special functions accept it
         r = np.where(r == 0.0, 1e-300, r)
-    if dim == 2:
-        return r, theta, None
-    theta = np.arccos(np.clip(pts[..., 2] / np.maximum(r, 1e-300), -1.0, 1.0))
-    phi = np.arctan2(pts[..., 1], pts[..., 0])
-    return r, theta, phi
-
-
-def angular_factor(p: ModeIndex, theta, phi=None):
-    """X_p evaluated at the given angles."""
-    if p.dim == 2:
-        return np.exp(1j * p.n * np.asarray(theta)) / np.sqrt(2.0 * np.pi)
-    return sph_harm(p.l, p.m, theta, phi)
+    return r, theta
 
 
 def gamma_2d(n: int, k: float) -> complex:
@@ -190,40 +177,13 @@ def gamma_2d(n: int, k: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# wave templates
+# standing excitations
 # ---------------------------------------------------------------------------
-def incoming_wave(p: ModeIndex, k: float, points):
-    """Exact incoming unit-power mode evaluated at Cartesian points."""
-    if k <= 0:
-        raise DomainError("wavenumber must be positive")
-    r, theta, phi = polar_coordinates(points, p.dim)
-    if p.dim == 3:
-        radial = k * 1j ** (p.l + 1) * sph_bessel(BesselKind.HANKEL1, p.l, k * r)
-        return radial * sph_harm(p.l, p.m, theta, phi)
-    radial = gamma_2d(p.n, k) * cyl_bessel(BesselKind.HANKEL1, p.n, k * r)
-    return radial * angular_factor(p, theta)
-
-
-def regular_wave(p: ModeIndex, k: float, points):
-    """Standing excitation whose incoming content is exactly mode p.
-
-    Equal to the incoming wave plus its own free-space outgoing response:
-    2 k j^{l+1} j_l(kr) X_lm in 3D, 2 gamma_n J_n(kr) X_n in 2D. Regular
-    everywhere, so it is the right-hand side solvers can evaluate on any
-    boundary regardless of where the origin lies.
-    """
-    if k <= 0:
-        raise DomainError("wavenumber must be positive")
-    r, theta, phi = polar_coordinates(points, p.dim, allow_origin=True)
-    if p.dim == 3:
-        radial = 2.0 * k * 1j ** (p.l + 1) * sph_bessel(BesselKind.REGULAR_J, p.l, k * r)
-        return radial * sph_harm(p.l, p.m, theta, phi)
-    radial = 2.0 * gamma_2d(p.n, k) * cyl_bessel(BesselKind.REGULAR_J, p.n, k * r)
-    return radial * angular_factor(p, theta)
-
-
 def regular_waves_batch(modes: ModeSet, k: float, points, normals=None):
-    """regular_wave for every port of a 2D set at once, from one J_n table.
+    """The standing excitation 2 gamma_n J_n(kr) X_n of every port of a 2D
+    set, from one J_n table: the incoming mode plus its own free-space
+    outgoing response, regular everywhere, so solvers can evaluate it on any
+    boundary wherever the origin lies.
 
     Returns the (points, ports) values. Given one unit normal per point it
     also returns the normal derivatives, as a second array of the same shape;
@@ -231,7 +191,7 @@ def regular_waves_batch(modes: ModeSet, k: float, points, normals=None):
     """
     if modes.dim != 2:
         raise ContractError("batched regular waves implemented for dim=2 only")
-    r, theta, _ = polar_coordinates(points, 2, allow_origin=normals is None)
+    r, theta = polar_coordinates(points, allow_origin=normals is None)
     orders = np.array([p.n for p in modes.modes])
     n_max = int(np.max(np.abs(orders)))
     table = cyl_jn_table(n_max + 1, k * r)

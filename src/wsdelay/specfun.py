@@ -1,18 +1,17 @@
-"""Cylindrical and spherical Bessel/Hankel functions and spherical harmonics.
+"""Cylindrical and spherical Bessel/Hankel tables and spherical harmonics.
 
-All evaluations are for positive real arguments. Spherical Bessel functions
-are computed by recurrence: j_l by downward (Miller-style) recurrence
-normalized against the closed-form j_0/j_1, which is stable for l greater
-than x, and y_l by upward recurrence, which is stable everywhere. One
-sph_jy_table call holds every degree 0..l on an argument array; h^(1) is
-j + jy, h^(2) is its conjugate (real arguments), and derivatives come from
-the neighbouring row, so sph_bessel_table gives all degrees of a function
-and its derivative from one pair of recurrences. Cylindrical
-J_n comes from the same downward recurrence (one table of orders 0..n,
-normalized against scipy's J_0/J_1); Y_n and the Hankel functions are
-delegated to scipy's Amos/Cephes routines behind the same argument checks;
-cyl_hankel1_table holds H^(1) of every order 0..n and, from the
-neighbouring rows, its derivatives.
+Every Bessel/Hankel evaluation is a table: all orders (degrees) 0..n of one
+function on positive real arguments, rows indexed by order. Spherical
+Bessel functions are computed by recurrence: j_l by downward (Miller-style)
+recurrence normalized against the closed-form j_0/j_1, which is stable for
+l greater than x, and y_l by upward recurrence, which is stable everywhere.
+One sph_jy_table call holds every degree 0..l; sph_hankel1_table gives
+h^(1) = j + jy of every degree and, from the neighbouring rows, its
+derivatives. Cylindrical J_n comes from the same downward recurrence (one
+table of orders 0..n, normalized against scipy's J_0/J_1). The Hankel
+functions are delegated to scipy's J and Y behind the same argument
+checks: cyl_hankel1_table holds H^(1) of every order 0..n and, from the
+neighbouring rows, its derivatives. H^(2) and h^(2) are the conjugates.
 
 Spherical harmonics use fully normalized associated Legendre recurrences so
 no factorial ratio is ever materialized; the Condon-Shortley phase (-1)^m is
@@ -20,8 +19,6 @@ applied exactly once, here.
 
 Everything is pure and reentrant; x may be a scalar or an ndarray.
 """
-
-from enum import Enum
 
 import numpy as np
 from scipy import special as _sp
@@ -34,18 +31,6 @@ CYL_ORDER_MAX = 200
 SPH_DEGREE_MAX = 200
 
 
-class BesselKind(Enum):
-    """Radial function family: regular, incoming (type 1), outgoing (type 2).
-
-    For real arguments the two Hankel kinds are complex conjugates of each
-    other.
-    """
-
-    REGULAR_J = "j"
-    HANKEL1 = "h1"
-    HANKEL2 = "h2"
-
-
 def _check_x(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
@@ -54,27 +39,8 @@ def _check_x(x):
 
 
 # ---------------------------------------------------------------------------
-# Cylindrical functions (J by recurrence, Y and H scipy-backed)
+# Cylindrical tables (J by recurrence, H^(1) scipy-backed)
 # ---------------------------------------------------------------------------
-def cyl_bessel(kind: BesselKind, order: int, x):
-    """J_n(x), H_n^(1)(x) or H_n^(2)(x) for integer order n.
-
-    Negative orders are folded with J_{-n} = (-1)^n J_n (same reflection for
-    Y_n, hence for both Hankel kinds).
-    """
-    x = _check_x(x)
-    n = int(order)
-    if abs(n) > CYL_ORDER_MAX:
-        raise CapacityError(f"cylindrical order |{n}| exceeds ceiling {CYL_ORDER_MAX}")
-    sign = 1.0 if (n >= 0 or n % 2 == 0) else -1.0
-    n = abs(n)
-    if kind is BesselKind.REGULAR_J:
-        return sign * cyl_jn_table(n, x)[n].reshape(x.shape)
-    if kind is BesselKind.HANKEL1:
-        return sign * (_sp.jv(n, x) + 1j * _sp.yv(n, x))
-    return sign * (_sp.jv(n, x) - 1j * _sp.yv(n, x))
-
-
 def cyl_hankel1_table(n: int, x):
     """H^(1)_0..H^(1)_n at positive x and their x-derivatives, rows indexed
     by order: scipy's J and Y over the order vector, and
@@ -158,36 +124,19 @@ def sph_jy_table(l: int, x):
     return j, y
 
 
-def _of_kind(kind: BesselKind, j, y):
-    """j_l, h_l^(1) = j_l + j y_l, or h_l^(2) = conj h_l^(1) (real arguments)."""
-    if kind is BesselKind.REGULAR_J:
-        return j
-    h1 = j + 1j * y
-    return h1 if kind is BesselKind.HANKEL1 else np.conj(h1)
-
-
-def sph_bessel_table(kind: BesselKind, l: int, x):
-    """Degrees 0..l of the chosen spherical function at positive x and their
-    x-derivatives, rows indexed by degree, from one sph_jy_table.
+def sph_hankel1_table(l: int, x):
+    """h^(1)_0..h^(1)_l at positive x and their x-derivatives, rows indexed
+    by degree, from one sph_jy_table.
 
     f_l' = f_{l-1} - (l+1)/x f_l, with the standard extension below row 0:
     j_{-1} = cos(x)/x, y_{-1} = sin(x)/x, so h1_{-1} = e^{jx}/x.
     """
     x = np.atleast_1d(_check_x(x))
-    f = _of_kind(kind, *sph_jy_table(l, x))
-    below = _of_kind(kind, np.cos(x) / x, np.sin(x) / x)
+    j, y = sph_jy_table(l, x)
+    f = j + 1j * y
+    below = np.cos(x) / x + 1j * (np.sin(x) / x)
     prev = np.concatenate([below[None], f[:-1]])
     return f, prev - np.arange(1, len(f) + 1)[:, None] / x * f
-
-
-def _shaped(row, x):
-    return row[0] if np.ndim(x) == 0 else row.reshape(np.shape(x))
-
-
-def sph_bessel(kind: BesselKind, degree: int, x):
-    """j_l(x), h_l^(1)(x) or h_l^(2)(x) for degree l >= 0."""
-    j, y = sph_jy_table(degree, x)
-    return _shaped(_of_kind(kind, j[-1], y[-1]), x)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ All three equal j S^dag S' in exact arithmetic. Angular integrals are
 reduced exactly by orthonormality/conjugation of the harmonics, leaving 1D
 radial integrals done by composite Gauss panels. Every degree's radial
 integrals come from one h^(1) table on the panel nodes (specfun's
-sph_bessel_table: one j/y recurrence for all degrees, derivatives from the
-neighbouring row), with h^(2) = conj h^(1) for real arguments, and the
+sph_hankel1_table: one j/y recurrence for all degrees, derivatives from
+the neighbouring row), with h^(2) = conj h^(1) for real arguments, and the
 three styles are combinations of that one set of integrals. The fields'
 reflection coefficients are read off the S (and, for the surface identity,
 the S') under test, never re-derived here.
@@ -35,7 +35,7 @@ from .errors import AccuracyError, ContractError, DomainError
 from .mie import radial_second_derivative
 from .modal import ModeIndex, ModeSet, conjugate_mode
 from .smatrix import SMatrix
-from .specfun import BesselKind, sph_bessel_table, sph_harm
+from .specfun import sph_hankel1_table, sph_harm
 from .wigner import QMatrix
 
 STYLES = ("symmetric", "a", "b")
@@ -211,7 +211,7 @@ def _radial_differences(betas: np.ndarray, k: float, a: float, quad: QuadratureS
     ll = degree * (degree + 1)
 
     r_t, w_t = _gauss_panels(a, quad.radius, k, quad.nodes_per_wavelength)
-    h, dh = sph_bessel_table(BesselKind.HANKEL1, lmax, k * r_t)
+    h, dh = sph_hankel1_table(lmax, k * r_t)
     f = c1 * h + c2 * np.conj(h)
     df = k * (c1 * dh + c2 * np.conj(dh))
     t_ff = np.sum(w_t * np.abs(f) ** 2 * r_t**2, axis=1)
@@ -269,16 +269,11 @@ def volume_q_matrix(s: SMatrix, a: float, quad: QuadratureSpec) -> dict:
 # ---------------------------------------------------------------------------
 @dataclass
 class SurfaceIdentityReport:
-    i1: complex
-    i2: complex
-    i3: complex
     closed_value: complex      # (I1 - I2 + I3) / 2k
     reference_value: complex   # 2R delta_pq + j sum_m S*_mq S'_mp
     algebraic_residual: float
     numeric_value: complex     # true-field surface quadrature of the same integral
     numeric_rel_error: float
-    radius: float
-    k: float
 
 
 def _dk_profile_terms(l: int, k: float, z: float, alpha, dalpha, h1, d1):
@@ -318,7 +313,7 @@ def surface_identity_check(
         raise DomainError("need kR >= 50 for the far-zone surface")
     smat, sp = s.matrix, sprime.matrix
     lmax = max(max(p.l, q.l) for p, q in pairs)
-    h, dh = sph_bessel_table(BesselKind.HANKEL1, lmax, kr)
+    h, dh = sph_hankel1_table(lmax, kr)
     sign = (-1.0) ** np.arange(1, lmax + 2)
     alpha = sign * _degree_entries(smat, modes, lmax)
     dalpha = sign * _degree_entries(sp, modes, lmax)
@@ -374,15 +369,10 @@ def surface_identity_check(
         num_err = abs(numeric - closed) / max(abs(closed), 1e-30)
 
         reports.append(SurfaceIdentityReport(
-            i1=complex(i1),
-            i2=complex(i2),
-            i3=complex(i3),
             closed_value=complex(closed),
             reference_value=complex(reference),
             algebraic_residual=float(alg_res),
             numeric_value=complex(numeric),
             numeric_rel_error=float(num_err),
-            radius=radius,
-            k=k,
         ))
     return reports

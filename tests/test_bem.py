@@ -31,7 +31,7 @@ from wsdelay.geometry import (
     mesh_geometry,
 )
 from wsdelay.mie import mie_smatrix, reflection_table
-from wsdelay.modal import ModeIndex, ModeSet, conjugate_mode, regular_wave
+from wsdelay.modal import ModeIndex, ModeSet, conjugate_mode, gamma_2d, regular_waves_batch
 from wsdelay.smatrix import DEFAULT_SMATRIX_GATE, BoundaryCondition
 from wsdelay.wigner import q_matrix, smatrix_fd_derivative, ws_decompose
 
@@ -411,9 +411,10 @@ class TestSolver:
         mesh = mesh_geometry(make_circle(a), k)
         modes = ModeSet.angular(4, k)
         values, _ = standing_mode_traces(mesh, modes, k)
-        p = modes.modes[3]
         sol = solve_exterior(mesh, SOFT, values[:, 3], k=k)
-        res = offnode_dirichlet_residual(mesh, sol, lambda pts: regular_wave(p, k, pts))
+        res = offnode_dirichlet_residual(
+            mesh, sol, lambda pts: regular_waves_batch(modes, k, pts)[:, 3]
+        )
         assert res < 1e-4
 
     def test_offnode_residual_on_cornered_boundary(self):
@@ -422,11 +423,11 @@ class TestSolver:
         modes = ModeSet.angular(8, k)
         values, _ = standing_mode_traces(mesh, modes, k)
         sol = solve_exterior(mesh, SOFT, values[:, 0], k=k)
-        p = modes.modes[0]
         # the corner layer hosts the singular part of the density; the
         # condition is checked pointwise on the smooth remainder
         res = offnode_dirichlet_residual(
-            mesh, sol, lambda pts: regular_wave(p, k, pts), exclude_corner_radius=2.0
+            mesh, sol, lambda pts: regular_waves_batch(modes, k, pts)[:, 0],
+            exclude_corner_radius=2.0,
         )
         assert res < 5e-4
 
@@ -452,9 +453,6 @@ class TestSolver:
     def test_scattered_field_matches_separation_solution(self):
         # domain evaluation cross-checked against the closed-form total field
         # of the sound-soft circle
-        from wsdelay.modal import gamma_2d
-        from wsdelay.specfun import BesselKind, cyl_bessel
-
         k, a = 1.0, 2.0
         mesh = mesh_geometry(make_circle(a), k, nodes_per_wavelength=16)
         modes = ModeSet.angular(3, k)
@@ -465,12 +463,11 @@ class TestSolver:
         ang = np.linspace(0.1, 2 * np.pi, 7)
         r_eval = 1.5 * a
         pts = r_eval * np.column_stack([np.cos(ang), np.sin(ang)])
-        total = regular_wave(p, k, pts) + scattered_field(mesh, sol, pts)
+        total = regular_waves_batch(modes, k, pts)[:, col] + scattered_field(mesh, sol, pts)
         alpha = reflection_table(2, SOFT, k, a, abs(p.n))[0][abs(p.n)]
         gam = gamma_2d(p.n, k)
         radial = gam * (
-            2.0 * cyl_bessel(BesselKind.REGULAR_J, p.n, k * r_eval)
-            + (alpha - 1.0) * cyl_bessel(BesselKind.HANKEL2, p.n, k * r_eval)
+            2.0 * sp.jv(p.n, k * r_eval) + (alpha - 1.0) * sp.hankel2(p.n, k * r_eval)
         )
         expect = radial * np.exp(1j * p.n * ang) / np.sqrt(2 * np.pi)
         assert np.max(np.abs(total - expect)) < 1e-5
@@ -480,8 +477,9 @@ class TestSolver:
     def test_scattered_field_matches_complex_hankel_kernel(self, bc):
         k = 1.0
         geom = make_strip()
-        _, sol, mesh = bem_smatrix(
-            geom, bc, k, ModeSet.angular(5, k), gate=None, return_solution=True
+        mesh = mesh_geometry(geom, k)
+        _, sol = bem_smatrix(
+            geom, bc, k, ModeSet.angular(5, k), mesh=mesh, gate=None, return_solution=True
         )
         # far points, and points just outside the band the field maps mask
         band = float(np.max(mesh.weights))
@@ -529,8 +527,9 @@ class TestFieldBoxes:
         ids=["strip", "cavity3", "circle"],
     )
     def test_matches_direct_sum(self, monkeypatch, geom, halfwidth, k, bc):
-        _, sol, mesh = bem_smatrix(
-            geom, bc, k, ModeSet.angular(3, k), gate=None, return_solution=True
+        mesh = mesh_geometry(geom, k)
+        _, sol = bem_smatrix(
+            geom, bc, k, ModeSet.angular(3, k), mesh=mesh, gate=None, return_solution=True
         )
         pts = field_test_points(geom, mesh, k, halfwidth)
         sizes = []
@@ -550,9 +549,9 @@ class TestFieldBoxes:
         # quartet at every pair
         k = 1.0
         modes = ModeSet.angular(5, k)
-        _, sol, mesh = bem_smatrix(
-            make_strip(), SOFT, k, modes, gate=None, return_solution=True
-        )
+        geom = make_strip()
+        mesh = mesh_geometry(geom, k)
+        _, sol = bem_smatrix(geom, SOFT, k, modes, mesh=mesh, gate=None, return_solution=True)
         sizes = []
         bessel = bem._bessel
         monkeypatch.setattr(bem, "_bessel", lambda z: sizes.append(np.size(z)) or bessel(z))
@@ -562,8 +561,10 @@ class TestFieldBoxes:
 
     def test_empty_and_single_point(self):
         k = 1.0
-        _, sol, mesh = bem_smatrix(
-            make_circle(2.0), SOFT, k, ModeSet.angular(2, k), gate=None, return_solution=True
+        geom = make_circle(2.0)
+        mesh = mesh_geometry(geom, k)
+        _, sol = bem_smatrix(
+            geom, SOFT, k, ModeSet.angular(2, k), mesh=mesh, gate=None, return_solution=True
         )
         assert scattered_field(mesh, sol, np.empty((0, 2))).shape == (0, 5)
         pt = np.array([7.0, -3.0])

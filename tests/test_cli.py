@@ -191,7 +191,7 @@ class TestRunScenario:
         # one table at ka per closed-form matrix, one on the Gauss nodes and
         # one at kR; the checks build no S or S' of their own
         originals = {
-            "sph_bessel_table": specfun.sph_bessel_table,
+            "sph_hankel1_table": specfun.sph_hankel1_table,
             "mie_smatrix": mie.mie_smatrix,
             "mie_smatrix_deriv": mie.mie_smatrix_deriv,
         }
@@ -211,7 +211,7 @@ class TestRunScenario:
         cfg = ScenarioConfig(scenario="sphere", bc="soft", a=2.0, mode_count=16,
                              checks=("volume-q", "appendix-b"))
         assert run_scenario(cfg, str(tmp_path / "o"))["passed"]
-        assert calls["sph_bessel_table"] <= 4
+        assert calls["sph_hankel1_table"] <= 4
         assert calls["mie_smatrix"] == 1
         assert calls["mie_smatrix_deriv"] == 1
 
@@ -394,6 +394,9 @@ class TestMainExitCodes:
             pytest.param(
                 f"scenario=custom\nmodes=17\npolyline={DATA}/polyline_bad_float.csv\n", [],
                 id="polyline-bad-float",
+            ),
+            pytest.param(
+                "scenario=cylinder\na=2\nmodes=403\n", [], id="cylinder-order-ceiling"
             ),
         ],
     )

@@ -32,9 +32,7 @@ def circle_case():
     geom = make_circle(a)
     modes = ModeSet.angular(5, k)
     mesh = mesh_geometry(geom, k)
-    s, sol, mesh = bem_smatrix(
-        geom, SOFT, k, modes, mesh=mesh, gate=None, return_solution=True
-    )
+    s, sol = bem_smatrix(geom, SOFT, k, modes, mesh=mesh, gate=None, return_solution=True)
     spec = GridSpec(-10, 10, -10, 10, nx=81, ny=81)
     cache = bem_excitation_fields(mesh, sol, modes, spec)
     return geom, modes, s, cache, spec
@@ -146,7 +144,7 @@ def delay_case(request):
     geom = make_geometry(kind, **params)
     mesh = mesh_geometry(geom, k)
     modes = ModeSet.with_count(2, m, k)
-    s, sol, _ = bem_smatrix(geom, bc, k, modes, mesh=mesh, gate=None, return_solution=True)
+    s, sol = bem_smatrix(geom, bc, k, modes, mesh=mesh, gate=None, return_solution=True)
 
     def provider(kp):
         return bem_smatrix(geom, bc, kp, ModeSet.with_count(2, m, kp), mesh=mesh, gate=None)
@@ -188,9 +186,9 @@ class TestFieldMapsExportOnly:
 class TestMetrics:
     def test_uniform_field_gives_baselines(self, circle_case):
         geom, modes, _, cache, spec = circle_case
-        regions = region_masks(geom, spec, cache.k, cache.mask)
+        regions = region_masks(geom, spec, modes.k, cache.mask)
         uniform = np.where(cache.mask, 0.0, 1.0 + 0.0j)[:, None]
-        flat = ExcitationFieldCache(fields=uniform, mask=cache.mask, k=cache.k)
+        flat = ExcitationFieldCache(fields=uniform, mask=cache.mask)
         bf, cf, _ = localization_metrics(flat, np.ones((1, 1)), regions)[:, 0]
         assert bf == pytest.approx(regions.baselines[0], rel=1e-12)
         assert cf == 0.0  # circle has no corners
@@ -198,7 +196,7 @@ class TestMetrics:
     def test_interior_box(self, circle_case):
         geom, modes, _, cache, spec = circle_case
         regions = region_masks(
-            geom, spec, cache.k, cache.mask, interior_box=(-1.0, 1.0, -1.0, 1.0)
+            geom, spec, modes.k, cache.mask, interior_box=(-1.0, 1.0, -1.0, 1.0)
         )
         # box lies inside the scatterer: nothing live there
         assert np.sum(regions.interior) == 0

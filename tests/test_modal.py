@@ -1,23 +1,78 @@
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from wsdelay.errors import ContractError, DomainError, SingularPointError
 from wsdelay.modal import (
     ModeIndex,
     ModeSet,
-    angular_factor,
     angular_mode_list,
     conjugate_mode,
     gamma_2d,
-    incoming_wave,
-    polar_coordinates,
-    regular_wave,
     regular_waves_batch,
     suggested_mode_count,
 )
 from wsdelay.specfun import sph_harm
 
 FAR_ZONE_KR_MIN = 50.0
+
+
+# ---------------------------------------------------------------------------
+# one port at a time, radial factors from scipy: references for the batched
+# and closed-form evaluators
+# ---------------------------------------------------------------------------
+def _spherical(points):
+    """(r, theta, phi) of Cartesian points; in 2D theta is the azimuth and
+    phi is None."""
+    pts = np.asarray(points, dtype=float)
+    azimuth = np.arctan2(pts[..., 1], pts[..., 0])
+    if pts.shape[-1] == 2:
+        return np.hypot(pts[..., 0], pts[..., 1]), azimuth, None
+    r = np.sqrt(np.sum(pts**2, axis=-1))
+    return r, np.arccos(np.clip(pts[..., 2] / r, -1.0, 1.0)), azimuth
+
+
+def _harmonic(m: ModeIndex, theta, phi):
+    if m.dim == 3:
+        return sph_harm(m.l, m.m, theta, phi)
+    return np.exp(1j * m.n * theta) / np.sqrt(2.0 * np.pi)
+
+
+def ref_incoming(m: ModeIndex, k: float, points):
+    """Exact incoming unit-power mode: k j^{l+1} h_l^(1)(kr) X_lm (3D),
+    gamma_n H_n^(1)(kr) X_n (2D)."""
+    r, theta, phi = _spherical(points)
+    if m.dim == 3:
+        h1 = sp.spherical_jn(m.l, k * r) + 1j * sp.spherical_yn(m.l, k * r)
+        return k * 1j ** (m.l + 1) * h1 * _harmonic(m, theta, phi)
+    return gamma_2d(m.n, k) * sp.hankel1(m.n, k * r) * _harmonic(m, theta, phi)
+
+
+def ref_outgoing(m: ModeIndex, k: float, points):
+    """Exact outgoing partial wave whose r -> infinity limit is
+    outgoing_template: k (-j)^{l+1} h_l^(2)(kr) conj(X_lm) (3D),
+    conj(gamma_n) H_n^(2)(kr) conj(X_n) (2D)."""
+    r, theta, phi = _spherical(points)
+    if m.dim == 3:
+        h2 = sp.spherical_jn(m.l, k * r) - 1j * sp.spherical_yn(m.l, k * r)
+        return k * (-1j) ** (m.l + 1) * h2 * np.conj(_harmonic(m, theta, phi))
+    return np.conj(gamma_2d(m.n, k)) * sp.hankel2(m.n, k * r) * np.conj(_harmonic(m, theta, phi))
+
+
+def ref_regular(m: ModeIndex, k: float, points):
+    """Standing excitation whose incoming content is exactly mode m, the
+    incoming wave plus its free-space outgoing response: 2 k j^{l+1} j_l(kr)
+    X_lm (3D), 2 gamma_n J_n(kr) X_n (2D). The origin is evaluated at
+    r = 1e-300, as regular_waves_batch does."""
+    r, theta, phi = _spherical(points)
+    kr = k * np.where(r == 0.0, 1e-300, r)
+    if m.dim == 3:
+        return 2.0 * k * 1j ** (m.l + 1) * sp.spherical_jn(m.l, kr) * _harmonic(m, theta, phi)
+    if abs(m.n) > 1:
+        jn = sp.jv(m.n, kr)
+    else:   # Cephes j0/j1: at the 1e-300 clamp jv is 5e-14 off
+        jn = sp.j0(kr) if m.n == 0 else m.n * sp.j1(kr)
+    return 2.0 * gamma_2d(m.n, k) * jn * _harmonic(m, theta, phi)
 
 
 def outgoing_template(m: ModeIndex, k: float, points):
@@ -27,14 +82,13 @@ def outgoing_template(m: ModeIndex, k: float, points):
     """
     if k <= 0:
         raise DomainError("wavenumber must be positive")
-    r, theta, phi = polar_coordinates(points, m.dim)
+    r, theta, phi = _spherical(points)
     if np.any(k * r < FAR_ZONE_KR_MIN):
         raise DomainError(
             f"outgoing template undefined in the near zone (need kr >= {FAR_ZONE_KR_MIN})"
         )
-    if m.dim == 3:
-        return np.conj(sph_harm(m.l, m.m, theta, phi)) * np.exp(-1j * k * r) / r
-    return np.conj(angular_factor(m, theta)) * np.exp(-1j * k * r) / np.sqrt(r)
+    decay = r if m.dim == 3 else np.sqrt(r)
+    return np.conj(_harmonic(m, theta, phi)) * np.exp(-1j * k * r) / decay
 
 
 class TestModeOrdering:
@@ -114,6 +168,9 @@ class TestConjugateMode:
 
 
 class TestIncomingWave:
+    """The reference's normalization, on which the closed-form and
+    free-space tests rely."""
+
     def test_3d_far_field_limit(self):
         p = ModeIndex.spherical(0, 0)
         r = 500.0
@@ -121,14 +178,14 @@ class TestIncomingWave:
             point = r * np.array(
                 [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
             )
-            got = incoming_wave(p, 1.0, point)
+            got = ref_incoming(p, 1.0, point)
             want = sph_harm(0, 0, theta, phi) * np.exp(1j * r) / r
             assert abs(got - want) / abs(want) < 0.002
 
     def test_2d_far_field_limit(self):
         p = ModeIndex.angular(0)
         r = 1e4
-        got = incoming_wave(p, 1.0, np.array([r, 0.0]))
+        got = ref_incoming(p, 1.0, np.array([r, 0.0]))
         want = np.exp(1j * r) / np.sqrt(2 * np.pi * r)
         assert abs(got - want) / abs(want) < 0.001
 
@@ -137,31 +194,24 @@ class TestIncomingWave:
         p = ModeIndex.spherical(1, 0)
         k, r, h = 1.0, 1e3, 1e-4
         pt = np.array([0.0, 0.0, 1.0])
-        fd = (incoming_wave(p, k, (r + h) * pt) - incoming_wave(p, k, (r - h) * pt)) / (
+        fd = (ref_incoming(p, k, (r + h) * pt) - ref_incoming(p, k, (r - h) * pt)) / (
             2 * h
         )
-        val = incoming_wave(p, k, r * pt)
+        val = ref_incoming(p, k, r * pt)
         assert abs(fd - 1j * k * val) / abs(val) < 0.01
 
-    def test_origin_is_singular(self):
-        with pytest.raises(SingularPointError):
-            incoming_wave(ModeIndex.angular(0), 1.0, np.array([0.0, 0.0]))
-
-    def test_vectorized_points(self):
-        pts = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
-        vals = incoming_wave(ModeIndex.angular(2), 1.0, pts)
-        assert vals.shape == (3,)
-        single = incoming_wave(ModeIndex.angular(2), 1.0, pts[1])
-        assert vals[1] == pytest.approx(single, rel=1e-14)
 
 
 class TestRegularWave:
     def test_regular_at_small_radius(self):
         # finite and smooth through the origin region even for high order
+        modes = ModeSet.angular(35, k=1.0)
         pts = np.array([[1e-6, 0.0], [0.0, 1e-5]])
-        vals = regular_wave(ModeIndex.angular(35), 1.0, pts)
-        assert np.all(np.isfinite(vals))
-        assert np.all(np.abs(vals) < 1e-30)
+        vals = regular_waves_batch(modes, 1.0, pts)
+        for n in (-35, 35):
+            col = vals[:, modes.position(ModeIndex.angular(n))]
+            assert np.all(np.isfinite(col))
+            assert np.all(np.abs(col) < 1e-30)
 
     def test_batch_matches_single_waves(self):
         modes = ModeSet.angular(6, k=1.3)
@@ -169,7 +219,7 @@ class TestRegularWave:
         vals = regular_waves_batch(modes, 1.3, pts)
         assert vals.shape == (4, 13)
         for col, p in enumerate(modes.modes):
-            want = regular_wave(p, 1.3, pts)
+            want = ref_regular(p, 1.3, pts)
             assert np.allclose(vals[:, col], want, rtol=1e-14, atol=0.0), p
 
     def test_gradient_against_finite_difference(self):
@@ -184,7 +234,8 @@ class TestRegularWave:
         for axis in range(2):
             e = np.zeros(2)
             e[axis] = h
-            fd = (regular_wave(p, k, pt + e) - regular_wave(p, k, pt - e)) / (2 * h)
+            plus, minus = regular_waves_batch(modes, k, np.array([pt + e, pt - e]))[:, col]
+            fd = (plus - minus) / (2 * h)
             assert abs(grad[axis, col] - fd) < 1e-7 * max(1.0, abs(fd))
 
     def test_normal_derivatives_reject_origin(self):
@@ -200,7 +251,7 @@ class TestOutgoingTemplate:
         r = 500.0
         pt = r * np.array([0.6, 0.0, 0.8])
         out = outgoing_template(m, 1.0, pt)
-        inc = incoming_wave(m, 1.0, pt)
+        inc = ref_incoming(m, 1.0, pt)
         assert abs(np.conj(out) - inc) / abs(inc) < 0.002
 
     def test_harmonic_zero(self):
@@ -244,9 +295,7 @@ class TestBasisOrthonormality2D:
 
 def test_gamma_convention():
     # gamma_n H_n^(1)(kr) -> e^{jkr}/sqrt(r)
-    from wsdelay.specfun import BesselKind, cyl_bessel
-
     k, r, n = 1.0, 2e4, 3
-    val = gamma_2d(n, k) * cyl_bessel(BesselKind.HANKEL1, n, k * r)
+    val = gamma_2d(n, k) * sp.hankel1(n, k * r)
     want = np.exp(1j * k * r) / np.sqrt(r)
     assert abs(val - want) / abs(want) < 1e-3

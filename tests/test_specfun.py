@@ -8,26 +8,12 @@ from wsdelay.errors import CapacityError, DomainError
 from wsdelay.specfun import (
     CYL_ORDER_MAX,
     SPH_DEGREE_MAX,
-    BesselKind,
-    cyl_bessel,
     cyl_hankel1_table,
     cyl_jn_table,
-    sph_bessel,
-    sph_bessel_table,
+    sph_hankel1_table,
     sph_harm,
     sph_jy_table,
 )
-
-J = BesselKind.REGULAR_J
-H1 = BesselKind.HANKEL1
-H2 = BesselKind.HANKEL2
-
-
-def sph_bessel_dx(kind, degree, x):
-    """d/dx of one spherical function of one degree, shaped like x: the last
-    derivative row of sph_bessel_table."""
-    row = sph_bessel_table(kind, degree, x)[1][-1]
-    return row[0] if np.ndim(x) == 0 else row.reshape(np.shape(x))
 
 
 def j1_series(x, terms=40):
@@ -42,50 +28,36 @@ def j1_series(x, terms=40):
 
 class TestCylBessel:
     def test_j0_at_zero_limit(self):
-        assert cyl_bessel(J, 0, 1e-8) == pytest.approx(1.0, abs=1e-12)
-
-    def test_hankel2_is_conjugate_of_hankel1(self):
-        a = cyl_bessel(H1, 4, 3.7)
-        b = cyl_bessel(H2, 4, 3.7)
-        assert b == pytest.approx(np.conj(a), rel=1e-14)
+        assert cyl_jn_table(0, 1e-8)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_j1_against_power_series(self):
         oracle = j1_series(1.0)
         assert oracle == pytest.approx(0.44005058574493355, abs=1e-15)
-        assert cyl_bessel(J, 1, 1.0) == pytest.approx(oracle, rel=1e-14)
-
-    @pytest.mark.parametrize("n", [-7, -2, -1])
-    def test_negative_order_reflection(self, n):
-        x = 2.9
-        expect = (-1.0) ** n * cyl_bessel(J, -n, x)
-        assert cyl_bessel(J, n, x) == pytest.approx(expect, rel=1e-14)
-        expect_h = (-1.0) ** n * cyl_bessel(H1, -n, x)
-        got = cyl_bessel(H1, n, x)
-        assert abs(got - expect_h) < 1e-14 * abs(expect_h)
+        assert cyl_jn_table(1, 1.0)[1, 0] == pytest.approx(oracle, rel=1e-14)
 
     def test_derivative_against_finite_difference(self):
         x, h = 4.2, 1e-6
         _, df = cyl_hankel1_table(3, x)
+        plus, minus = cyl_hankel1_table(3, x + h)[0], cyl_hankel1_table(3, x - h)[0]
         for n in (0, 3):
-            fd = (cyl_bessel(H1, n, x + h) - cyl_bessel(H1, n, x - h)) / (2 * h)
+            fd = (plus[n, 0] - minus[n, 0]) / (2 * h)
             assert df[n, 0] == pytest.approx(fd, rel=1e-8)
 
-    def test_hankel1_table_rows_are_the_single_order_functions(self):
+    def test_hankel1_table_against_scipy(self):
         x = np.array([0.3, 4.2, 60.0])
-        f, _ = cyl_hankel1_table(7, x)
-        assert f.shape == (8, 3)
+        f, df = cyl_hankel1_table(7, x)
+        assert f.shape == df.shape == (8, 3)
         for n in range(8):
-            assert np.array_equal(f[n], cyl_bessel(H1, n, x))
-        with pytest.raises(CapacityError):
-            cyl_hankel1_table(CYL_ORDER_MAX + 1, 1.0)
+            assert np.allclose(f[n], sp.hankel1(n, x), rtol=1e-14, atol=0.0)
+            assert np.allclose(df[n], sp.h1vp(n, x), rtol=1e-13, atol=0.0)
 
     def test_domain_and_capacity_errors(self):
         with pytest.raises(DomainError):
-            cyl_bessel(J, 0, 0.0)
+            cyl_hankel1_table(0, 0.0)
         with pytest.raises(DomainError):
-            cyl_bessel(J, 0, -1.0)
+            cyl_hankel1_table(0, -1.0)
         with pytest.raises(CapacityError):
-            cyl_bessel(J, 500, 1.0)
+            cyl_hankel1_table(CYL_ORDER_MAX + 1, 1.0)
 
 
 class TestCylJnTable:
@@ -116,14 +88,25 @@ class TestCylJnTable:
             cyl_jn_table(3, [np.nan])
 
 
+def sph_j(l, x):
+    """j_l at x from the table, row l."""
+    return sph_jy_table(l, x)[0][l]
+
+
+def sph_h1(l, x):
+    """h_l^(1) and its derivative at x from the table, row l."""
+    h, dh = sph_hankel1_table(l, x)
+    return h[l], dh[l]
+
+
 class TestSphBessel:
     def test_h0_closed_form(self):
         x = 2.0
         expect = -1j * np.exp(1j * x) / x
-        assert sph_bessel(H1, 0, x) == pytest.approx(expect, rel=1e-14)
+        assert sph_h1(0, x)[0][0] == pytest.approx(expect, rel=1e-14)
 
     def test_j0_closed_form(self):
-        assert sph_bessel(J, 0, 1.0) == pytest.approx(np.sin(1.0), rel=1e-14)
+        assert sph_j(0, 1.0)[0] == pytest.approx(np.sin(1.0), rel=1e-14)
 
     def test_large_argument_asymptotic(self):
         # h_l^(1)(x) ~ (-j)^(l+1) e^(jx)/x for x >> l. The next term in the
@@ -131,22 +114,22 @@ class TestSphBessel:
         # magnitude.
         l, x = 5, 40.0
         asym = (-1j) ** (l + 1) * np.exp(1j * x) / x
-        got = sph_bessel(H1, l, x)
+        got = sph_h1(l, x)[0][0]
         assert abs(abs(got) - abs(asym)) / abs(asym) < 0.01
 
     @pytest.mark.parametrize("l", [3, 7])
     def test_hankel_limit_at_extreme_argument(self, l):
         x = 1e3
-        ratio = sph_bessel(H1, l, x) * x * 1j ** (l + 1) / np.exp(1j * x)
+        ratio = sph_h1(l, x)[0][0] * x * 1j ** (l + 1) / np.exp(1j * x)
         assert abs(abs(ratio) - 1.0) < 1e-3
 
     @pytest.mark.parametrize("l", [0, 1, 2, 5, 13, 30, 50])
     @pytest.mark.parametrize("x", [0.3, 1.0, 2.5, 17.0, 60.0])
     def test_against_scipy(self, l, x):
-        assert sph_bessel(J, l, x) == pytest.approx(
+        assert sph_j(l, x)[0] == pytest.approx(
             sp.spherical_jn(l, x), rel=1e-12, abs=1e-280
         )
-        mine = sph_bessel(H1, l, x)
+        mine = sph_h1(l, x)[0][0]
         ref = sp.spherical_jn(l, x) + 1j * sp.spherical_yn(l, x)
         assert abs(mine - ref) < 1e-12 * abs(ref)
 
@@ -161,36 +144,37 @@ class TestSphBessel:
             prev, curr = j0, j1
             for m in range(1, l):
                 prev, curr = curr, (2 * m + 1) / x * curr - prev
-            assert sph_bessel(J, l, x) == pytest.approx(curr, rel=1e-10)
+            assert sph_j(l, x)[0] == pytest.approx(curr, rel=1e-10)
 
     def test_array_argument(self):
         x = np.array([1.0, 2.0, 30.0])
-        vals = sph_bessel(J, 4, x)
+        vals = sph_j(4, x)
         assert vals.shape == (3,)
         for xi, vi in zip(x, vals):
             assert vi == pytest.approx(sp.spherical_jn(4, xi), rel=1e-12)
 
 
+
 class TestSphBesselDx:
     def test_j0_derivative_closed_form(self):
+        # Re h_l^(1)' = j_l' at real arguments
         expect = np.cos(1.0) / 1.0 - np.sin(1.0) / 1.0**2
         assert expect == pytest.approx(-0.30116867893975674, abs=1e-15)
-        assert sph_bessel_dx(J, 0, 1.0) == pytest.approx(expect, rel=1e-13)
+        assert sph_h1(0, 1.0)[1][0].real == pytest.approx(expect, rel=1e-13)
 
     def test_wronskian_identity(self):
         # j_l y_l' - j_l' y_l = 1/x^2
         l, x = 3, 2.5
-        jl = sph_bessel(J, l, x)
-        yl = (sph_bessel(H1, l, x) - jl) / 1j
-        jlp = sph_bessel_dx(J, l, x)
-        ylp = (sph_bessel_dx(H1, l, x) - jlp) / 1j
+        h, dh = sph_h1(l, x)
+        jl, yl, jlp, ylp = h[0].real, h[0].imag, dh[0].real, dh[0].imag
         assert jl * ylp - jlp * yl == pytest.approx(1.0 / x**2, rel=1e-12)
 
     def test_against_central_difference(self):
         l, x, h = 2, 10.0, 1e-6
-        fd = (sph_bessel(H1, l, x + h) - sph_bessel(H1, l, x - h)) / (2 * h)
-        got = sph_bessel_dx(H1, l, x)
+        fd = (sph_h1(l, x + h)[0][0] - sph_h1(l, x - h)[0][0]) / (2 * h)
+        got = sph_h1(l, x)[1][0]
         assert abs(got - fd) / abs(fd) < 1e-7
+
 
 
 class TestSphTables:
@@ -205,37 +189,23 @@ class TestSphTables:
             assert np.allclose(y[l], sp.spherical_yn(l, self.X), rtol=1e-12, atol=0.0)
 
     def test_derivative_rows_against_scipy(self):
-        f, df = sph_bessel_table(J, 12, self.X)
-        h, dh = sph_bessel_table(H1, 12, self.X)
+        h, dh = sph_hankel1_table(12, self.X)
+        assert h.shape == dh.shape == (13, self.X.size)
         for l in range(13):
             jp = sp.spherical_jn(l, self.X, derivative=True)
             yp = sp.spherical_yn(l, self.X, derivative=True)
-            assert np.allclose(df[l], jp, rtol=0.0, atol=1e-14)
             assert np.allclose(dh[l].real, jp, rtol=0.0, atol=1e-14)
             assert np.allclose(dh[l].imag, yp, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("kind", [J, H1, H2])
-    def test_rows_are_the_single_degree_functions(self, kind):
-        # every row of one table equals the single-degree evaluation bitwise
-        x = np.linspace(60.0, 400.0, 50)
-        f, df = sph_bessel_table(kind, 9, x)
-        for l in range(10):
-            assert np.array_equal(f[l], sph_bessel(kind, l, x))
-            assert np.array_equal(df[l], sph_bessel_dx(kind, l, x))
-
-    def test_outgoing_kind_is_conjugate(self):
-        h1, dh1 = sph_bessel_table(H1, 5, self.X)
-        h2, dh2 = sph_bessel_table(H2, 5, self.X)
-        assert np.array_equal(h2, np.conj(h1))
-        assert np.array_equal(dh2, np.conj(dh1))
-
     def test_degree_bounds(self):
         with pytest.raises(DomainError):
-            sph_bessel(J, -1, 1.0)
+            sph_jy_table(-1, 1.0)
         with pytest.raises(CapacityError):
-            sph_bessel_dx(H1, SPH_DEGREE_MAX + 1, 1.0)
+            sph_hankel1_table(SPH_DEGREE_MAX + 1, 1.0)
         with pytest.raises(DomainError):
             sph_jy_table(3, [1.0, np.nan])
+        with pytest.raises(DomainError):
+            sph_hankel1_table(3, 0.0)
 
 
 class TestSphHarm:

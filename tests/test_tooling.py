@@ -1,8 +1,9 @@
 """Checks on the source that no run would show. The benchmark's tracer wraps
 wsdelay functions by name; a renamed or re-signed layer function would
 otherwise break only the traced benchmark run, and silently. The 2D
-kernels' Bessel functions have one call site. And importing the package
-loads no scipy subpackage beyond the two it uses."""
+kernels' Bessel functions have one call site. Importing the package
+loads no scipy subpackage beyond the two it uses. And every public function
+or class has a reader outside the tests."""
 
 import ast
 import importlib
@@ -74,3 +75,47 @@ def test_bessel_quartet_has_one_site():
     with open(BEM) as fh:
         visit(ast.parse(fh.read()), None)
     assert sorted(sites) == sorted(("_bessel", name) for name in QUARTET)
+
+
+def _names_used(tree, strings):
+    """Names a module's code reads (identifiers and attributes), each
+    top-level definition's own name excluded from its body; with strings
+    also every string constant, since the tracer binds by name."""
+    used = set()
+    for top in tree.body:
+        names = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(top.name)
+        used |= names
+    return used
+
+
+def test_every_public_definition_is_used():
+    """Every public top-level function and class in the package is read by
+    package code or by perfbench/, outside its own definition. The package's
+    re-exports and the tests do not count: a function only they reach is
+    surface the pipeline does not run."""
+    package = os.path.join(SRC, "wsdelay")
+    perfbench = os.path.dirname(TRACING)
+    defined, used = {}, set()
+    for folder, strings in ((package, False), (perfbench, True)):
+        for name in sorted(os.listdir(folder)):
+            if not name.endswith(".py") or name == "__init__.py":
+                continue
+            with open(os.path.join(folder, name)) as fh:
+                tree = ast.parse(fh.read())
+            used |= _names_used(tree, strings)
+            if folder == package:
+                for node in tree.body:
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                            and not node.name.startswith("_"):
+                        defined[node.name] = name
+    unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+    assert not unused, unused

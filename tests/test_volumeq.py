@@ -8,7 +8,7 @@ from wsdelay.errors import ContractError, DomainError
 from wsdelay.mie import mie_smatrix, mie_smatrix_deriv
 from wsdelay.modal import ModeIndex, ModeSet, conjugate_mode
 from wsdelay.smatrix import BoundaryCondition
-from wsdelay.specfun import BesselKind, sph_bessel_table, sph_jy_table
+from wsdelay.specfun import sph_hankel1_table, sph_jy_table
 from wsdelay.volumeq import (
     QuadratureSpec,
     STYLES,
@@ -25,7 +25,6 @@ from wsdelay.wigner import QMatrix, q_matrix
 
 SOFT = BoundaryCondition.SOUND_SOFT
 HARD = BoundaryCondition.SOUND_HARD
-H1 = BesselKind.HANKEL1
 
 P00 = ModeIndex.spherical(0, 0)
 
@@ -230,7 +229,7 @@ class TestRadialProfile:
         modes = ModeSet.spherical(4, k)
         beta = _degree_entries(mie_smatrix(3, bc, k, a, modes).matrix, modes, 4)[l]
         alpha = (-1.0) ** (l + 1) * beta
-        h, dh = sph_bessel_table(H1, l, k * a)
+        h, dh = sph_hankel1_table(l, k * a)
         f = h if bc is SOFT else dh                 # field or its radial derivative
         value = f[l, 0] + alpha * np.conj(f[l, 0])
         assert abs(value) / abs(f[l, 0]) < 1e-10
