@@ -9,6 +9,7 @@ from wsdelay.modal import (
     angular_mode_list,
     conjugate_mode,
     gamma_2d,
+    polar_coordinates,
     regular_waves_batch,
     suggested_mode_count,
 )
@@ -200,6 +201,24 @@ class TestIncomingWave:
         val = ref_incoming(p, k, r * pt)
         assert abs(fd - 1j * k * val) / abs(val) < 0.01
 
+
+class TestPolarCoordinates:
+    def test_origin_is_singular(self):
+        pts = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(SingularPointError):
+            polar_coordinates(pts)
+        r, theta = polar_coordinates(pts, allow_origin=True)
+        assert r.tolist() == [1.0, 1e-300]
+        assert theta.tolist() == [0.0, 0.0]
+
+    def test_vectorized_points(self):
+        pts = np.array([[1.0, 2.0], [3.0, -1.0], [-0.5, 0.5]])
+        r, theta = polar_coordinates(pts)
+        assert r.shape == theta.shape == (3,)
+        for i, pt in enumerate(pts):
+            assert polar_coordinates(pt) == (r[i], theta[i])
+        with pytest.raises(ContractError):
+            polar_coordinates(np.array([1.0, 2.0, 3.0]))
 
 
 class TestRegularWave:

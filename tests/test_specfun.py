@@ -43,6 +43,33 @@ class TestCylBessel:
             fd = (plus[n, 0] - minus[n, 0]) / (2 * h)
             assert df[n, 0] == pytest.approx(fd, rel=1e-8)
 
+    def test_hankel2_is_conjugate_of_hankel1(self):
+        # the solvers take H^(2) and its derivative as the conjugate table
+        x = np.array([0.3, 3.7, 60.0])
+        f, df = cyl_hankel1_table(4, x)
+        for n in range(5):
+            assert np.allclose(np.conj(f[n]), sp.hankel2(n, x), rtol=1e-14, atol=0.0)
+            assert np.allclose(np.conj(df[n]), sp.h2vp(n, x), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", [-7, -2, -1])
+    def test_negative_order_reflection(self, n):
+        # negative orders are read from row |n| as f_n = (-1)^n f_|n|
+        x = np.array([0.4, 2.9, 35.0])
+        sign = (-1.0) ** n
+        jn = sign * cyl_jn_table(-n, x)[-n]
+        assert np.allclose(jn, sp.jv(n, x), rtol=1e-13, atol=1e-300)
+        h1 = sign * cyl_hankel1_table(-n, x)[0][-n]
+        assert np.allclose(h1, sp.hankel1(n, x), rtol=1e-14, atol=0.0)
+
+    def test_hankel1_table_rows_are_the_single_order_functions(self):
+        # a row does not depend on how many orders the table holds
+        x = np.array([0.3, 4.2, 60.0])
+        f, df = cyl_hankel1_table(7, x)
+        for n in range(8):
+            fn, dfn = cyl_hankel1_table(n, x)
+            assert np.array_equal(f[n], fn[n])
+            assert np.array_equal(df[n], dfn[n])
+
     def test_hankel1_table_against_scipy(self):
         x = np.array([0.3, 4.2, 60.0])
         f, df = cyl_hankel1_table(7, x)
@@ -154,7 +181,6 @@ class TestSphBessel:
             assert vi == pytest.approx(sp.spherical_jn(4, xi), rel=1e-12)
 
 
-
 class TestSphBesselDx:
     def test_j0_derivative_closed_form(self):
         # Re h_l^(1)' = j_l' at real arguments
@@ -176,7 +202,6 @@ class TestSphBesselDx:
         assert abs(got - fd) / abs(fd) < 1e-7
 
 
-
 class TestSphTables:
     X = np.concatenate([np.geomspace(0.05, 2.0, 40), np.linspace(2.0, 400.0, 200)])
 
@@ -196,6 +221,32 @@ class TestSphTables:
             yp = sp.spherical_yn(l, self.X, derivative=True)
             assert np.allclose(dh[l].real, jp, rtol=0.0, atol=1e-14)
             assert np.allclose(dh[l].imag, yp, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["j", "y", "h1"])
+    def test_rows_are_the_single_degree_functions(self, kind):
+        # where x exceeds the degree the recurrences start at the same row,
+        # so every row of one table equals the smaller table's last row bitwise
+        x = np.linspace(60.0, 400.0, 50)
+
+        def table(l):
+            if kind == "h1":
+                return sph_hankel1_table(l, x)
+            return (sph_jy_table(l, x)[0 if kind == "j" else 1],)
+
+        full = table(9)
+        for l in range(10):
+            for got, want in zip(full, table(l)):
+                assert np.array_equal(got[l], want[l])
+
+    def test_outgoing_kind_is_conjugate(self):
+        # h^(2) = j - jy and its derivative, as the solvers take them
+        h, dh = sph_hankel1_table(5, self.X)
+        for l in range(6):
+            jn, yn = sp.spherical_jn(l, self.X), sp.spherical_yn(l, self.X)
+            jp = sp.spherical_jn(l, self.X, derivative=True)
+            yp = sp.spherical_yn(l, self.X, derivative=True)
+            assert np.allclose(np.conj(h[l]), jn - 1j * yn, rtol=1e-12, atol=0.0)
+            assert np.allclose(np.conj(dh[l]), jp - 1j * yp, rtol=1e-12, atol=0.0)
 
     def test_degree_bounds(self):
         with pytest.raises(DomainError):
