@@ -262,8 +262,10 @@ def _rep_kernel(bc, k, rho, rdotn):
     return -im, re
 
 
-# field points are binned into square boxes of about this side, in wavelengths
+# field points are binned into square boxes of about this side, in wavelengths;
+# a box's direct sum runs in row chunks of about _PAIR_BLOCK point-node pairs
 _BOX_WAVELENGTHS = 1.4
+_PAIR_BLOCK = 1 << 16
 
 
 def _graf_order(kr_box: float, rho: float) -> int:
@@ -339,13 +341,16 @@ def scattered_field(
     w, nodes, normals = mesh.weights, mesh.nodes, mesh.normals
     out = np.empty((len(pts), dens.shape[1]), dtype=complex)
 
-    def direct(rows, cols):
-        dx, dy = (pts[rows, c, None] - nodes[cols, c] for c in (0, 1))
-        rho = np.maximum(np.sqrt(dx * dx + dy * dy), 1e-14)
-        kern_re, kern_im = _rep_kernel(bc, k, rho, dx * normals[cols, 0] + dy * normals[cols, 1])
-        kern = np.empty(rho.shape, dtype=complex)
-        kern.real, kern.imag = kern_re * w[cols], kern_im * w[cols]
-        return kern @ dens[cols]
+    def direct(rows, cols):   # out[rows], in chunks of about _PAIR_BLOCK pairs
+        y, n, wy, psi = nodes[cols], normals[cols], w[cols], dens[cols]
+        step = max(_PAIR_BLOCK // max(len(y), 1), 1)
+        for part in np.split(rows, range(step, len(rows), step)):
+            dx, dy = (pts[part, c, None] - y[:, c] for c in (0, 1))
+            rho = np.maximum(np.sqrt(dx * dx + dy * dy), 1e-14)
+            kern_re, kern_im = _rep_kernel(bc, k, rho, dx * n[:, 0] + dy * n[:, 1])
+            kern = np.empty(rho.shape, dtype=complex)
+            kern.real, kern.imag = kern_re * wy, kern_im * wy
+            out[part] = kern @ psi
 
     if not len(pts):
         return out if solution.density.ndim == 2 else out[:, 0]
@@ -359,7 +364,7 @@ def scattered_field(
         far = dist >= 2.0 * r_box
         order = _graf_order(k * r_box, r_box / np.min(dist[far])) if np.any(far) else 0
         far &= len(rows) > 2 * order
-        out[rows] = direct(rows, ~far)
+        direct(rows, ~far)
         if np.any(far):
             t = _graf_sources(bc, k, offset[far], dist[far], normals[far], order)
             pos = _powers(spin[rows], order) * jn[: order + 1, rows]

@@ -37,7 +37,6 @@ from .fields import (
     classify_modes,
     group_counts,
     localization_metrics,
-    mode_field_matrix,
     modal_excitation_fields,
     region_masks,
 )
@@ -231,23 +230,24 @@ def _field_maps(cfg, st, s, solution, dec):
     """Classify the delay eigenmodes from their energy fractions.
 
     Returns (classification, baselines, [(index, FieldGrid)] of the exported
-    modes); only the exported modes get point values, and the excitation
-    cache dies on return.
+    modes); one pass over the grid gives the region Grams and the exported
+    modes' values, and no other point values.
     """
     if st.grid is None:
         return None, None, []
-    if solution is None:
-        cache = modal_excitation_fields(s, st.geometry, st.grid)
-    else:
-        cache = bem_excitation_fields(st.mesh, solution, st.modes, st.grid)
     interior = CAVITY_INTERIOR_BOX if cfg.scenario == "cavity" else None
-    regions = region_masks(st.geometry, st.grid, cfg.k, cache.mask, interior_box=interior)
-    fractions = localization_metrics(cache, dec.w, regions)
+    regions = region_masks(st.geometry, st.grid, cfg.k, st.mesh, interior_box=interior)
+    export = dec.w[:, [i - 1 for i in cfg.export_modes]]
+    if solution is None:
+        grams, values = modal_excitation_fields(s, st.grid, regions, export)
+    else:
+        grams, values = bem_excitation_fields(
+            st.mesh, solution, st.modes, st.grid, regions, export)
+    fractions = localization_metrics(grams, dec.w)
     thresholds = ClassificationThresholds(tau_ballistic=2.0 * st.circumradius)
     classification = classify_modes(dec.delays, fractions, regions.baselines, thresholds)
-    values = mode_field_matrix(cache, dec.w[:, [i - 1 for i in cfg.export_modes]])
     exports = [
-        (i, FieldGrid(spec=st.grid, values=values[:, j], mask=cache.mask))
+        (i, FieldGrid(spec=st.grid, values=values[:, j], mask=~regions.live))
         for j, i in enumerate(cfg.export_modes)
     ]
     return classification, regions.baselines, exports

@@ -1,14 +1,15 @@
 """Total-field maps for delay eigenmodes and their phenomenological labels.
 
-Total fields of the M standing excitations are cached on a Cartesian grid;
-by linearity the field of a delay eigenmode w is F w, the w-weighted
-combination of those columns. Localization metrics (energy fractions near
-the boundary, at corners and inside a cavity void) quantify what the
-eigenmode illuminates. Each region's energy is the quadratic form
+By linearity the field of a delay eigenmode w is F w, F the total fields of
+the M standing excitations on a Cartesian grid. Localization metrics (energy
+fractions near the boundary, at corners and inside a cavity void) quantify
+what the eigenmode illuminates. Each region's energy is the quadratic form
 w^H G_r w of the Gram matrix G_r = F_r^H F_r over the region's rows, so the
-metrics need no point values of any mode; only the exported modes get
-them. A threshold cascade sorts the modes into the observed
-families: corner diffraction, beam-like ballistic reflection,
+metrics need no point values of any mode. F is never held whole: one pass
+over the live grid, in bands of rows at most one Graf box high, adds each
+band's rows of F to the region Grams and to the exported modes' values and
+drops them. A threshold cascade sorts the modes into the observed families:
+corner diffraction, beam-like ballistic reflection,
 boundary-guided surface waves, non-propagating (caustic radius beyond the
 scatterer) and trapped cavity modes.
 """
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
-from .bem import BoundarySolution, scattered_field
+from .bem import _BOX_WAVELENGTHS, BoundarySolution, scattered_field
 from .errors import ContractError, DomainError
 from .geometry import BoundaryMesh, Geometry
 from .mie import free_space_smatrix
@@ -63,88 +65,6 @@ class FieldGrid:
 
 
 @dataclass
-class ExcitationFieldCache:
-    """Total fields of every port excitation at the grid points."""
-
-    fields: np.ndarray          # (n_points, M) complex, 0 where masked
-    mask: np.ndarray            # (n_points,) True where not evaluated
-
-
-def _grid_mask(geometry: Geometry, pts: np.ndarray, band: float) -> np.ndarray:
-    inside = geometry.contains(pts)
-    if band > 0.0:
-        near = geometry.distance_to_boundary(pts) < band
-        return inside | near
-    return inside
-
-
-def bem_excitation_fields(
-    mesh: BoundaryMesh,
-    solution: BoundarySolution,
-    modes: ModeSet,
-    spec: GridSpec,
-) -> ExcitationFieldCache:
-    """Cache total fields (incident + scattered) of all excitations.
-
-    Points inside the scatterer or within one panel length of the boundary
-    are masked: the plain quadrature of the representation integral is not
-    trustworthy in that band.
-    """
-    if solution.density.ndim != 2 or solution.density.shape[1] != len(modes):
-        raise ContractError("need one boundary solution per mode")
-    pts = spec.points()
-    band = float(np.max(mesh.weights))
-    mask = _grid_mask(mesh.geometry, pts, band)
-    live = ~mask
-    block = scattered_field(mesh, solution, pts[live])
-    block += regular_waves_batch(modes, solution.k, pts[live])
-    fields = np.zeros((len(pts), len(modes)), dtype=complex)
-    fields[live] = block
-    return ExcitationFieldCache(fields=fields, mask=mask)
-
-
-def modal_excitation_fields(
-    s: SMatrix, geometry: Geometry, spec: GridSpec
-) -> ExcitationFieldCache:
-    """Excitation fields from a centered-scatterer S matrix (2D).
-
-    Valid wherever the outgoing partial-wave expansion converges, i.e.
-    outside the circumscribing circle; the mask removes interior points, so
-    this serves the circular-cylinder scenarios. Every port's outgoing wave
-    conj(gamma_n) H^(2)_n(kr) e^{-jn theta}/sqrt(2 pi) comes from one H^(1)
-    table, with H^(2) = conj H^(1) at real arguments and H_{-n} = (-1)^n H_n.
-    """
-    if s.modes.dim != 2:
-        raise ContractError("modal field evaluation is 2D")
-    pts = spec.points()
-    lam = 2.0 * np.pi / s.k
-    mask = _grid_mask(geometry, pts, 0.02 * lam)
-    live = ~mask
-    delta = s.matrix - free_space_smatrix(s.modes).matrix
-    r, theta = polar_coordinates(pts[live])
-    orders = np.array([m.n for m in s.modes.modes])
-    h1 = cyl_hankel1_table(int(np.max(np.abs(orders))), s.k * r)[0]
-    scale = [np.conj(gamma_2d(n, s.k)) * (-1.0) ** min(n, 0) for n in orders]
-    outgoing = np.conj(h1[np.abs(orders)]).T * scale
-    outgoing *= np.exp(-1j * np.outer(theta, orders)) / np.sqrt(2.0 * np.pi)
-    block = outgoing @ delta
-    block += regular_waves_batch(s.modes, s.k, pts[live])
-    fields = np.zeros((len(pts), len(s.modes)), dtype=complex)
-    fields[live] = block
-    return ExcitationFieldCache(fields=fields, mask=mask)
-
-
-def mode_field_matrix(cache: ExcitationFieldCache, w: np.ndarray) -> np.ndarray:
-    """Fields of the delay eigenmodes in W's columns: cache.fields @ W."""
-    out = cache.fields @ w
-    out[cache.mask, :] = 0.0
-    return out
-
-
-# ---------------------------------------------------------------------------
-# localization metrics and classification
-# ---------------------------------------------------------------------------
-@dataclass
 class RegionMasks:
     boundary: np.ndarray
     corner: np.ndarray
@@ -162,60 +82,133 @@ class RegionMasks:
 
 
 def region_masks(
-    geometry: Geometry, spec: GridSpec, k: float, mask: np.ndarray,
+    geometry: Geometry, spec: GridSpec, k: float, mesh: Optional[BoundaryMesh] = None,
     interior_box: Optional[tuple] = None,
 ) -> RegionMasks:
-    """Index masks for the metric regions, all within the live grid."""
+    """The live grid points and the metric regions within them.
+
+    Points inside the scatterer are dead, and so are those within one panel
+    length of mesh's boundary, where the plain quadrature of the
+    representation integral is not trustworthy; without a mesh (the modal
+    fields, exact off the scatterer) the band is 0.02 wavelengths.
+    """
     pts = spec.points()
     lam = 2.0 * np.pi / k
-    live = ~mask
+    band = 0.02 * lam if mesh is None else float(np.max(mesh.weights))
     dist = geometry.distance_to_boundary(pts)
+    live = ~geometry.contains(pts) & (dist >= band)
     boundary = live & (dist <= lam)
+    corner = interior = np.zeros(len(pts), dtype=bool)
     if geometry.corners:
-        corners = np.asarray(geometry.corners, dtype=float)
-        dcorner = np.min(
-            np.hypot(
-                pts[:, None, 0] - corners[None, :, 0],
-                pts[:, None, 1] - corners[None, :, 1],
-            ),
-            axis=1,
-        )
+        c = np.asarray(geometry.corners, dtype=float)
+        dcorner = np.min(np.hypot(pts[:, None, 0] - c[:, 0], pts[:, None, 1] - c[:, 1]), axis=1)
         corner = live & (dcorner <= lam)
-    else:
-        corner = np.zeros(len(pts), dtype=bool)
     if interior_box is not None:
         x0, x1, y0, y1 = interior_box
-        interior = (
-            live
-            & (pts[:, 0] >= x0)
-            & (pts[:, 0] <= x1)
-            & (pts[:, 1] >= y0)
-            & (pts[:, 1] <= y1)
-        )
-    else:
-        interior = np.zeros(len(pts), dtype=bool)
+        x, y = pts[:, 0], pts[:, 1]
+        interior = live & (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
     return RegionMasks(boundary=boundary, corner=corner, interior=interior, live=live)
 
 
-def localization_metrics(
-    cache: ExcitationFieldCache, w: np.ndarray, regions: RegionMasks
-) -> np.ndarray:
+def mode_field_matrix(fields: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Fields of the delay eigenmodes in W's columns at a block's points,
+    from that block's excitation fields: fields @ W."""
+    return fields @ w
+
+
+def _stream(spec, regions, export, fields_at, k):
+    """One pass over the live grid points in bands of rows at most one Graf
+    box high, which scattered_field bins into one row of whole boxes.
+
+    fields_at(points) gives a band's (points, M) excitation fields F_b. Each
+    region's rows of F_b add F_b^H F_b to its Gram matrix by a Hermitian
+    rank-k update, which reads F_b in place (the live rows are all of it),
+    and F_b W[:, export] fills the exported modes' rows; then F_b goes.
+    Returns the (4, M, M) Grams of the live, boundary, corner and interior
+    points and the (points, exports) values, 0 at dead points.
+    """
+    pts = spec.points()
+    dy = (spec.ymax - spec.ymin) / (spec.ny - 1)
+    step = spec.nx * (int(_BOX_WAVELENGTHS * 2.0 * np.pi / k / dy) + 1)
+    grams = np.zeros((4, len(export), len(export)), dtype=complex)
+    values = np.zeros((len(pts), export.shape[1]), dtype=complex)
+    sets = (regions.live, regions.boundary, regions.corner, regions.interior)
+    for start in range(0, len(pts), step):
+        rows = start + np.flatnonzero(regions.live[start:start + step])
+        if not len(rows):
+            continue
+        f = fields_at(pts[rows])
+        for r, region in enumerate(sets):
+            part = region[rows]
+            if np.any(part):
+                grams[r] = zherk(1.0, f if np.all(part) else f[part], 1.0, grams[r], trans=2)
+        values[rows] = mode_field_matrix(f, export)
+        del f   # before the next band is made, not after
+    return np.triu(grams) + np.triu(grams, 1).conj().swapaxes(1, 2), values
+
+
+def bem_excitation_fields(mesh: BoundaryMesh, solution: BoundarySolution, modes: ModeSet,
+                          spec: GridSpec, regions: RegionMasks, export: np.ndarray):
+    """Region Grams and exported mode values (see _stream) of the total
+    fields, incident plus scattered, of all excitations; regions come from
+    region_masks with this mesh.
+    """
+    if solution.density.ndim != 2 or solution.density.shape[1] != len(modes):
+        raise ContractError("need one boundary solution per mode")
+
+    def fields_at(pts):
+        f = regular_waves_batch(modes, solution.k, pts)
+        f += scattered_field(mesh, solution, pts)
+        return f
+
+    return _stream(spec, regions, export, fields_at, solution.k)
+
+
+def modal_excitation_fields(s: SMatrix, spec: GridSpec, regions: RegionMasks, export):
+    """Region Grams and exported mode values (see _stream) of the excitation
+    fields of a centered-scatterer S matrix (2D).
+
+    Valid wherever the outgoing partial-wave expansion converges, i.e.
+    outside the circumscribing circle; region_masks without a mesh removes
+    interior points, so this serves the circular-cylinder scenarios. Every
+    port's outgoing wave conj(gamma_n) H^(2)_n(kr) e^{-jn theta}/sqrt(2 pi)
+    comes from one H^(1) table, with H^(2) = conj H^(1) at real arguments and
+    H_{-n} = (-1)^n H_n.
+    """
+    if s.modes.dim != 2:
+        raise ContractError("modal field evaluation is 2D")
+    delta = s.matrix - free_space_smatrix(s.modes).matrix
+    orders = np.array([m.n for m in s.modes.modes])
+    scale = [np.conj(gamma_2d(n, s.k)) * (-1.0) ** min(n, 0) for n in orders]
+
+    def fields_at(pts):
+        r, theta = polar_coordinates(pts)
+        h1 = cyl_hankel1_table(int(np.max(np.abs(orders))), s.k * r)[0]
+        outgoing = np.conj(h1[np.abs(orders)]).T * scale
+        outgoing *= np.exp(-1j * np.outer(theta, orders)) / np.sqrt(2.0 * np.pi)
+        f = regular_waves_batch(s.modes, s.k, pts)
+        f += outgoing @ delta
+        return f
+
+    return _stream(spec, regions, export, fields_at, s.k)
+
+
+# ---------------------------------------------------------------------------
+# localization metrics and classification
+# ---------------------------------------------------------------------------
+def localization_metrics(grams: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Energy fractions (boundary, corner, interior) of W's columns, (3, M).
 
-    A region's energy is Re diag(W^H G_r W), with G_r = F_r^H F_r over the
-    region's rows of cache.fields; the total takes every row, since masked
-    rows hold 0. An empty region gives exact zeros. A uniform field returns
-    each region's area fraction (the baseline), so fraction/baseline
-    measures concentration.
+    grams holds the live, boundary, corner and interior Gram matrices
+    G_r = F_r^H F_r of the excitation fields; a region's energy is
+    Re diag(W^H G_r W), the total the live one. An empty region gives exact
+    zeros. A uniform field returns each region's area fraction (the
+    baseline), so fraction/baseline measures concentration.
     """
-
-    def energy(f):
-        return np.sum(w.conj() * ((f.conj().T @ f) @ w), axis=0).real
-
-    total = energy(cache.fields)
+    energy = np.sum(w.conj() * (grams @ w), axis=1).real
+    total = energy[0]
     total[total == 0.0] = 1.0
-    rows = (regions.boundary, regions.corner, regions.interior)
-    return np.array([energy(cache.fields[r]) for r in rows]) / total
+    return energy[1:] / total
 
 
 @dataclass(frozen=True)

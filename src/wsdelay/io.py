@@ -132,8 +132,10 @@ class ScenarioConfig:
                     raise ConfigError("3D mode count must be a perfect square")
             elif self.mode_count % 2 == 0:
                 raise ConfigError("2D mode count must be odd")
-        if self.delta_k is not None and not 0 < self.delta_k < np.inf:
-            raise ConfigError("delta_k must be positive and finite")
+        if self.delta_k is not None and not 0 < self.delta_k < self.k:
+            raise ConfigError("delta_k must be positive and below k")
+        if not 6 <= self.nodes_per_wavelength < np.inf:
+            raise ConfigError("nodes_per_wavelength must be finite and at least 6")
         if self.grid_nx < 2 or self.grid_ny < 2:
             raise ConfigError("grid_nx and grid_ny must be at least 2")
         if not 0 < self.smatrix_gate < np.inf:

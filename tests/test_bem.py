@@ -20,7 +20,7 @@ from wsdelay.bem import (
     standing_mode_traces,
 )
 from wsdelay.errors import ContractError, DomainError, GeometryError, QualityGateError
-from wsdelay.fields import GridSpec, bem_excitation_fields
+from wsdelay.fields import GridSpec, bem_excitation_fields, region_masks
 from wsdelay.geometry import (
     kress_w,
     make_cavity,
@@ -556,8 +556,25 @@ class TestFieldBoxes:
         bessel = bem._bessel
         monkeypatch.setattr(bem, "_bessel", lambda z: sizes.append(np.size(z)) or bessel(z))
         spec = GridSpec(-40.0, 40.0, -40.0, 40.0, 101, 101)
-        cache = bem_excitation_fields(mesh, sol, modes, spec)
-        assert sum(sizes) <= 0.25 * np.sum(~cache.mask) * mesh.n_nodes
+        regions = region_masks(geom, spec, k, mesh)
+        bem_excitation_fields(mesh, sol, modes, spec, regions, np.empty((len(modes), 0)))
+        assert sum(sizes) <= 0.25 * np.sum(regions.live) * mesh.n_nodes
+
+    @pytest.mark.parametrize("bc", [SOFT, HARD])
+    def test_direct_sum_chunks_match_reference(self, monkeypatch, bc):
+        # chunks of about 7 rows: many per box, and boxes whose direct rows
+        # end in a partial chunk
+        k, geom = 1.0, make_cavity(3.0)
+        mesh = mesh_geometry(geom, k)
+        _, sol = bem_smatrix(
+            geom, bc, k, ModeSet.angular(3, k), mesh=mesh, gate=None, return_solution=True
+        )
+        pts = field_test_points(geom, mesh, k, 25.0)
+        monkeypatch.setattr(bem, "_PAIR_BLOCK", 7 * mesh.n_nodes + 3)
+        got = scattered_field(mesh, sol, pts)
+        want = np.vstack([complex_hankel_field(mesh, sol, pts[i:i + 512])
+                          for i in range(0, len(pts), 512)])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_empty_and_single_point(self):
         k = 1.0

@@ -109,10 +109,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="custom").validate()
 
-    @pytest.mark.parametrize("dk", [float("nan"), 0.0, -1e-4])
+    @pytest.mark.parametrize("dk", [float("nan"), 0.0, -1e-4, 1.0, 1.5, float("inf")])
     def test_bad_delta_k_rejected(self, dk):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="delta_k"):
             ScenarioConfig(scenario="strip", delta_k=dk).validate()
+
+    @pytest.mark.parametrize("npw", [float("nan"), float("inf"), 0.0, -1.0, 3.0])
+    def test_bad_nodes_per_wavelength_rejected(self, npw):
+        with pytest.raises(ConfigError, match="nodes_per_wavelength"):
+            ScenarioConfig(scenario="strip", nodes_per_wavelength=npw).validate()
 
     def test_checks_are_sphere_only(self, tmp_path):
         p = write(tmp_path / "s.cfg", "scenario=sphere\nmodes=4\nchecks=volume-q\n")
@@ -348,6 +353,9 @@ class TestMainExitCodes:
                 "scenario=strip\nmodes=11\nnodes_per_wavelength=nan\n", [], id="npw-nan"
             ),
             pytest.param(
+                "scenario=strip\nmodes=11\nnodes_per_wavelength=inf\n", [], id="npw-inf"
+            ),
+            pytest.param(
                 "scenario=cylinder\na=2\nmodes=9\ngrading_exponent=4\n", [],
                 id="grading-gone",
             ),
@@ -355,6 +363,10 @@ class TestMainExitCodes:
                 "scenario=cylinder\na=2\nmodes=9\nk=1\nk=2\n", [], id="duplicate-key"
             ),
             pytest.param("scenario=strip\nmodes=11\ndelta_k=nan\n", [], id="dk-nan"),
+            pytest.param("scenario=strip\nmodes=11\ndelta_k=1.0\n", [], id="dk-equals-k"),
+            pytest.param(
+                "scenario=cylinder\na=2\nmodes=9\ndelta_k=1.5\n", [], id="dk-above-k"
+            ),
             pytest.param(
                 "scenario=cylinder\na=2\nmodes=9\nsmatrix_gate=nan\n", [], id="gate-nan"
             ),

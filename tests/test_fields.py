@@ -1,12 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from wsdelay import cli
-from wsdelay.bem import bem_smatrix
+from wsdelay import cli, fields
+from wsdelay.bem import bem_smatrix, scattered_field
 from wsdelay.errors import DomainError
 from wsdelay.fields import (
     ClassificationThresholds,
-    ExcitationFieldCache,
     GridSpec,
     bem_excitation_fields,
     classify_modes,
@@ -16,14 +17,43 @@ from wsdelay.fields import (
     modal_excitation_fields,
     region_masks,
 )
-from wsdelay.geometry import CAVITY_INTERIOR_BOX, make_circle, make_geometry, mesh_geometry
+from wsdelay.geometry import (
+    CAVITY_INTERIOR_BOX,
+    make_circle,
+    make_geometry,
+    make_strip,
+    mesh_geometry,
+)
 from wsdelay.io import ScenarioConfig
-from wsdelay.modal import ModeSet
+from wsdelay.mie import free_space_smatrix, mie_smatrix, mie_smatrix_deriv
+from wsdelay.modal import ModeSet, regular_waves_batch
 from wsdelay.smatrix import BoundaryCondition
 from wsdelay.wigner import q_matrix, smatrix_fd_derivative, ws_decompose
+from test_modal import ref_outgoing
 
 SOFT = BoundaryCondition.SOUND_SOFT
 HARD = BoundaryCondition.SOUND_HARD
+
+
+def whole_bem_fields(mesh, sol, modes, spec, live):
+    """The full-matrix reference: every excitation's total field at every
+    grid point, built whole by one scattered_field call, 0 at dead points."""
+    pts = spec.points()
+    out = np.zeros((len(pts), len(modes)), dtype=complex)
+    out[live] = scattered_field(mesh, sol, pts[live]) + regular_waves_batch(modes, sol.k, pts[live])
+    return out
+
+
+def whole_modal_fields(s, spec, live):
+    """The same from the partial waves, one scipy Hankel call per port."""
+    pts = spec.points()[live]
+    delta = s.matrix - free_space_smatrix(s.modes).matrix
+    want = regular_waves_batch(s.modes, s.k, pts)
+    for row, q in enumerate(s.modes.modes):
+        want += ref_outgoing(q, s.k, pts)[:, None] * delta[row]
+    out = np.zeros((len(live), len(s.modes)), dtype=complex)
+    out[live] = want
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +64,12 @@ def circle_case():
     mesh = mesh_geometry(geom, k)
     s, sol = bem_smatrix(geom, SOFT, k, modes, mesh=mesh, gate=None, return_solution=True)
     spec = GridSpec(-10, 10, -10, 10, nx=81, ny=81)
-    cache = bem_excitation_fields(mesh, sol, modes, spec)
-    return geom, modes, s, cache, spec
+    regions = region_masks(geom, spec, k, mesh)
+
+    def export(w):
+        return bem_excitation_fields(mesh, sol, modes, spec, regions, w)[1]
+
+    return geom, modes, s, spec, regions, whole_bem_fields(mesh, sol, modes, spec, regions.live), export
 
 
 class TestGridSpec:
@@ -54,47 +88,46 @@ class TestGridSpec:
 
 class TestModeFields:
     def test_identity_column_reproduces_excitation(self, circle_case):
-        _, modes, _, cache, _ = circle_case
-        mf = mode_field_matrix(cache, np.eye(len(modes), dtype=complex))
-        assert np.allclose(mf[:, 2], np.where(cache.mask, 0.0, cache.fields[:, 2]))
+        _, modes, _, _, _, whole, export = circle_case
+        mf = export(np.eye(len(modes), dtype=complex))
+        assert np.allclose(mf[:, 2], whole[:, 2])
 
     def test_linearity(self, circle_case):
-        _, modes, _, cache, _ = circle_case
+        _, modes, _, _, _, _, export = circle_case
         rng = np.random.default_rng(0)
         u = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
         v = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
         al, be = 1.3 - 0.4j, -0.2 + 2.0j
-        mf = mode_field_matrix(cache, np.column_stack([al * u + be * v, u, v]))
+        mf = export(np.column_stack([al * u + be * v, u, v]))
         lhs, rhs = mf[:, 0], al * mf[:, 1] + be * mf[:, 2]
         scale = np.max(np.abs(rhs))
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
 
     def test_parseval_for_unitary_w(self, circle_case):
-        _, modes, _, cache, _ = circle_case
+        _, modes, _, _, _, whole, export = circle_case
         rng = np.random.default_rng(1)
         a = rng.normal(size=(len(modes),) * 2) + 1j * rng.normal(size=(len(modes),) * 2)
         w, _ = np.linalg.qr(a)
-        mf = mode_field_matrix(cache, w)
-        e_modes = np.sum(np.abs(mf) ** 2)
-        e_exc = np.sum(np.abs(cache.fields) ** 2)
+        e_modes = np.sum(np.abs(export(w)) ** 2)
+        e_exc = np.sum(np.abs(whole) ** 2)
         assert e_modes == pytest.approx(e_exc, rel=1e-6)
 
     def test_masked_points_are_zero(self, circle_case):
-        _, modes, _, cache, _ = circle_case
-        mf = mode_field_matrix(cache, np.ones((len(modes), 2), dtype=complex))
-        assert np.all(mf[cache.mask] == 0.0)
-        assert np.any(cache.mask)
+        _, modes, _, _, regions, _, export = circle_case
+        mf = export(np.ones((len(modes), 2), dtype=complex))
+        assert np.all(mf[~regions.live] == 0.0)
+        assert np.any(~regions.live)
 
     def test_mode_field_peak_stable_under_grid_refinement(self, circle_case):
-        geom, modes, s, cache, spec = circle_case
+        geom, modes, s, _, _, _, _ = circle_case
         rng = np.random.default_rng(9)
         w = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
         w /= np.linalg.norm(w)
         peaks = []
         for n in (81, 161):
             g = GridSpec(-10, 10, -10, 10, nx=n, ny=n)
-            c = modal_excitation_fields(s, geom, g)
-            peaks.append(np.max(np.abs(mode_field_matrix(c, w[:, None]))))
+            _, values = modal_excitation_fields(s, g, region_masks(geom, g, s.k), w[:, None])
+            peaks.append(np.max(np.abs(values)))
         assert np.isfinite(peaks).all()
         assert abs(peaks[1] - peaks[0]) < 0.01 * peaks[1]
 
@@ -102,32 +135,47 @@ class TestModeFields:
         # representation-integral route vs separation-of-variables route;
         # compared beyond the near-boundary band where plain quadrature of
         # the representation kernel is reliable
-        geom, modes, s, cache, spec = circle_case
-        cache2 = modal_excitation_fields(s, geom, spec)
+        geom, modes, s, spec, regions, _, export = circle_case
+        bem_fields = export(np.eye(len(modes)))
+        regions2 = region_masks(geom, spec, s.k)
+        _, modal_fields = modal_excitation_fields(s, spec, regions2, np.eye(len(modes)))
         pts = spec.points()
         away = np.hypot(pts[:, 0], pts[:, 1]) > 3.0
-        both = ~cache.mask & ~cache2.mask & away
-        diff = np.max(np.abs(cache.fields[both] - cache2.fields[both]))
-        scale = np.max(np.abs(cache.fields[both]))
+        both = regions.live & regions2.live & away
+        diff = np.max(np.abs(bem_fields[both] - modal_fields[both]))
+        scale = np.max(np.abs(bem_fields[both]))
         assert diff < 1e-5 * scale
 
 
-def reference_fractions(cache, w, regions):
+def reference_fractions(whole, w, regions):
     """Per-mode energy sums, sum |F w|^2 over each region's points."""
     out = np.zeros((3, w.shape[1]))
     for i in range(w.shape[1]):
-        energy = np.abs(np.where(cache.mask, 0.0, cache.fields @ w[:, i])) ** 2
+        energy = np.abs(whole @ w[:, i]) ** 2
         total = float(np.sum(energy[regions.live])) or 1.0
         rows = (regions.boundary, regions.corner, regions.interior)
         out[:, i] = [float(np.sum(energy[r])) / total for r in rows]
     return out
 
 
-# (kind, geometry parameters, M, grid half-width, interior box)
+def whole_gram_fractions(whole, w, regions):
+    """Fractions from F built whole: G_r = F_r^H F_r per region, then
+    Re diag(W^H G_r W) over the live one's."""
+    energy = []
+    for region in (regions.live, regions.boundary, regions.corner, regions.interior):
+        f = whole[region]
+        energy.append(np.real(np.sum(w.conj() * ((f.conj().T @ f) @ w), axis=0)))
+    total = np.where(energy[0] == 0.0, 1.0, energy[0])
+    return np.array(energy[1:]) / total
+
+
+# (kind, geometry parameters, M, grid half-width, interior box); the
+# cylinder takes the modal fields, the others the BEM fields
 SCENES = {
     "strip": ("strip", {}, 111, 40.0, None),
     "cavity-w3": ("cavity", {"w": 3.0}, 71, 25.0, CAVITY_INTERIOR_BOX),
     "circle-a2": ("circle", {"a": 2.0}, 13, 20.0, None),
+    "cylinder-a2": ("circle", {"a": 2.0}, 13, 20.0, None),
 }
 
 
@@ -136,68 +184,115 @@ SCENES = {
     for scene in SCENES for name, bc in (("soft", SOFT), ("hard", HARD))
 ])
 def delay_case(request):
-    """Excitation cache, delay eigenvectors and regions of one scenario on a
-    61 x 61 grid, with the CLI's own derivative and masks."""
+    """Delay eigenvectors and regions of one scenario on a 61 x 61 grid, with
+    the CLI's own derivative and masks; the streamed Grams and exported
+    values of three modes; and the fields built whole."""
     scene, bc = request.param
     kind, params, m, hw, box = SCENES[scene]
     k = 1.0
     geom = make_geometry(kind, **params)
-    mesh = mesh_geometry(geom, k)
     modes = ModeSet.with_count(2, m, k)
+    spec = GridSpec(-hw, hw, -hw, hw, nx=61, ny=61)
+    export_cols = [0, m // 2, m - 1]
+    if scene == "cylinder-a2":
+        s = mie_smatrix(2, bc, k, params["a"], modes)
+        dec = ws_decompose(q_matrix(s, mie_smatrix_deriv(2, bc, k, params["a"], modes)), s)
+        regions = region_masks(geom, spec, k)
+        grams, values = modal_excitation_fields(s, spec, regions, dec.w[:, export_cols])
+        return whole_modal_fields(s, spec, regions.live), dec.w, regions, grams, values, export_cols
+    mesh = mesh_geometry(geom, k)
     s, sol = bem_smatrix(geom, bc, k, modes, mesh=mesh, gate=None, return_solution=True)
 
     def provider(kp):
         return bem_smatrix(geom, bc, kp, ModeSet.with_count(2, m, kp), mesh=mesh, gate=None)
 
     dec = ws_decompose(q_matrix(s, smatrix_fd_derivative(provider, k)), s)
-    spec = GridSpec(-hw, hw, -hw, hw, nx=61, ny=61)
-    cache = bem_excitation_fields(mesh, sol, modes, spec)
-    return cache, dec.w, region_masks(geom, spec, k, cache.mask, interior_box=box)
+    regions = region_masks(geom, spec, k, mesh, interior_box=box)
+    grams, values = bem_excitation_fields(mesh, sol, modes, spec, regions, dec.w[:, export_cols])
+    whole = whole_bem_fields(mesh, sol, modes, spec, regions.live)
+    return whole, dec.w, regions, grams, values, export_cols
 
 
 class TestGramFractions:
     def test_match_per_mode_sums(self, delay_case):
-        cache, w, regions = delay_case
-        fractions = localization_metrics(cache, w, regions)
+        whole, w, regions, grams, _, _ = delay_case
+        fractions = localization_metrics(grams, w)
         assert fractions.shape == (3, w.shape[1])
-        assert np.max(np.abs(fractions - reference_fractions(cache, w, regions))) <= 1e-14
+        assert np.max(np.abs(fractions - reference_fractions(whole, w, regions))) <= 1e-14
         assert np.all(fractions >= 0.0)
         for row, region in enumerate((regions.boundary, regions.corner, regions.interior)):
             if not np.any(region):
                 assert np.all(fractions[row] == 0.0)
+
+    def test_streamed_match_whole_matrix(self, delay_case):
+        whole, w, regions, grams, values, cols = delay_case
+        fractions = localization_metrics(grams, w)
+        assert np.max(np.abs(fractions - whole_gram_fractions(whole, w, regions))) <= 1e-14
+        assert np.array_equal(grams, grams.conj().swapaxes(1, 2))
+        want = whole @ w[:, cols]
+        for j in range(len(cols)):
+            scale = np.max(np.abs(want[:, j]))
+            assert np.max(np.abs(values[:, j] - want[:, j])) <= 1e-14 * scale
+        assert np.all(values[~regions.live] == 0.0)
 
 
 class TestFieldMapsExportOnly:
     def test_mode_fields_only_for_exported_columns(self, tmp_path, monkeypatch):
         calls = []
 
-        def recording(cache, w):
-            calls.append(w.copy())
-            return mode_field_matrix(cache, w)
+        def recording(f, w):
+            calls.append((len(f), w.copy()))
+            return mode_field_matrix(f, w)
 
-        monkeypatch.setattr(cli, "mode_field_matrix", recording)
+        monkeypatch.setattr(fields, "mode_field_matrix", recording)
         cfg = ScenarioConfig(scenario="cylinder", a=2.0, mode_count=9, grid_nx=41,
                              grid_ny=41, export_modes=(3, 1))
         summary = cli.run_scenario(cfg, str(tmp_path / "o"))
-        assert len(calls) == 1
-        assert np.array_equal(calls[0], summary["decomposition"].w[:, [2, 0]])
+        w = summary["decomposition"].w[:, [2, 0]]
+        assert len(calls) > 1
+        assert all(np.array_equal(c, w) for _, c in calls)
+        masked = np.loadtxt(tmp_path / "o" / "mode_003_field.csv", delimiter=",",
+                            skiprows=1)[:, 4]
+        assert sum(n for n, _ in calls) == np.sum(masked == 0)
+
+
+class TestStreamedMemory:
+    def test_field_stage_holds_no_points_by_ports_array(self):
+        # a strip grid whose live points x M x 16 B is 112 MB: the pass
+        # holds one band's fields at a time, 11 of the grid's 251 rows here
+        k, geom = 1.0, make_strip()
+        modes = ModeSet.with_count(2, 111, k)
+        mesh = mesh_geometry(geom, k)
+        _, sol = bem_smatrix(geom, SOFT, k, modes, mesh=mesh, gate=None, return_solution=True)
+        spec = GridSpec(-100.0, 100.0, -100.0, 100.0, 251, 251)
+        regions = region_masks(geom, spec, k, mesh)
+        whole = int(np.sum(regions.live)) * len(modes) * 16
+        assert whole >= 16e6
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            bem_excitation_fields(mesh, sol, modes, spec, regions, np.eye(len(modes))[:, :1])
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * whole
 
 
 class TestMetrics:
     def test_uniform_field_gives_baselines(self, circle_case):
-        geom, modes, _, cache, spec = circle_case
-        regions = region_masks(geom, spec, modes.k, cache.mask)
-        uniform = np.where(cache.mask, 0.0, 1.0 + 0.0j)[:, None]
-        flat = ExcitationFieldCache(fields=uniform, mask=cache.mask)
-        bf, cf, _ = localization_metrics(flat, np.ones((1, 1)), regions)[:, 0]
+        _, modes, _, spec, regions, _, _ = circle_case
+
+        def uniform(pts):
+            return np.ones((len(pts), 1), dtype=complex)
+
+        grams, _ = fields._stream(spec, regions, np.zeros((1, 0)), uniform, modes.k)
+        bf, cf, _ = localization_metrics(grams, np.ones((1, 1)))[:, 0]
         assert bf == pytest.approx(regions.baselines[0], rel=1e-12)
         assert cf == 0.0  # circle has no corners
 
     def test_interior_box(self, circle_case):
-        geom, modes, _, cache, spec = circle_case
-        regions = region_masks(
-            geom, spec, modes.k, cache.mask, interior_box=(-1.0, 1.0, -1.0, 1.0)
-        )
+        geom, modes, _, spec, _, _, _ = circle_case
+        regions = region_masks(geom, spec, modes.k, interior_box=(-1.0, 1.0, -1.0, 1.0))
         # box lies inside the scatterer: nothing live there
         assert np.sum(regions.interior) == 0
 
