@@ -207,10 +207,14 @@ def assemble_operators(mesh: BoundaryMesh, k: float, bc: BoundaryCondition) -> n
 class BoundarySolution:
     """Density of the combined-field representation for one or more excitations."""
 
-    density: np.ndarray           # (N,) or (N, M)
+    density: np.ndarray           # (N, columns), one per right-hand side
     bc: BoundaryCondition
     k: float
     residual: float
+
+    def __post_init__(self):
+        if np.ndim(self.density) != 2:
+            raise ContractError("density must be (nodes, columns)")
 
 
 def solve_exterior(
@@ -225,7 +229,8 @@ def solve_exterior(
 
     trace holds the incident field at the nodes; normal_trace its outward
     normal derivative (required for sound-hard). Both may carry multiple
-    right-hand sides as columns.
+    right-hand sides as columns; a 1-D trace is one, and the density has a
+    column per right-hand side either way.
     """
     if bc is BoundaryCondition.SOUND_HARD:
         if normal_trace is None:
@@ -245,8 +250,7 @@ def solve_exterior(
         raise SolverError("boundary solve produced non-finite density")
     if res > 1e-8:
         raise SolverError("boundary linear solve residual above threshold", residual=res)
-    out = density if rhs.shape[1] > 1 else density[:, 0]
-    return BoundarySolution(density=out, bc=bc, k=k, residual=float(res))
+    return BoundarySolution(density=density, bc=bc, k=k, residual=float(res))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +340,7 @@ def scattered_field(
     points than its 2P+1 terms takes the direct sum.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dens = solution.density if solution.density.ndim == 2 else solution.density[:, None]
+    dens = solution.density
     k, bc = solution.k, solution.bc
     w, nodes, normals = mesh.weights, mesh.nodes, mesh.normals
     out = np.empty((len(pts), dens.shape[1]), dtype=complex)
@@ -353,7 +357,7 @@ def scattered_field(
             out[part] = kern @ psi
 
     if not len(pts):
-        return out if solution.density.ndim == 2 else out[:, 0]
+        return out
     r_box, centres, boxes = _boxes(pts, k)
     local = pts - centres
     jn = cyl_jn_table(_graf_order(k * r_box, 0.5), k * np.hypot(local[:, 0], local[:, 1]))
@@ -371,7 +375,7 @@ def scattered_field(
             b = np.vstack([pos[:0:-1].conj(), pos])      # n = -P..P, B_-n = (-1)^n conj B_n
             b[(order - 1) % 2:order:2] *= -1.0
             out[rows] += b.T @ (t @ (w[far, None] * dens[far]))
-    return out if solution.density.ndim == 2 else out[:, 0]
+    return out
 
 
 def far_field_coefficients(
@@ -400,9 +404,7 @@ def far_field_coefficients(
         ports = normal_derivs - 1j * k * values
     else:
         ports = values + 1j * k * normal_derivs
-    weighted = mesh.weights[:, None] * solution.density.reshape(mesh.n_nodes, -1)
-    coeffs = (-0.5j / k) * (ports.T @ weighted)
-    return coeffs if solution.density.ndim == 2 else coeffs[:, 0]
+    return (-0.5j / k) * (ports.T @ (mesh.weights[:, None] * solution.density))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .fields import (
     ClassificationThresholds,
     FieldGrid,
     GridSpec,
+    RegionMasks,
     bem_excitation_fields,
     classify_modes,
     group_counts,
@@ -105,12 +106,15 @@ class _Setup:
     modes: ModeSet
     mesh: Optional[BoundaryMesh]    # None for the closed-form scenarios
     grid: Optional[GridSpec]        # field-map grid, 2D only
+    regions: Optional[RegionMasks]  # the grid's live points and metric regions
     quad: Optional[QuadratureSpec]  # volume-route quadrature, volume-q only
 
 
 def _setup(cfg) -> _Setup:
-    """Geometry, ports, mesh and grids, with every check that needs M or the
-    scatterer's size. Default M is the truncation rule at the circumradius."""
+    """Geometry, ports, mesh, grids and the field grid's regions, with every
+    check that needs M, the scatterer's size or the regions: each region the
+    classifier reads must hold a grid point. Default M is the truncation
+    rule at the circumradius."""
     k, dim = cfg.k, 3 if cfg.scenario == "sphere" else 2
     geometry = None
     if cfg.scenario == "custom":
@@ -127,17 +131,25 @@ def _setup(cfg) -> _Setup:
     for idx1 in cfg.export_modes:
         if not 1 <= idx1 <= len(modes):
             raise ConfigError(f"export mode {idx1} out of range 1..{len(modes)}")
-    mesh = grid = quad = None
+    mesh = grid = regions = quad = None
     if cfg.scenario not in ("sphere", "cylinder"):
         mesh = mesh_geometry(geometry, k, cfg.nodes_per_wavelength)
     if dim == 2:
         hw = _grid_halfwidth(cfg, circumradius)
         grid = GridSpec(-hw, hw, -hw, hw, cfg.grid_nx, cfg.grid_ny)
+        interior = CAVITY_INTERIOR_BOX if cfg.scenario == "cavity" else None
+        regions = region_masks(geometry, grid, k, mesh, interior_box=interior)
+        read = {"live": regions.live, "boundary": regions.boundary,
+                "corner": regions.corner if geometry.corners else True,
+                "interior": regions.interior if interior else True}
+        empty = [name for name, mask in read.items() if not np.any(mask)]
+        if empty:
+            raise ConfigError(f"field grid has no {', '.join(empty)} points to classify from")
     if "volume-q" in cfg.checks:
         quad = QuadratureSpec(radius=cfg.vol_kr / k, nodes_per_wavelength=cfg.vol_npw)
         quad.validate(k, cfg.a)
     bc = BoundaryCondition.SOUND_SOFT if cfg.bc == "soft" else BoundaryCondition.SOUND_HARD
-    return _Setup(dim, bc, geometry, circumradius, modes, mesh, grid, quad)
+    return _Setup(dim, bc, geometry, circumradius, modes, mesh, grid, regions, quad)
 
 
 def _solve(cfg, st):
@@ -235,8 +247,7 @@ def _field_maps(cfg, st, s, solution, dec):
     """
     if st.grid is None:
         return None, None, []
-    interior = CAVITY_INTERIOR_BOX if cfg.scenario == "cavity" else None
-    regions = region_masks(st.geometry, st.grid, cfg.k, st.mesh, interior_box=interior)
+    regions = st.regions
     export = dec.w[:, [i - 1 for i in cfg.export_modes]]
     if solution is None:
         grams, values = modal_excitation_fields(s, st.grid, regions, export)

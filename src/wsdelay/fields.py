@@ -153,7 +153,7 @@ def bem_excitation_fields(mesh: BoundaryMesh, solution: BoundarySolution, modes:
     fields, incident plus scattered, of all excitations; regions come from
     region_masks with this mesh.
     """
-    if solution.density.ndim != 2 or solution.density.shape[1] != len(modes):
+    if solution.density.shape[1] != len(modes):
         raise ContractError("need one boundary solution per mode")
 
     def fields_at(pts):

@@ -12,6 +12,14 @@ from .modal import ModeSet
 DEFAULT_SMATRIX_GATE = 1e-3
 
 
+def relative_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b||_F / ||a||_F, and 0 when a is zero."""
+    denom = np.linalg.norm(a)
+    if denom == 0.0:
+        return 0.0
+    return float(np.linalg.norm(a - b) / denom)
+
+
 class BoundaryCondition(Enum):
     SOUND_SOFT = "soft"   # Dirichlet: potential vanishes on the boundary
     SOUND_HARD = "hard"   # Neumann: normal derivative vanishes
@@ -42,7 +50,4 @@ class SMatrix:
         return float(np.linalg.norm(gram - np.eye(m)) / np.sqrt(m))
 
     def symmetry_residual(self) -> float:
-        denom = np.linalg.norm(self.matrix)
-        if denom == 0.0:
-            return 0.0
-        return float(np.linalg.norm(self.matrix - self.matrix.T) / denom)
+        return relative_residual(self.matrix, self.matrix.T)

@@ -1,4 +1,4 @@
-"""Cylindrical and spherical Bessel/Hankel tables and spherical harmonics.
+"""Cylindrical and spherical Bessel/Hankel tables.
 
 Every Bessel/Hankel evaluation is a table: all orders (degrees) 0..n of one
 function on positive real arguments, rows indexed by order. Spherical
@@ -12,10 +12,6 @@ table of orders 0..n, normalized against scipy's J_0/J_1). The Hankel
 functions are delegated to scipy's J and Y behind the same argument
 checks: cyl_hankel1_table holds H^(1) of every order 0..n and, from the
 neighbouring rows, its derivatives. H^(2) and h^(2) are the conjugates.
-
-Spherical harmonics use fully normalized associated Legendre recurrences so
-no factorial ratio is ever materialized; the Condon-Shortley phase (-1)^m is
-applied exactly once, here.
 
 Everything is pure and reentrant; x may be a scalar or an ndarray.
 """
@@ -137,60 +133,3 @@ def sph_hankel1_table(l: int, x):
     below = np.cos(x) / x + 1j * (np.sin(x) / x)
     prev = np.concatenate([below[None], f[:-1]])
     return f, prev - np.arange(1, len(f) + 1)[:, None] / x * f
-
-
-# ---------------------------------------------------------------------------
-# Spherical harmonics
-# ---------------------------------------------------------------------------
-def _legendre_normalized(l: int, m: int, costh: np.ndarray, sinth: np.ndarray):
-    """NP_l^m = sqrt((2l+1)/(4pi) (l-m)!/(l+m)!) P_l^m(cos th) for m >= 0.
-
-    Computed by the l-increasing recurrence on the pre-normalized functions;
-    P_l^m here carries no Condon-Shortley phase.
-    """
-    npmm = np.full_like(costh, 1.0 / np.sqrt(4.0 * np.pi))
-    for mm in range(1, m + 1):
-        npmm = npmm * sinth * np.sqrt((2 * mm + 1) / (2.0 * mm))
-    if l == m:
-        return npmm
-    npm1 = np.sqrt(2 * m + 3.0) * costh * npmm
-    if l == m + 1:
-        return npm1
-    prev2, prev1 = npmm, npm1
-    for ll in range(m + 2, l + 1):
-        a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
-        b = np.sqrt(
-            (2.0 * ll + 1.0)
-            * (ll - 1.0 - m)
-            * (ll - 1.0 + m)
-            / ((2.0 * ll - 3.0) * (ll * ll - m * m))
-        )
-        curr = a * costh * prev1 - b * prev2
-        prev2, prev1 = prev1, curr
-    return prev1
-
-
-def sph_harm(l: int, m: int, theta, phi):
-    """Fully normalized spherical harmonic X_lm(theta, phi).
-
-    X_lm = (-1)^m sqrt((2l+1)/(4pi) (l-m)!/(l+m)!) P_l^m(cos theta) e^{jm phi}
-    with the Condon-Shortley phase included here and nowhere else. Satisfies
-    conj(X_lm) = (-1)^m X_{l,-m} and unit L2 norm on the sphere.
-    """
-    l, m = int(l), int(m)
-    if l < 0 or abs(m) > l:
-        raise DomainError(f"invalid harmonic indices (l={l}, m={m})")
-    if l > SPH_DEGREE_MAX:
-        raise CapacityError(f"degree {l} exceeds ceiling {SPH_DEGREE_MAX}")
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    costh, sinth = np.cos(theta), np.sin(theta)
-    base = _legendre_normalized(l, abs(m), costh, sinth)
-    phase = np.exp(1j * m * phi)
-    if m >= 0:
-        out = (-1.0) ** m * base * phase
-    else:
-        out = base * phase
-    if out.ndim == 0:
-        return complex(out)
-    return out

@@ -12,11 +12,13 @@ extended inward and their gradients are the leading-order radial forms
 
 All three equal j S^dag S' in exact arithmetic. Angular integrals are
 reduced exactly by orthonormality/conjugation of the harmonics, leaving 1D
-radial integrals done by composite Gauss panels. Every degree's radial
-integrals come from one h^(1) table on the panel nodes (specfun's
-sph_hankel1_table: one j/y recurrence for all degrees, derivatives from
-the neighbouring row), with h^(2) = conj h^(1) for real arguments, and the
-three styles are combinations of that one set of integrals. The fields'
+radial integrals done by composite Gauss panels; the Appendix-B surface
+check takes its angular integral by orthonormality too, so no harmonic is
+ever evaluated. Every degree's radial integrals come from one h^(1) table
+on the panel nodes (specfun's sph_hankel1_table: one j/y recurrence for all
+degrees, derivatives from the neighbouring row), with h^(2) = conj h^(1)
+for real arguments, and the three styles are combinations of that one set
+of integrals. The fields'
 reflection coefficients are read off the S (and, for the surface identity,
 the S') under test, never re-derived here.
 
@@ -34,8 +36,8 @@ import numpy as np
 from .errors import AccuracyError, ContractError, DomainError
 from .mie import radial_second_derivative
 from .modal import ModeIndex, ModeSet, conjugate_mode
-from .smatrix import SMatrix
-from .specfun import sph_hankel1_table, sph_harm
+from .smatrix import SMatrix, relative_residual
+from .specfun import sph_hankel1_table
 from .wigner import QMatrix
 
 STYLES = ("symmetric", "a", "b")
@@ -254,12 +256,9 @@ def volume_q_matrix(s: SMatrix, a: float, quad: QuadratureSpec) -> dict:
     routes = {}
     for style in STYLES:
         out = _combine(style, d_ff, d_gg, k, corr)
-        presym = float(
-            np.linalg.norm(out - out.conj().T) / max(np.linalg.norm(out), 1e-300)
-        )
         routes[style] = QMatrix(
             matrix=0.5 * (out + out.conj().T), k=k, modes=modes,
-            provenance="volume-integral", presym_residual=presym,
+            provenance="volume-integral", presym_residual=relative_residual(out, out.conj().T),
         )
     return routes
 
@@ -272,7 +271,7 @@ class SurfaceIdentityReport:
     closed_value: complex      # (I1 - I2 + I3) / 2k
     reference_value: complex   # 2R delta_pq + j sum_m S*_mq S'_mp
     algebraic_residual: float
-    numeric_value: complex     # true-field surface quadrature of the same integral
+    numeric_value: complex     # the same integral of the true fields at r = R
     numeric_rel_error: float
 
 
@@ -300,10 +299,11 @@ def surface_identity_check(
     one SurfaceIdentityReport per (p, q) in pairs.
 
     The closed forms are algebra in S, S' and R and reproduce
-    2R delta_pq + j (S^dag S')_qp exactly; the numeric side integrates the
+    2R delta_pq + j (S^dag S')_qp exactly; the numeric side evaluates the
     true total fields, whose alpha_l and alpha_l' are read off S and S',
-    over the sphere r = R (48 Gauss nodes in cos theta, 96 in phi) and
-    deviates by O(1/kR). One h^(1) table at kR serves every pair.
+    at r = R and deviates by O(1/kR). Its angular integral of X_p conj(X_q)
+    is delta_pq by the orthonormality of the ports, so it takes no angular
+    grid. One h^(1) table at kR serves every pair.
     """
     k, modes = s.k, s.modes
     if modes.dim != 3:
@@ -321,11 +321,6 @@ def surface_identity_check(
         l: _dk_profile_terms(l, k, kr, alpha[l], dalpha[l], h[l, 0], dh[l, 0])
         for l in {m.l for pair in pairs for m in pair}
     }
-    n_phi = 96
-    u, wu = np.polynomial.legendre.leggauss(48)
-    theta = np.arccos(u)
-    phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
     e_plus, e_minus = np.exp(2j * k * radius), np.exp(-2j * k * radius)
 
     reports = []
@@ -357,15 +352,13 @@ def surface_identity_check(
         reference = 2.0 * radius * delta + 1j * ssum
         alg_res = abs(closed - reference) / max(abs(reference), 1.0)
 
-        # direct quadrature of the true-field surface integral
+        # the true-field surface integral: its angular factor is delta_pq
         fp, fp_k, _, fp_rk = profile[p.l]
         fq, _, fq_r, _ = profile[q.l]
         radial_combo = (
             fp_k * np.conj(fq_r) - np.conj(fq) * fp_rk + np.conj(fq_r) * fp / k
         )
-        xpq = sph_harm(p.l, p.m, tt, pp) * np.conj(sph_harm(q.l, q.m, tt, pp))
-        angular = np.sum(xpq * wu[:, None]) * (2.0 * np.pi / n_phi)
-        numeric = radial_combo * angular * radius**2 / (2.0 * k)
+        numeric = radial_combo * delta * radius**2 / (2.0 * k)
         num_err = abs(numeric - closed) / max(abs(closed), 1e-30)
 
         reports.append(SurfaceIdentityReport(

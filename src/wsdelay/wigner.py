@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .modal import ModeSet
-from .smatrix import DEFAULT_SMATRIX_GATE, SMatrix
+from .smatrix import DEFAULT_SMATRIX_GATE, SMatrix, relative_residual
 
 # Eigenvalue gap below which eigenvectors are treated as one degenerate
 # cluster. Within a cluster the basis is rotated to diagonalize S as well
@@ -39,10 +39,7 @@ class QMatrix:
     presym_residual: float = 0.0
 
     def hermiticity_residual(self) -> float:
-        denom = np.linalg.norm(self.matrix)
-        if denom == 0.0:
-            return 0.0
-        return float(np.linalg.norm(self.matrix - self.matrix.conj().T) / denom)
+        return relative_residual(self.matrix, self.matrix.conj().T)
 
 
 @dataclass
@@ -67,11 +64,7 @@ class WSDecomposition:
         return float(np.linalg.norm(rebuilt - q.matrix) / denom)
 
     def simdiag_offdiag_residual(self) -> float:
-        off = self.sbar - np.diag(np.diag(self.sbar))
-        denom = np.linalg.norm(self.sbar)
-        if denom == 0.0:
-            return 0.0
-        return float(np.linalg.norm(off) / denom)
+        return relative_residual(self.sbar, np.diag(np.diag(self.sbar)))
 
     def diagonal_delay_identity_residual(self, q: QMatrix) -> float:
         """max_n |Q_nn - sum_i |W_ni|^2 delay_i| (an exact algebraic identity)."""
@@ -130,13 +123,9 @@ def q_matrix(s: SMatrix, sp: SMatrix, provenance: str = "analytic") -> QMatrix:
     if not s.modes.same_modes(sp.modes):
         raise ContractError("S and dS/dk built on different mode sets")
     raw = 1j * s.matrix.conj().T @ sp.matrix
-    denom = np.linalg.norm(raw)
-    presym = 0.0 if denom == 0.0 else float(
-        np.linalg.norm(raw - raw.conj().T) / denom
-    )
-    herm = 0.5 * (raw + raw.conj().T)
     return QMatrix(
-        matrix=herm, k=s.k, modes=s.modes, provenance=provenance, presym_residual=presym
+        matrix=0.5 * (raw + raw.conj().T), k=s.k, modes=s.modes, provenance=provenance,
+        presym_residual=relative_residual(raw, raw.conj().T),
     )
 
 

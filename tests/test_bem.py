@@ -42,7 +42,7 @@ HARD = BoundaryCondition.SOUND_HARD
 def complex_hankel_field(mesh, solution, points):
     """Scattered field from the complex H0/H1 kernel: the reference for
     scattered_field's real and imaginary kernel parts."""
-    dens = solution.density.reshape(mesh.n_nodes, -1)
+    dens = solution.density
     k = eta = solution.k
     dx = points[:, None, :] - mesh.nodes[None, :, :]
     rho = np.maximum(np.sqrt(np.sum(dx**2, axis=-1)), 1e-14)
@@ -193,7 +193,7 @@ def offnode_dirichlet_residual(
     # trigonometric interpolation of the density at t*
     delta = tstar[:, None] - mesh.t[None, :]
     basis = np.sin(n * delta / 2.0) / np.tan(delta / 2.0) / n
-    psi = solution.density if solution.density.ndim == 1 else solution.density[:, 0]
+    psi = solution.density[:, 0]
     psi_star = basis @ psi
 
     lhs = 0.5 * psi_star + combined @ psi
@@ -228,11 +228,10 @@ def sampled_far_field(mesh, solution, modes):
     else:
         kern = (1.0 + 1j * k * 1j * k * xdotn) * phase
     c_far = -0.25j * np.sqrt(2.0 / (np.pi * k)) * np.exp(1j * np.pi / 4.0)
-    f_theta = c_far * (kern * mesh.weights[None, :]) @ solution.density.reshape(mesh.n_nodes, -1)
+    f_theta = c_far * (kern * mesh.weights[None, :]) @ solution.density
     orders = np.array([p.n for p in modes.modes])
     proj = np.exp(1j * np.outer(orders, theta)) * (2.0 * np.pi / n_far) / np.sqrt(2.0 * np.pi)
-    coeffs = proj @ f_theta
-    return coeffs if solution.density.ndim == 2 else coeffs[:, 0]
+    return proj @ f_theta
 
 
 def dense_spectral_diff(n):
@@ -380,8 +379,8 @@ class TestCircleAgainstClosedForm:
         values, nds = standing_mode_traces(mesh, modes, k)
         p = ModeIndex.angular(2)
         col = modes.position(p)
-        sol = solve_exterior(mesh, SOFT, values[:, col], k=k)
-        coeffs = far_field_coefficients(mesh, sol, values, nds)
+        sol = solve_exterior(mesh, SOFT, values[:, [col]], k=k)
+        coeffs = far_field_coefficients(mesh, sol, values, nds)[:, 0]
         # scattered amplitude into the conjugate mode: (alpha - 1) x free phase
         alpha = reflection_table(2, SOFT, k, a, 2)[0][2]
         expect = 1j * (-1.0) ** 2 * (alpha - 1.0)
@@ -397,8 +396,8 @@ class TestCircleAgainstClosedForm:
         values, nds = standing_mode_traces(mesh, modes, k)
         p = ModeIndex.angular(3)
         col = modes.position(p)
-        sol = solve_exterior(mesh, HARD, values[:, col], nds[:, col], k=k)
-        coeffs = far_field_coefficients(mesh, sol, values, nds)
+        sol = solve_exterior(mesh, HARD, values[:, [col]], nds[:, [col]], k=k)
+        coeffs = far_field_coefficients(mesh, sol, values, nds)[:, 0]
         alpha = reflection_table(2, HARD, k, a, 3)[0][3]
         expect = 1j * (-1.0) ** 3 * (alpha - 1.0)
         got = coeffs[modes.position(ModeIndex.angular(-3))]
@@ -411,7 +410,7 @@ class TestSolver:
         mesh = mesh_geometry(make_circle(a), k)
         modes = ModeSet.angular(4, k)
         values, _ = standing_mode_traces(mesh, modes, k)
-        sol = solve_exterior(mesh, SOFT, values[:, 3], k=k)
+        sol = solve_exterior(mesh, SOFT, values[:, [3]], k=k)
         res = offnode_dirichlet_residual(
             mesh, sol, lambda pts: regular_waves_batch(modes, k, pts)[:, 3]
         )
@@ -422,7 +421,7 @@ class TestSolver:
         mesh = mesh_geometry(make_strip(), k)
         modes = ModeSet.angular(8, k)
         values, _ = standing_mode_traces(mesh, modes, k)
-        sol = solve_exterior(mesh, SOFT, values[:, 0], k=k)
+        sol = solve_exterior(mesh, SOFT, values[:, [0]], k=k)
         # the corner layer hosts the singular part of the density; the
         # condition is checked pointwise on the smooth remainder
         res = offnode_dirichlet_residual(
@@ -445,6 +444,14 @@ class TestSolver:
         )
         assert np.max(np.abs(s1 - s2)) < 1e-10 * np.max(np.abs(s2))
 
+    def test_density_has_a_column_per_right_hand_side(self):
+        mesh = mesh_geometry(make_circle(1.5), 1.0)
+        values, _ = standing_mode_traces(mesh, ModeSet.angular(3, 1.0), 1.0)
+        sol = solve_exterior(mesh, SOFT, values[:, 1], k=1.0)
+        assert sol.density.shape == (mesh.n_nodes, 1)
+        with pytest.raises(ContractError):
+            BoundarySolution(sol.density[:, 0], SOFT, 1.0, sol.residual)
+
     def test_hard_requires_normal_trace(self):
         mesh = mesh_geometry(make_circle(1.0), 1.0)
         with pytest.raises(ContractError):
@@ -459,11 +466,11 @@ class TestSolver:
         values, _ = standing_mode_traces(mesh, modes, k)
         p = modes.modes[2]
         col = 2
-        sol = solve_exterior(mesh, SOFT, values[:, col], k=k)
+        sol = solve_exterior(mesh, SOFT, values[:, [col]], k=k)
         ang = np.linspace(0.1, 2 * np.pi, 7)
         r_eval = 1.5 * a
         pts = r_eval * np.column_stack([np.cos(ang), np.sin(ang)])
-        total = regular_waves_batch(modes, k, pts)[:, col] + scattered_field(mesh, sol, pts)
+        total = regular_waves_batch(modes, k, pts)[:, col] + scattered_field(mesh, sol, pts)[:, 0]
         alpha = reflection_table(2, SOFT, k, a, abs(p.n))[0][abs(p.n)]
         gam = gamma_2d(p.n, k)
         radial = gam * (
@@ -654,7 +661,7 @@ class TestFarField:
         values, nds = standing_mode_traces(mesh, modes, k)
         for bc in (SOFT, HARD):
             sol = solve_exterior(mesh, bc, values, nds, k=k)
-            single = BoundarySolution(sol.density[:, 3], bc, k, sol.residual)
+            single = BoundarySolution(sol.density[:, [3]], bc, k, sol.residual)
             for s in (sol, single):
                 got = far_field_coefficients(mesh, s, values, nds)
                 want = sampled_far_field(mesh, s, modes)

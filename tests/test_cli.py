@@ -410,6 +410,12 @@ class TestMainExitCodes:
             pytest.param(
                 "scenario=cylinder\na=2\nmodes=403\n", [], id="cylinder-order-ceiling"
             ),
+            pytest.param(
+                "scenario=strip\nmodes=11\ngrid_halfwidth=0.5\n", [], id="grid-inside-strip"
+            ),
+            pytest.param(
+                "scenario=strip\nmodes=11\ngrid_nx=2\ngrid_ny=2\n", [], id="grid-2x2"
+            ),
         ],
     )
     def test_bad_input_exit_3_before_output(self, tmp_path, text, extra):
@@ -417,6 +423,20 @@ class TestMainExitCodes:
         out = tmp_path / "o"
         assert main(["--config", cfg, "--out", str(out)] + extra) == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["strip", "cavity"])
+    def test_one_port_bem_exit_0(self, tmp_path, scenario):
+        # one port cannot carry a non-circular scatterer's scattering (the
+        # unitarity residual reads 0.45 on the strip and 0.96 on the cavity),
+        # so the gate is opened: the run itself must go through
+        cfg = write(
+            tmp_path / "c.cfg",
+            f"scenario={scenario}\nmodes=1\nsmatrix_gate=1\ngrid_nx=41\ngrid_ny=41\n",
+        )
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "--modes", "1"]) == 0
+        assert len(open(out / "classification.csv").read().splitlines()) == 2
+        assert (out / "mode_001_field.csv").exists()
 
     def test_missing_config_exit_3(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 3

@@ -11,7 +11,6 @@ from wsdelay.specfun import (
     cyl_hankel1_table,
     cyl_jn_table,
     sph_hankel1_table,
-    sph_harm,
     sph_jy_table,
 )
 
@@ -257,66 +256,3 @@ class TestSphTables:
             sph_jy_table(3, [1.0, np.nan])
         with pytest.raises(DomainError):
             sph_hankel1_table(3, 0.0)
-
-
-class TestSphHarm:
-    def test_lowest_harmonic_is_constant(self):
-        expect = 1.0 / np.sqrt(4.0 * np.pi)
-        for theta, phi in [(0.3, 0.0), (1.2, 2.2), (2.9, 5.5)]:
-            assert sph_harm(0, 0, theta, phi) == pytest.approx(expect, rel=1e-14)
-
-    def test_conjugation_property(self):
-        theta, phi = 1.1, 0.7
-        lhs = np.conj(sph_harm(3, 2, theta, phi))
-        rhs = (-1.0) ** 2 * sph_harm(3, -2, theta, phi)
-        assert lhs == pytest.approx(rhs, rel=1e-13)
-
-    def test_conjugation_property_randomized(self):
-        rng = np.random.default_rng(11)
-        for _ in range(60):
-            l = int(rng.integers(0, 12))
-            m = int(rng.integers(-l, l + 1)) if l else 0
-            theta = rng.uniform(0.05, np.pi - 0.05)
-            phi = rng.uniform(0.0, 2 * np.pi)
-            lhs = np.conj(sph_harm(l, m, theta, phi))
-            rhs = (-1.0) ** m * sph_harm(l, -m, theta, phi)
-            assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
-
-    def test_matches_scipy_for_nonnegative_m(self):
-        theta, phi = 0.9, 1.3
-        for l, m in [(1, 0), (2, 1), (5, 3), (8, 8)]:
-            ref = sp.sph_harm_y(l, m, theta, phi)
-            assert sph_harm(l, m, theta, phi) == pytest.approx(ref, rel=1e-12)
-
-    def test_single_mode_norm(self):
-        val = _sphere_inner_product(2, 1, 2, 1)
-        assert val == pytest.approx(1.0, abs=1e-10)
-
-    def test_orthonormality_grid(self):
-        modes = [(l, m) for l in range(0, 9) for m in range(-l, l + 1)]
-        rng = np.random.default_rng(3)
-        picks = rng.choice(len(modes), size=24, replace=False)
-        for i in picks:
-            for j in picks[:8]:
-                l1, m1 = modes[i]
-                l2, m2 = modes[j]
-                val = _sphere_inner_product(l1, m1, l2, m2)
-                expect = 1.0 if (l1, m1) == (l2, m2) else 0.0
-                assert val == pytest.approx(expect, abs=1e-8)
-
-    def test_index_bounds(self):
-        with pytest.raises(DomainError):
-            sph_harm(2, 3, 0.5, 0.5)
-        with pytest.raises(DomainError):
-            sph_harm(-1, 0, 0.5, 0.5)
-
-
-def _sphere_inner_product(l1, m1, l2, m2, n_theta=64, n_phi=128):
-    """Quadrature oracle: Gauss-Legendre in cos(theta) x trapezoid in phi."""
-    u, wu = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(u)
-    phi = np.arange(n_phi) * (2 * np.pi / n_phi)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    f = sph_harm(l1, m1, tt, pp) * np.conj(sph_harm(l2, m2, tt, pp))
-    integral = np.sum(f * wu[:, None]) * (2 * np.pi / n_phi)
-    return complex(integral)
