@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from wsdelay import volumeq
 from wsdelay.errors import ContractError, DomainError
@@ -416,3 +417,48 @@ class TestSurfaceIdentity:
         c1 = surface([(p, p)], r1)[0].closed_value
         c2 = surface([(p, p)], r2)[0].closed_value
         assert abs((c2 - c1) - 2.0 * (r2 - r1)) < 1e-10 * max(abs(c1), abs(c2))
+
+
+def ref_surface_quadrature(s, sp_, p, q, radius, n_theta=48, n_phi=96):
+    """The true-field surface integral with its angular factor taken by a
+    Gauss-Legendre x trapezoid product rule over scipy's harmonics."""
+    k = s.k
+    sign_p, sign_q = (-1.0) ** (p.l + 1), (-1.0) ** (q.l + 1)
+    fp, fp_k, _, fp_rk = ref_dk_profile_terms(
+        p.l, k, k * radius, sign_p * ref_diagonal(s.matrix, s.modes, p.l),
+        sign_p * ref_diagonal(sp_.matrix, sp_.modes, p.l))
+    fq, _, fq_r, _ = ref_dk_profile_terms(
+        q.l, k, k * radius, sign_q * ref_diagonal(s.matrix, s.modes, q.l),
+        sign_q * ref_diagonal(sp_.matrix, sp_.modes, q.l))
+    radial = fp_k * np.conj(fq_r) - np.conj(fq) * fp_rk + np.conj(fq_r) * fp / k
+    u, wu = np.polynomial.legendre.leggauss(n_theta)
+    tt, pp = np.meshgrid(np.arccos(u), np.arange(n_phi) * (2.0 * np.pi / n_phi),
+                         indexing="ij")
+    xpq = sp.sph_harm_y(p.l, p.m, tt, pp) * np.conj(sp.sph_harm_y(q.l, q.m, tt, pp))
+    angular = np.sum(xpq * wu[:, None]) * (2.0 * np.pi / n_phi)
+    return radial * angular * radius**2 / (2.0 * k)
+
+
+class TestSurfaceOrthonormality:
+    # the numeric side takes the angular integral of X_p conj(X_q) as
+    # delta_pq; an explicit quadrature over the sphere must agree
+    @pytest.mark.parametrize("bc", [SOFT, HARD], ids=["soft", "hard"])
+    @pytest.mark.parametrize(
+        "p,q",
+        [
+            ((0, 0), (0, 0)),
+            ((1, 0), (1, 0)),
+            ((5, -3), (5, -3)),
+            ((0, 0), (1, 0)),
+            ((2, -1), (2, 1)),
+        ],
+    )
+    def test_numeric_value_matches_sphere_quadrature(self, bc, p, q):
+        radius = 200.0
+        p, q = ModeIndex.spherical(*p), ModeIndex.spherical(*q)
+        s, sp_ = closed_form(bc)
+        (rep,) = surface_identity_check(s, sp_, [(p, q)], radius)
+        want = ref_surface_quadrature(s, sp_, p, q, radius)
+        assert abs(rep.numeric_value - want) <= 1e-12 * max(abs(rep.closed_value), 1.0)
+        if p != q:
+            assert rep.numeric_value == 0.0
