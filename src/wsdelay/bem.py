@@ -414,10 +414,10 @@ def standing_mode_traces(mesh: BoundaryMesh, modes: ModeSet, k: float):
     """Values and normal derivatives of the regular standing excitations.
 
     Column p holds 2 gamma_n J_n(kr) X_n(theta) at the nodes: the incoming
-    mode p plus its own free-space outgoing response, finite everywhere.
+    mode p plus its own free-space outgoing response, finite everywhere; its
+    normal derivative is not, so a node on the basis origin raises
+    SingularPointError.
     """
-    if np.any(np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1]) == 0.0):
-        raise ContractError("boundary node at the basis origin")
     return regular_waves_batch(modes, k, mesh.nodes, mesh.normals)
 
 

@@ -107,7 +107,7 @@ class ScenarioConfig:
     grid_halfwidth: Optional[float] = None
     smatrix_gate: float = DEFAULT_SMATRIX_GATE
     vol_kr: float = 200.0
-    vol_npw: float = 16.0
+    vol_npw: float = 24.0
     checks: tuple = ()
     export_modes: tuple = ()          # 1-based mode indices for field export
     polyline: Optional[str] = None

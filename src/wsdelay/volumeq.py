@@ -4,21 +4,22 @@ Entries of Q are renormalized volume integrals of energy-like densities:
 the total-field integrals over the exterior shell [a, R] minus free-field
 counterparts over [0, R], where the free fields are the far-field forms
 extended inward and their gradients are the leading-order radial forms
-(+-jk times the field). Three styles are implemented:
+(+-jk times the field); the free-field part is elementary and taken in
+closed form. Three styles are implemented:
 
     symmetric : (1/2) int [phi phi* - free] + (1/2k^2) int [grad grad* - free]
     a         : int [phi phi* - free]               + S-dependent correction
     b         : (1/k^2) int [grad grad* - free]     - the same correction
 
 All three equal j S^dag S' in exact arithmetic. Angular integrals are
-reduced exactly by orthonormality/conjugation of the harmonics, leaving 1D
-radial integrals done by composite Gauss panels; the Appendix-B surface
-check takes its angular integral by orthonormality too, so no harmonic is
-ever evaluated. Every degree's radial integrals come from one h^(1) table
-on the panel nodes (specfun's sph_hankel1_table: one j/y recurrence for all
-degrees, derivatives from the neighbouring row), with h^(2) = conj h^(1)
-for real arguments, and the three styles are combinations of that one set
-of integrals. The fields'
+reduced exactly by orthonormality/conjugation of the harmonics, leaving the
+total field's 1D radial integrals over [a, R], done by composite 12-point
+Gauss panels; the Appendix-B surface check takes its angular integral by
+orthonormality too, so no harmonic is ever evaluated. Every degree's radial
+integrals come from one h^(1) table on the panel nodes (specfun's
+sph_hankel1_table: one j/y recurrence for all degrees, derivatives from the
+neighbouring row), with h^(2) = conj h^(1) for real arguments, and the three
+styles are combinations of that one set of integrals. The fields'
 reflection coefficients are read off the S (and, for the surface identity,
 the S') under test, never re-derived here.
 
@@ -32,6 +33,7 @@ the tail closure the route is limited only by quadrature.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyadd
 
 from .errors import AccuracyError, ContractError, DomainError
 from .mie import radial_second_derivative
@@ -48,7 +50,7 @@ class QuadratureSpec:
     """Radial quadrature layout for the renormalized volume integrals."""
 
     radius: float                       # outer cutoff R (m)
-    nodes_per_wavelength: float = 16.0  # Gauss nodes per radial wavelength
+    nodes_per_wavelength: float = 24.0  # Gauss nodes per radial wavelength
 
     def validate(self, k: float, a: float):
         # negated comparisons, so that NaN fails them
@@ -72,15 +74,16 @@ def _degree_entries(matrix: np.ndarray, modes: ModeSet, lmax: int) -> np.ndarray
 # ---------------------------------------------------------------------------
 # Gauss panels
 # ---------------------------------------------------------------------------
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
 
 
 def _gauss_panels(lo: float, hi: float, k: float, nodes_per_wavelength: float):
-    """Composite 8-point Gauss nodes/weights on [lo, hi]."""
+    """Composite Gauss nodes/weights on [lo, hi], one _GAUSS_X rule per panel
+    and nodes_per_wavelength nodes per radial wavelength."""
     if hi <= lo:
         raise DomainError("empty radial interval")
     wavelength = 2.0 * np.pi / k
-    panel = wavelength * 8.0 / nodes_per_wavelength
+    panel = wavelength * len(_GAUSS_X) / nodes_per_wavelength
     n_panels = max(int(np.ceil((hi - lo) / panel)), 1)
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -169,36 +172,27 @@ def _difference_tails(l: int, beta: complex, k: float, radius: float):
 
     nonosc_gg = 2.0 * np.convolve(g_poly, h_poly)
     nonosc_gg[0] -= 2.0 * k**2
-    nonosc_gg = _pad_add(nonosc_gg, ll * _shift2(2.0 * np.convolve(a_poly, b_poly)))
+    nonosc_gg = polyadd(nonosc_gg, ll * _shift2(2.0 * np.convolve(a_poly, b_poly)))
     osc_gg = np.convolve(g_poly, g_poly)
     osc_gg[0] += k**2
-    osc_gg = _pad_add(osc_gg, ll * _shift2(np.convolve(a_poly, a_poly)))
+    osc_gg = polyadd(osc_gg, ll * _shift2(np.convolve(a_poly, a_poly)))
 
     tail_ff = _tail_sums(nonosc_ff, osc_ff, beta, k, radius)
     tail_gg = _tail_sums(nonosc_gg, osc_gg, beta, k, radius)
     return tail_ff, tail_gg
 
 
-def _pad_add(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    n = max(len(p), len(q))
-    out = np.zeros(n, dtype=complex)
-    out[: len(p)] += p
-    out[: len(q)] += q
-    return out
-
-
 # ---------------------------------------------------------------------------
 # radial integrals
 # ---------------------------------------------------------------------------
-def _free_field_integrals(betas: np.ndarray, k: float, quad: QuadratureSpec):
-    """(F_ff, F_gg) per beta: far-form free-field ff and gg integrals over
-    [0, R], from one e^{+-jkr} pair on the panel nodes."""
-    r, w = _gauss_panels(0.0, quad.radius, k, quad.nodes_per_wavelength)
-    e_plus, e_minus = np.exp(1j * k * r), np.exp(-1j * k * r)
-    b_minus = betas[:, None] * e_minus
-    phi_r = e_plus + b_minus
-    psi_r = 1j * k * (e_plus - b_minus)
-    return np.sum(w * np.abs(phi_r) ** 2, axis=1), np.sum(w * np.abs(psi_r) ** 2, axis=1)
+def _free_field_integrals(betas: np.ndarray, k: float, radius: float):
+    """(F_ff, F_gg) per beta: |e^{jkr} + beta e^{-jkr}|^2 and its gradient's
+    |jk (e^{jkr} - beta e^{-jkr})|^2 over [0, R], in closed form:
+    R (1 + |beta|^2) +- Re(conj(beta) (e^{2jkR} - 1)/(jk)), times k^2 for gg."""
+    power = radius * (1.0 + np.abs(betas) ** 2)
+    wave = (betas.real * np.sin(2.0 * k * radius)
+            + betas.imag * (1.0 - np.cos(2.0 * k * radius))) / k
+    return power + wave, k**2 * (power - wave)
 
 
 def _radial_differences(betas: np.ndarray, k: float, a: float, quad: QuadratureSpec):
@@ -218,7 +212,7 @@ def _radial_differences(betas: np.ndarray, k: float, a: float, quad: QuadratureS
     df = k * (c1 * dh + c2 * np.conj(dh))
     t_ff = np.sum(w_t * np.abs(f) ** 2 * r_t**2, axis=1)
     t_gg = np.sum(w_t * (np.abs(df) ** 2 * r_t**2 + ll * np.abs(f) ** 2), axis=1)
-    f_ff, f_gg = _free_field_integrals(betas, k, quad)
+    f_ff, f_gg = _free_field_integrals(betas, k, quad.radius)
     tails = np.array([_difference_tails(l, b, k, quad.radius) for l, b in enumerate(betas)])
     return t_ff - f_ff + tails[:, 0], t_gg - f_gg + tails[:, 1]
 

@@ -17,14 +17,13 @@ from .errors import ContractError, DomainError
 from .modal import ModeSet
 from .smatrix import DEFAULT_SMATRIX_GATE, SMatrix, relative_residual
 
-# Eigenvalue gap below which eigenvectors are treated as one degenerate
-# cluster. Within a cluster the basis is rotated to diagonalize S as well
-# (any eigh basis diagonalizes Q there, but not S), and the cluster delays
-# are replaced by their mean so the reported spectrum reconstructs Q exactly.
-# Rotations may only mix eigenvalues that agree to within the reconstruction
-# budget, so wide chains of near-degenerate values are split into runs of
-# spread at most CLUSTER_SPREAD_CAP times the spectral scale first.
-CLUSTER_GAP = 1e-8
+# Degenerate clusters: one scan over the sorted spectrum forms runs, each
+# from its first eigenvalue through every next one at most CLUSTER_SPREAD_CAP
+# times the spectral scale above it, so a longer near-degenerate chain becomes
+# several runs (rotations may only mix eigenvalues that agree to within the
+# reconstruction budget). Within a run the basis is rotated to diagonalize S
+# as well (any eigh basis diagonalizes Q there, but not S), and the delays are
+# replaced by their mean so the reported spectrum reconstructs Q exactly.
 CLUSTER_SPREAD_CAP = 5e-11
 
 
@@ -180,33 +179,22 @@ def _resolve_degenerate_clusters(delays: np.ndarray, w: np.ndarray, s: np.ndarra
     columns are ordered by their first significant entry.
     """
     m = delays.size
-    scale = max(float(np.max(np.abs(delays))), 1e-300)
-    gaps = np.diff(delays)
-    bounds = [0] + [i + 1 for i in range(m - 1) if gaps[i] > CLUSTER_GAP * scale] + [m]
+    cap = CLUSTER_SPREAD_CAP * max(float(np.max(np.abs(delays))), 1e-300)
     delays = delays.copy()
     w = w.copy()
-    cap = CLUSTER_SPREAD_CAP * scale
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b - a < 2:
-            continue
-        # split a long near-degenerate chain into runs the rotation budget
-        # allows; values differing by more than the cap are true neighbors,
-        # not degenerate partners
-        start = a
-        while start < b:
-            stop = start + 1
-            while stop < b and delays[stop] - delays[start] <= cap:
-                stop += 1
-            if stop - start >= 2:
-                block = w[:, start:stop].T @ s @ w[:, start:stop]
-                v = _joint_real_diagonalizer(block)
-                w[:, start:stop] = w[:, start:stop] @ v
-                delays[start:stop] = np.mean(delays[start:stop])
-                order = sorted(
-                    range(start, stop), key=lambda i: _first_significant_index(w[:, i])
-                )
-                w[:, start:stop] = w[:, order]
-            start = stop
+    start = 0
+    while start < m:
+        stop = start + 1
+        while stop < m and delays[stop] - delays[start] <= cap:
+            stop += 1
+        if stop - start >= 2:
+            block = w[:, start:stop].T @ s @ w[:, start:stop]
+            v = _joint_real_diagonalizer(block)
+            w[:, start:stop] = w[:, start:stop] @ v
+            delays[start:stop] = np.mean(delays[start:stop])
+            order = sorted(range(start, stop), key=lambda i: _first_significant_index(w[:, i]))
+            w[:, start:stop] = w[:, order]
+        start = stop
     return delays, w
 
 

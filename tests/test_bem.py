@@ -19,7 +19,13 @@ from wsdelay.bem import (
     spectral_diff_matrix,
     standing_mode_traces,
 )
-from wsdelay.errors import ContractError, DomainError, GeometryError, QualityGateError
+from wsdelay.errors import (
+    ContractError,
+    DomainError,
+    GeometryError,
+    QualityGateError,
+    SingularPointError,
+)
 from wsdelay.fields import GridSpec, bem_excitation_fields, region_masks
 from wsdelay.geometry import (
     kress_w,
@@ -451,6 +457,13 @@ class TestSolver:
         assert sol.density.shape == (mesh.n_nodes, 1)
         with pytest.raises(ContractError):
             BoundarySolution(sol.density[:, 0], SOFT, 1.0, sol.residual)
+
+    def test_node_on_the_origin_is_singular(self):
+        # the triangle's bottom edge puts a node exactly on (0, 0)
+        mesh = mesh_geometry(make_polyline([(-4.5, 0.0), (4.5, 0.0), (0.0, 12.0)]), 1.0)
+        assert np.any(np.all(mesh.nodes == 0.0, axis=1))
+        with pytest.raises(SingularPointError):
+            standing_mode_traces(mesh, ModeSet.angular(3, 1.0), 1.0)
 
     def test_hard_requires_normal_trace(self):
         mesh = mesh_geometry(make_circle(1.0), 1.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from wsdelay import mie, specfun
+from wsdelay import cli, mie, specfun, volumeq
 from wsdelay.cli import main, run_scenario
 from wsdelay.errors import ConfigError
 from wsdelay.io import (
@@ -220,6 +220,24 @@ class TestRunScenario:
         assert calls["mie_smatrix"] == 1
         assert calls["mie_smatrix_deriv"] == 1
 
+    def test_every_surface_pair_has_a_value(self, tmp_path, monkeypatch):
+        # a pair whose closed and numeric values are both 0 checks nothing
+        # numerically; a pair with m != 0 takes the conjugate-port path
+        seen = []
+
+        def recorded(s, sprime, pairs, radius):
+            reports = volumeq.surface_identity_check(s, sprime, pairs, radius)
+            seen.extend(zip(pairs, reports))
+            return reports
+
+        monkeypatch.setattr(cli, "surface_identity_check", recorded)
+        cfg = ScenarioConfig(scenario="sphere", bc="hard", a=2.0, mode_count=16,
+                             checks=("appendix-b",))
+        assert run_scenario(cfg, str(tmp_path / "o"))["passed"]
+        assert len(seen) >= 3
+        assert all(abs(rep.closed_value) > 1.0 for _, rep in seen)
+        assert any(p.m != 0 for (p, _), _ in seen)
+
     def test_artifacts_written(self, cylinder_run):
         _, summary, out = cylinder_run
         for name in (
@@ -406,6 +424,10 @@ class TestMainExitCodes:
             pytest.param(
                 f"scenario=custom\nmodes=17\npolyline={DATA}/polyline_bad_float.csv\n", [],
                 id="polyline-bad-float",
+            ),
+            pytest.param(
+                f"scenario=custom\nmodes=17\npolyline={DATA}/polyline_origin_node.csv\n", [],
+                id="polyline-origin-node",
             ),
             pytest.param(
                 "scenario=cylinder\na=2\nmodes=403\n", [], id="cylinder-order-ceiling"

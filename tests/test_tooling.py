@@ -2,8 +2,9 @@
 wsdelay functions by name; a renamed or re-signed layer function would
 otherwise break only the traced benchmark run, and silently. The 2D
 kernels' Bessel functions have one call site. Importing the package
-loads no scipy subpackage beyond the two it uses. And every public function
-or class has a reader outside the tests."""
+loads no scipy subpackage beyond the two it uses. Every public function
+or class has a reader outside the tests. And the README's config block
+documents exactly the keys the parser reads."""
 
 import ast
 import importlib
@@ -18,6 +19,7 @@ ROOT = os.path.dirname(os.path.dirname(__file__))
 TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
 SRC = os.path.join(ROOT, "src")
 BEM = os.path.join(SRC, "wsdelay", "bem.py")
+README = os.path.join(ROOT, "README.md")
 QUARTET = {"j0", "y0", "j1", "y1"}
 
 
@@ -119,3 +121,18 @@ def test_every_public_definition_is_used():
                         defined[node.name] = name
     unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
     assert not unused, unused
+
+
+def test_readme_config_block_lists_every_key():
+    """The keys of the README's ini block, commented or not, one or more to
+    a line, are the keys of io._FIELD_PARSERS, each once."""
+    from wsdelay import io as wio
+
+    with open(README) as fh:
+        block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = []
+    for line in block.splitlines():
+        # drop a leading '# ', then the trailing '# ...' or '(...)' comment
+        body = re.split(r"\s#|\(", line.lstrip("# "))[0]
+        keys += re.findall(r"(\w+)=", body)
+    assert sorted(keys) == sorted(wio._FIELD_PARSERS)

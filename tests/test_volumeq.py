@@ -34,8 +34,8 @@ def qtilde_infinity(p: ModeIndex, q: ModeIndex, k: float, quad: QuadratureSpec) 
     """Free-field normalizer integral; analytically 2R delta_pq.
 
     Uses the free-space outgoing coefficient. The angular reduction makes
-    p != q vanish identically; the diagonal radial integrand is evaluated
-    numerically over [0, R].
+    p != q vanish identically; the diagonal radial integrals over [0, R]
+    are the library's closed forms.
     """
     if p.dim != 3 or q.dim != 3:
         raise ContractError("volume formulation is implemented for dim=3 only")
@@ -44,7 +44,7 @@ def qtilde_infinity(p: ModeIndex, q: ModeIndex, k: float, quad: QuadratureSpec) 
     if (p.l, p.m) != (q.l, q.m):
         return 0.0
     beta = (-1.0) ** (p.l + 1) + 0.0j      # alpha = 1
-    f_ff, f_gg = _free_field_integrals(np.array([beta]), k, quad)
+    f_ff, f_gg = _free_field_integrals(np.array([beta]), k, quad.radius)
     return float(_combine("symmetric", f_ff[0], f_gg[0], k))
 QUAD = QuadratureSpec(radius=200.0)
 
@@ -116,12 +116,15 @@ def ref_radial_differences(l, beta, k, a, quad):
     df = k * (c1 * ref_hankel_dx(l, z, 1) + c2 * ref_hankel_dx(l, z, -1))
     t_ff = np.sum(w_t * np.abs(f) ** 2 * r_t**2)
     t_gg = np.sum(w_t * (np.abs(df) ** 2 * r_t**2 + l * (l + 1) * np.abs(f) ** 2))
-    r, w = _gauss_panels(0.0, quad.radius, k, quad.nodes_per_wavelength)
-    phi_r = np.exp(1j * k * r) + beta * np.exp(-1j * k * r)
-    psi_r = 1j * k * (np.exp(1j * k * r) - beta * np.exp(-1j * k * r))
-    tail_ff, tail_gg = _difference_tails(l, beta, k, quad.radius)
-    d_ff = t_ff - np.sum(w * np.abs(phi_r) ** 2) + tail_ff
-    d_gg = t_gg - np.sum(w * np.abs(psi_r) ** 2) + tail_gg
+    # the free field e^{jkr} + beta e^{-jkr} and jk (e^{jkr} - beta e^{-jkr})
+    # over [0, R]: R (1 + |beta|^2) +- Re(conj(beta) (e^{2jkR} - 1)/(jk))
+    radius = quad.radius
+    power = radius * (1.0 + np.abs(beta) ** 2)
+    wave = (beta.real * np.sin(2.0 * k * radius)
+            + beta.imag * (1.0 - np.cos(2.0 * k * radius))) / k
+    tail_ff, tail_gg = _difference_tails(l, beta, k, radius)
+    d_ff = t_ff - (power + wave) + tail_ff
+    d_gg = t_gg - k**2 * (power - wave) + tail_gg
     return complex(d_ff), complex(d_gg)
 
 
@@ -345,6 +348,44 @@ class TestVolumeQMatrix:
                 pt = modes.position(conjugate_mode(p)[0])
                 ref = (1j / (2.0 * k)) * (-1.0) ** p.m * (np.conj(s[pt, row]) - s[row, pt])
                 assert corr[row, col] == ref
+
+
+class TestFreeFieldClosedForm:
+    # the closed-form free-field integrals against a fine quadrature of
+    # their own integrands: 12-point Gauss on lambda/16 panels over [0, R]
+    @pytest.mark.parametrize("radius", [200.0, 400.0])
+    def test_matches_fine_quadrature(self, radius):
+        k = 1.0
+        betas = np.array([-1.0, np.exp(0.7j), 0.3 - 0.4j, 2.5 * np.exp(-2.1j)])
+        x, wx = np.polynomial.legendre.leggauss(12)
+        edges = np.linspace(0.0, radius, int(np.ceil(radius / (np.pi / (8.0 * k)))) + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        r = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
+        w = (half * wx).ravel()
+        phi = np.exp(1j * k * r) + betas[:, None] * np.exp(-1j * k * r)
+        psi = 1j * k * (np.exp(1j * k * r) - betas[:, None] * np.exp(-1j * k * r))
+        want_ff = np.sum(w * np.abs(phi) ** 2, axis=1)
+        want_gg = np.sum(w * np.abs(psi) ** 2, axis=1)
+        got_ff, got_gg = _free_field_integrals(betas, k, radius)
+        assert np.all(np.abs(got_ff - want_ff) <= 1e-12 * np.abs(want_ff))
+        assert np.all(np.abs(got_gg - want_gg) <= 1e-12 * np.abs(want_gg))
+
+
+class TestHighDegreeRoutes:
+    # l_max 9 at kR 400: the l = 9 entries of Q are ~1e-9, so the routes
+    # must resolve them to far below the O(1) scale of the low degrees
+    @pytest.mark.parametrize("bc", [SOFT, HARD], ids=["soft", "hard"])
+    def test_every_style_and_diagonal_entry(self, bc):
+        k, a, lmax = 1.0, 2.0, 9
+        qref, modes = reference_q(bc, k, a, lmax)
+        routes = routes_for(bc, k, a, modes, QuadratureSpec(radius=400.0 / k))
+        diag = np.diag(qref.matrix)
+        scale = np.max(np.abs(diag))
+        for style in STYLES:
+            got = routes[style].matrix
+            assert np.max(np.abs(got - qref.matrix)) / scale <= 1e-10, style
+            rel = np.abs(np.diag(got) - diag) / np.abs(diag)
+            assert np.max(rel) <= 1e-2, style
 
 
 class TestQtildeInfinity:
