@@ -5,9 +5,8 @@ are discretized on the graded global parameter grid of geometry.BoundaryMesh.
 Kernels are split as K = K1 ln(4 sin^2((t-tau)/2)) + K2 and integrated with
 the spectral product-quadrature for the log factor plus the trapezoid rule,
 collocating at the nodes (classical diagonal limits supplied analytically).
-On the uniform parameter grid the k-independent matrices (log weights, the
-log factor, spectral differentiation) are circulant or Toeplitz, built from
-one row.
+On the uniform parameter grid the log weights and the log factor are
+circulant rows, gathered per block; spectral differentiation is Toeplitz.
 
 Formulations are combined-field with eta = k, hence immune to fictitious
 interior resonances:
@@ -21,8 +20,9 @@ assemble_operators builds only the matrix the boundary condition solves.
 Every kernel has the form j a (Y0 + j J0) + b (Y1 + j J1) at z = k rho with
 real a and b, so one evaluation of J0, Y0, J1, Y1 serves all of them and the
 matrices are assembled from real and imaginary parts. rho is symmetric bit
-for bit, so that quartet is evaluated on one triangle and mirrored, and all
-kernel work runs in cache-sized blocks of rows. The soft matrix is one
+for bit, so each strip of cache-sized row blocks, from its diagonal on, serves
+its rows and the mirrored entries below it with one evaluation of that
+quartet, and no N x N Bessel or log table is held. The soft matrix is one
 log-split of sigma(tau) (dG/dn_y - j k G), the representation kernel itself.
 The hard matrix rewrites T by the Maue identity as tangential derivatives
 around a single-layer kernel plus a k^2 (n.n)-weighted single layer, so only
@@ -50,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import special as sp
-from scipy.linalg import circulant, lu_factor, lu_solve, toeplitz
+from scipy.linalg import lu_factor, lu_solve, toeplitz
 
 from .errors import ContractError, DomainError, QualityGateError, SolverError
 from .geometry import BoundaryMesh, Geometry, mesh_geometry
@@ -76,14 +76,13 @@ def _log_weights(n_half: int) -> np.ndarray:
     return np.fft.irfft(spec, 2 * n_half) * (2 * n_half)
 
 
-def _log_sin_matrix(mesh: BoundaryMesh) -> np.ndarray:
-    """ln(4 sin^2((t_i - t_j)/2)), masked diagonal: on the uniform grid one row
-    in q = i - j, folded to min(q, n - q) so the sine's argument stays small."""
-    n = mesh.n_nodes
-    q = np.arange(n)
+def _log_sin_row(mesh: BoundaryMesh) -> np.ndarray:
+    """ln(4 sin^2((t_i - t_j)/2)), 0 at i = j: the circulant's row in q = i - j,
+    folded to min(q, N - q) so the sine's argument stays small."""
+    n, q = mesh.n_nodes, np.arange(mesh.n_nodes)
     s = 4.0 * np.sin(0.5 * mesh.h * np.minimum(q, n - q)) ** 2
     s[0] = 1.0
-    return circulant(np.log(s))
+    return np.log(s)
 
 
 def spectral_diff_matrix(n: int) -> np.ndarray:
@@ -116,28 +115,24 @@ def _kernel(a, b, bessel):
 
 
 def _log_split(a, b, bessel, rw, lg, h, diag, out):
-    """Nystrom rows of the kernel K = _kernel(a, b) = K1 ln(4 sin^2) + K2.
+    """Nystrom entries of the kernel K = _kernel(a, b) = K1 ln(4 sin^2) + K2.
 
     Y_n(z) carries (2/pi) J_n(z) ln z, so K1 = (b J1 + j a J0)/pi. Writes
-    rw*K1 + h*(K - K1 ln 4sin^2) into the complex out, from real and
-    imaginary parts. diag, unless None, is (i0, K1_ii, K2_ii): the rows
-    collocate at nodes i0, i0+1, ..., so their complex coincident-point
-    limits go on the diagonal that starts at column i0.
+    rw*K1 + h*(K - K1 ln 4sin^2) into out, its real and imaginary parts.
+    diag, unless None, is (K1_ii, K2_ii), the complex coincident-point limits
+    on the block's diagonal from (0, 0): its rows collocate at its first columns.
     """
     j0, _, j1, _ = bessel
     parts = (b * j1 / np.pi, a * j0 / np.pi)
-    for full, part, dst, take in zip(
-        _kernel(a, b, bessel), parts, (out.real, out.imag), (np.real, np.imag)
-    ):
+    for full, part, dst, take in zip(_kernel(a, b, bessel), parts, out, (np.real, np.imag)):
         full -= part * lg
         if diag is not None:
-            i0, limit_part, limit_full = diag
-            np.fill_diagonal(part[:, i0:], take(limit_part))
-            np.fill_diagonal(full[:, i0:], take(limit_full))
+            np.fill_diagonal(part, take(diag[0]))
+            np.fill_diagonal(full, take(diag[1]))
         dst[...] = rw * part + h * full
 
 
-# rows per assembly block: a block's real temporaries (_ROW_BLOCK x N) stay
+# rows per assembly strip: a strip's real temporaries (_ROW_BLOCK x N) stay
 # cache-sized, and the Bessel triangle's overhead over N^2/2 is N _ROW_BLOCK/2
 _ROW_BLOCK = 64
 
@@ -145,18 +140,18 @@ _ROW_BLOCK = 64
 def assemble_operators(mesh: BoundaryMesh, k: float, bc: BoundaryCondition) -> np.ndarray:
     """Combined-field collocation matrix of bc at k (hard rows scaled by |x'|).
 
-    Assembled in blocks of rows. rho is symmetric bit for bit, as
-    x_i - x_j = -(x_j - x_i) exactly, and so are J0, Y0, J1 and Y1 at k rho:
-    each block evaluates them from its diagonal on and copies their transpose
-    into the rows below, where the later blocks read them.
+    Assembled in strips, rows i0:i1 from column i0 on. rho is symmetric bit
+    for bit, as x_i - x_j = -(x_j - x_i) exactly, so the strip's one Bessel
+    evaluation also serves its mirror, rows i1: of columns i0:i1: the same
+    kernel with row and column nodes swapped, written transposed. The log
+    rows are gathered per strip, the mirror's weights at (j - i) mod N, as
+    the weight row is not symmetric bit for bit; jg is a separate log-split.
     """
     if k <= 0:
         raise DomainError("wavenumber must be positive")
     xp, sigma, h = mesh.xp, mesh.speed, mesh.h
     n = mesh.n_nodes
-    rw = circulant(_log_weights(n // 2))
-    lg = _log_sin_matrix(mesh)
-    quartet = np.empty((4, n, n))
+    w_row, lg_row = _log_weights(n // 2), _log_sin_row(mesh)
     mat = np.empty((n, n), dtype=complex)
 
     # diagonal limit of G's smooth part, and the double-layer limits from the
@@ -168,37 +163,47 @@ def assemble_operators(mesh: BoundaryMesh, k: float, bc: BoundaryCondition) -> n
         limits = (0.25j * k * sigma / np.pi, curv / sigma**2 - 1j * k * g0_diag * sigma)
     else:
         limits = (-0.25j * k**3 * sigma**2 / np.pi, curv / sigma + 1j * k**3 * sigma**2 * g0_diag)
-        jg = np.empty((n, n), dtype=complex)
+        jg = [np.empty((n, n)), np.empty((n, n))]   # log-split of j G, real and imaginary
+
+    def block(dx, dy, rho, split, rows, cols, at, diag):
+        """Entries of nodes rows against nodes cols, index tuples broadcasting
+        to the block (dx, dy = x_row - x_col); at(part) views them in part."""
+        xr, xc = xp[rows], xp[cols]
+        if soft:
+            # sigma(tau) (dG/dn_y - j k G), with (x - y) . (x2', -x1')(tau)
+            a = 0.25 * k * sigma[cols]
+            b = -0.25 * k * (dx * xc[..., 1] - dy * xc[..., 0]) / rho
+        else:
+            # sigma(t) [K' + j k^3 (n.n) S], x'(t) . x'(tau) = sigma(t) sigma(tau) (n.n),
+            # plus the Maue term j k D B D, B the log-split of G (jg that of j G)
+            a = -0.25 * k**3 * (xr[..., 0] * xc[..., 0] + xr[..., 1] * xc[..., 1])
+            b = 0.25 * k * (dx * xr[..., 1] - dy * xr[..., 0]) * sigma[cols] / rho
+            _log_split(-0.25, 0.0, *split, diag and diag[1], tuple(map(at, jg)))
+        _log_split(a, b, *split, diag and diag[0], (at(mat.real), at(mat.imag)))
+
     for i0 in range(0, n, _ROW_BLOCK):
         i1 = min(i0 + _ROW_BLOCK, n)
-        dx, dy = (mesh.nodes[i0:i1, None, c] - mesh.nodes[None, :, c] for c in (0, 1))
+        m = i1 - i0
+        dx, dy = (mesh.nodes[i0:i1, None, c] - mesh.nodes[None, i0:, c] for c in (0, 1))
         rho = np.sqrt(dx * dx + dy * dy)
-        np.fill_diagonal(rho[:, i0:], 1.0)
-        for table, upper in zip(quartet, _bessel(k * rho[:, i0:])):
-            table[i0:i1, i0:] = upper
-            table[i1:, i0:i1] = upper[:, i1 - i0:].T
-        split = (quartet[:, i0:i1], rw[i0:i1], lg[i0:i1], h)
-        diag = (i0, limits[0][i0:i1], limits[1][i0:i1])
-        if soft:
-            # sigma(tau) (dG/dn_y - j k G), q = (x - y) . (x2', -x1')(tau)
-            q = dx * xp[None, :, 1] - dy * xp[None, :, 0]
-            _log_split(0.25 * k * sigma[None, :], -0.25 * k * q / rho, *split, diag, mat[i0:i1])
-            continue
-        # sigma(t) [K' + j k^3 (n.n) S], p = (x - y) . (x2', -x1')(t) and
-        # xx = x'(t) . x'(tau) = sigma(t) sigma(tau) (n.n), plus the Maue term
-        # j k D B D, B the log-split of G (jg below is that of j G)
-        p = dx * xp[i0:i1, None, 1] - dy * xp[i0:i1, None, 0]
-        xx = xp[i0:i1, None, 0] * xp[None, :, 0] + xp[i0:i1, None, 1] * xp[None, :, 1]
-        b = 0.25 * k * p * sigma[None, :] / rho
-        _log_split(-0.25 * k**3 * xx, b, *split, diag, mat[i0:i1])
-        diag = (i0, -0.25j / np.pi, 1j * g0_diag[i0:i1])
-        _log_split(-0.25, 0.0, *split, diag, jg[i0:i1])
+        np.fill_diagonal(rho, 1.0)
+        bessel = _bessel(k * rho)
+        gap = np.subtract.outer(np.arange(i0, i1), np.arange(i0, n)) % n   # (i - j) mod N
+        lg = lg_row[gap]
+        diag = ((limits[0][i0:i1], limits[1][i0:i1]), (-0.25j / np.pi, 1j * g0_diag[i0:i1]))
+        block(dx, dy, rho, (bessel, w_row[gap], lg, h), np.s_[i0:i1, None], np.s_[None, i0:],
+              lambda part: part[i0:i1, i0:], diag)
+        split = (tuple(t[:, m:] for t in bessel), w_row[-gap[:, m:] % n], lg[:, m:], h)
+        block(-dx[:, m:], -dy[:, m:], rho[:, m:], split, np.s_[None, i1:], np.s_[i0:i1, None],
+              lambda part: part[i1:, i0:i1].T, None)
     if soft:
         mat[np.diag_indices(n)] += 0.5
         return mat
     dspec = spectral_diff_matrix(n)
-    mat.real += k * (dspec @ jg.real @ dspec)
-    mat.imag += k * (dspec @ jg.imag @ dspec)
+    for dst in (mat.real, mat.imag):
+        prod = (dspec @ jg.pop(0)) @ dspec
+        prod *= k
+        dst += prod
     mat[np.diag_indices(n)] -= 0.5 * sigma
     return mat
 

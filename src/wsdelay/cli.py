@@ -184,12 +184,15 @@ def _solve(cfg, st):
     return s, sprime, "finite-difference", solution, lines
 
 
-def _decompose(cfg, s, sprime, provenance):
-    """Q, its delay eigenmodes and the structural gates, in report order."""
+def _decompose(cfg, st, s, sprime, provenance):
+    """Q, its delay eigenmodes and the gates, in report order; the first,
+    with no limit, is M's shortfall from the truncation rule."""
     q = q_matrix(s, sprime, provenance=provenance)
     dec = ws_decompose(q, s)
     gate = cfg.smatrix_gate
     gates = GateLedger()
+    rule = suggested_mode_count(cfg.k, st.circumradius, 3.0, st.dim)
+    gates.record("mode_count_shortfall", max(0, rule - len(st.modes)))
     srep = validate_smatrix(s, gate)
     gates.add("unitarity_residual", srep.unitarity_residual, gate)
     gates.add("symmetry_residual", srep.symmetry_residual, gate)
@@ -318,7 +321,7 @@ def run_scenario(cfg, out_dir):
     cfg.validate()
     st = _setup(cfg)
     s, sprime, provenance, solution, solver_lines = _solve(cfg, st)
-    q, dec, gates = _decompose(cfg, s, sprime, provenance)
+    q, dec, gates = _decompose(cfg, st, s, sprime, provenance)
     residual_rows = _sphere_checks(cfg, st, s, sprime, q, gates)
     classification, baselines, exports = _field_maps(cfg, st, s, solution, dec)
     report = _report(cfg, st, solver_lines, classification, dec, gates)

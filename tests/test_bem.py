@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,7 +11,7 @@ from scipy.spatial import ConvexHull, QhullError
 from wsdelay import bem
 from wsdelay.bem import (
     BoundarySolution,
-    _log_sin_matrix,
+    _log_sin_row,
     _log_weights,
     assemble_operators,
     bem_smatrix,
@@ -71,7 +73,7 @@ def four_operator_system(mesh, k, bc):
     z = k * rho
     j0, j1 = sp.j0(z), sp.j1(z)
     h0, h1 = j0 - 1j * sp.y0(z), j1 - 1j * sp.y1(z)
-    rw, lg = circulant(_log_weights(n // 2)), _log_sin_matrix(mesh)
+    rw, lg = circulant(_log_weights(n // 2)), circulant(_log_sin_row(mesh))
 
     def split(full, part, diag):
         rest = full - part * lg
@@ -130,7 +132,7 @@ def full_matrix_assembly(mesh, k, bc):
     np.fill_diagonal(rho, 1.0)
     bessel = bem._bessel(k * rho)
     rw = circulant(_log_weights(n // 2))
-    lg = _log_sin_matrix(mesh)
+    lg = circulant(_log_sin_row(mesh))
     g0_diag = -0.25j - (np.euler_gamma + np.log(k * sigma / 2.0)) / (2 * np.pi)
     curv = (mesh.xpp[:, 0] * xp[:, 1] - mesh.xpp[:, 1] * xp[:, 0]) / (4.0 * np.pi)
     if bc is SOFT:
@@ -193,7 +195,7 @@ def offnode_dirichlet_residual(
     combined = np.empty(lg.shape, dtype=complex)
     bem._log_split(
         0.25 * k * mesh.speed[None, :], -0.25 * k * q / rho, bem._bessel(k * rho),
-        rw, lg, mesh.h, diag=None, out=combined,
+        rw, lg, mesh.h, diag=None, out=(combined.real, combined.imag),
     )
 
     # trigonometric interpolation of the density at t*
@@ -649,16 +651,62 @@ class TestAssembly:
         got = assemble_operators(mesh, k, bc)
         assert np.array_equal(got, full_matrix_assembly(mesh, k, bc))
 
-    def test_bessel_quartet_evaluated_on_one_triangle(self, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 7, 10**6])
+    @pytest.mark.parametrize("bc", [SOFT, HARD])
+    @pytest.mark.parametrize("geom", [make_circle(2.0), make_strip()], ids=["circle", "strip"])
+    def test_row_block_edge_cases_bitwise(self, monkeypatch, geom, bc, block):
+        # one-row strips (the last one's mirror empty), a ragged last strip,
+        # and one strip holding every row with no mirror at all
+        monkeypatch.setattr(bem, "_ROW_BLOCK", block)
+        mesh = mesh_geometry(geom, 1.0)
+        got = assemble_operators(mesh, 1.0, bc)
+        assert np.array_equal(got, full_matrix_assembly(mesh, 1.0, bc))
+
+    @pytest.mark.parametrize("bc", [SOFT, HARD])
+    def test_bessel_quartet_evaluated_on_one_triangle(self, monkeypatch, bc):
         # J0, Y0, J1 and Y1 at k rho are symmetric, so about half the N^2
-        # entries are evaluated; the Maue core reads the same quartet
+        # entries are evaluated; each strip's evaluation serves its mirrored
+        # entries and, hard, the Maue core as well
         sizes = []
         bessel = bem._bessel
         monkeypatch.setattr(bem, "_bessel", lambda z: sizes.append(np.size(z)) or bessel(z))
         mesh = mesh_geometry(make_cavity(3.0), 1.0)
         assert mesh.n_nodes == 842
-        assemble_operators(mesh, 1.0, HARD)
+        assemble_operators(mesh, 1.0, bc)
         assert sum(sizes) <= 0.55 * mesh.n_nodes**2
+
+
+def traced_peak(fn):
+    """Peak of the memory traced while fn runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAssemblyMemory:
+    # the default-mesh hard w=3 cavity, 842 nodes, in units of one complex
+    # N x N matrix: the matrix itself, and hard the Maue core's two real
+    # parts with the spectral differentiation matrix and one product; the
+    # solve adds the LU factors. A whole-matrix assembly holding the Bessel
+    # quartet and the circulant log matrices reads 6.5 (hard) and 4.5 (soft)
+    @pytest.mark.parametrize("bc, bound", [(HARD, 4.0), (SOFT, 2.5)])
+    def test_assembly_peak(self, bc, bound):
+        mesh = mesh_geometry(make_cavity(3.0), 1.0)
+        assert mesh.n_nodes == 842
+        peak = traced_peak(lambda: assemble_operators(mesh, 1.0, bc))
+        assert peak <= bound * 16 * mesh.n_nodes**2
+
+    @pytest.mark.parametrize("bc, bound", [(HARD, 4.0), (SOFT, 3.0)])
+    def test_smatrix_peak(self, bc, bound):
+        geom = make_cavity(3.0)
+        mesh = mesh_geometry(geom, 1.0)
+        modes = ModeSet.angular(35, 1.0)
+        assert len(modes) == 71
+        peak = traced_peak(lambda: bem_smatrix(geom, bc, 1.0, modes, mesh=mesh, gate=None))
+        assert peak <= bound * 16 * mesh.n_nodes**2
 
 
 class TestFarField:
@@ -719,7 +767,7 @@ class TestQuadratureRows:
         s_ext = 4.0 * np.sin(q * (pi / mesh.n_nodes)) ** 2
         np.fill_diagonal(s_ext, 1.0)
         exact = np.log(s_ext)
-        new = _log_sin_matrix(mesh)
+        new = circulant(_log_sin_row(mesh))
         assert np.array_equal(np.diag(new), np.zeros(mesh.n_nodes))
         assert np.max(np.abs(new - exact)) <= np.max(np.abs(old - exact))
 

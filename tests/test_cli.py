@@ -238,6 +238,16 @@ class TestRunScenario:
         assert all(abs(rep.closed_value) > 1.0 for _, rep in seen)
         assert any(p.m != 0 for (p, _), _ in seen)
 
+    @pytest.mark.parametrize("count, shortfall", [(16, 33.0), (None, 0.0)])
+    def test_mode_count_shortfall_reported(self, tmp_path, count, shortfall):
+        # ka = 2: the truncation rule asks for l_max = 6, (6 + 1)^2 = 49 ports
+        cfg = ScenarioConfig(scenario="sphere", bc="soft", a=2.0, mode_count=count)
+        summary = run_scenario(cfg, str(tmp_path / "o"))
+        assert ("mode_count_shortfall", shortfall, None) in summary["gates"]
+        report = open(tmp_path / "o" / "report.txt").read().splitlines()
+        assert f"mode_count_shortfall={shortfall:.6e}" in report
+        assert summary["passed"]
+
     def test_artifacts_written(self, cylinder_run):
         _, summary, out = cylinder_run
         for name in (
