@@ -26,7 +26,6 @@ from .errors import (
 )
 from .fields import (
     ClassificationThresholds,
-    FieldGrid,
     GridSpec,
     bem_excitation_fields,
     classify_modes,

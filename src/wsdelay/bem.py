@@ -254,7 +254,7 @@ def solve_exterior(
     if not np.all(np.isfinite(density)):
         raise SolverError("boundary solve produced non-finite density")
     if res > 1e-8:
-        raise SolverError("boundary linear solve residual above threshold", residual=res)
+        raise SolverError(f"boundary linear solve residual {res:.1e} above 1e-08")
     return BoundarySolution(density=density, bc=bc, k=k, residual=float(res))
 
 

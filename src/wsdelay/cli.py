@@ -31,7 +31,6 @@ from .errors import (
 )
 from .fields import (
     ClassificationThresholds,
-    FieldGrid,
     GridSpec,
     RegionMasks,
     bem_excitation_fields,
@@ -197,7 +196,6 @@ def _decompose(cfg, st, s, sprime, provenance):
     gates.add("unitarity_residual", srep.unitarity_residual, gate)
     gates.add("symmetry_residual", srep.symmetry_residual, gate)
     gates.record("q_presym_residual", q.presym_residual)
-    gates.add("hermiticity_residual", q.hermiticity_residual(), 1e-12)
     gates.add("w_orthonormality", dec.orthonormality_residual(), 1e-10)
     gates.add("q_reconstruction", dec.reconstruction_residual(q), 1e-10)
     gates.add(
@@ -244,7 +242,7 @@ def _sphere_checks(cfg, st, s, sprime, q, gates):
 def _field_maps(cfg, st, s, solution, dec):
     """Classify the delay eigenmodes from their energy fractions.
 
-    Returns (classification, baselines, [(index, FieldGrid)] of the exported
+    Returns (classification, baselines, [(index, values)] of the exported
     modes); one pass over the grid gives the region Grams and the exported
     modes' values, and no other point values.
     """
@@ -260,10 +258,7 @@ def _field_maps(cfg, st, s, solution, dec):
     fractions = localization_metrics(grams, dec.w)
     thresholds = ClassificationThresholds(tau_ballistic=2.0 * st.circumradius)
     classification = classify_modes(dec.delays, fractions, regions.baselines, thresholds)
-    exports = [
-        (i, FieldGrid(spec=st.grid, values=values[:, j], mask=~regions.live))
-        for j, i in enumerate(cfg.export_modes)
-    ]
+    exports = [(i, values[:, j]) for j, i in enumerate(cfg.export_modes)]
     return classification, regions.baselines, exports
 
 
@@ -285,30 +280,26 @@ def _report(cfg, st, solver_lines, classification, dec, gates):
 
 
 def _write(out_dir, st, matrices, delays, residual_rows, classification, exports, report):
-    """Create out_dir and write every artifact: the only stage that touches it."""
+    """Create out_dir and name every artifact: the only stage that touches it."""
     os.makedirs(out_dir, exist_ok=True)
 
     def path(name):
         return os.path.join(out_dir, name)
 
     if residual_rows is not None:
-        with open(path("volumeq_residuals.csv"), "w") as fh:
-            fh.write("p,q,route,value_re,value_im,reference_re,reference_im,rel_err\n")
-            for row in residual_rows:
-                fh.write(f"{row[0]},{row[1]},{row[2]},"
-                         + ",".join(wio.FMT % v for v in row[3:]) + "\n")
+        wio.write_volume_residuals(path("volumeq_residuals.csv"), residual_rows)
     if classification is not None:
         wio.write_classification(path("classification.csv"), classification)
-    for idx1, fg in exports:
-        wio.write_field_grid(path(f"mode_{idx1:03d}_field.csv"), fg)
+    for idx1, values in exports:
+        wio.write_field_grid(path(f"mode_{idx1:03d}_field.csv"), st.grid, values,
+                             ~st.regions.live)
     for name, matrix in matrices.items():
         wio.write_complex_matrix(path(f"{name}.csv"), matrix)
     wio.write_spectrum(path("spectrum.csv"), delays)
     wio.write_modeset(path("modes.csv"), st.modes)
     if st.mesh is not None:
         wio.write_mesh(path("mesh.csv"), st.mesh)
-    with open(path("report.txt"), "w") as fh:
-        fh.write("\n".join(report) + "\n")
+    wio.write_report(path("report.txt"), report)
 
 
 def run_scenario(cfg, out_dir):

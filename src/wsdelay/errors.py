@@ -33,10 +33,6 @@ class GeometryError(WsdelayError, ValueError):
 class SolverError(WsdelayError, RuntimeError):
     """Linear solve failed or produced a residual above threshold."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class AccuracyError(WsdelayError, RuntimeError):
     """Quadrature or series did not converge to the requested tolerance."""

@@ -55,16 +55,6 @@ class GridSpec:
 
 
 @dataclass
-class FieldGrid:
-    """Complex potential samples on a grid; masked points are inside the
-    scatterer (or in the unreliable boundary band) and hold 0."""
-
-    spec: GridSpec
-    values: np.ndarray
-    mask: np.ndarray
-
-
-@dataclass
 class RegionMasks:
     boundary: np.ndarray
     corner: np.ndarray

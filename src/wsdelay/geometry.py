@@ -23,6 +23,7 @@ CAVITY_OUTER = 15.0   # outer square half-side
 CAVITY_INNER = 11.0   # inner void half-side (wall thickness 4)
 CAVITY_INTERIOR_BOX = (-CAVITY_INNER, CAVITY_INNER, -CAVITY_INNER, CAVITY_INNER)
 GRADING_EXPONENT = 4  # Kress grading of straight segments toward their ends
+NODES_PER_WAVELENGTH = 12.0  # default mesh density at the coarsest spacing
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,7 @@ class Line:
 
 @dataclass(frozen=True)
 class Circle:
-    center: tuple
-    radius: float
+    radius: float   # centered at the origin
 
     @property
     def length(self) -> float:
@@ -61,8 +61,7 @@ class Geometry:
         """True for points inside the solid region (ray casting for polygons)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if len(self.segments) == 1 and isinstance(self.segments[0], Circle):
-            c = np.asarray(self.segments[0].center)
-            return np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) < self.segments[0].radius
+            return np.hypot(pts[:, 0], pts[:, 1]) < self.segments[0].radius
         verts = np.array([s.start for s in self.segments], dtype=float)
         x, y = pts[:, 0], pts[:, 1]
         inside = np.zeros(len(pts), dtype=bool)
@@ -80,9 +79,7 @@ class Geometry:
         """Unsigned distance from each point to the boundary curve."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if len(self.segments) == 1 and isinstance(self.segments[0], Circle):
-            c = np.asarray(self.segments[0].center)
-            r = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])
-            return np.abs(r - self.segments[0].radius)
+            return np.abs(np.hypot(pts[:, 0], pts[:, 1]) - self.segments[0].radius)
         best = np.full(len(pts), np.inf)
         for seg in self.segments:
             a = np.asarray(seg.start, dtype=float)
@@ -176,20 +173,16 @@ def make_cavity(gap_width: float) -> Geometry:
     )
 
 
-def make_circle(radius: float, center=(0.0, 0.0)) -> Geometry:
+def make_circle(radius: float) -> Geometry:
     if radius <= 0:
         raise DomainError("radius must be positive")
-    return Geometry(
-        name=f"circle(a={radius:g})",
-        segments=(Circle(tuple(map(float, center)), float(radius)),),
-        corners=(),
-    )
+    return Geometry(name=f"circle(a={radius:g})", segments=(Circle(float(radius)),))
 
 
-def make_polyline(vertices, name="custom") -> Geometry:
+def make_polyline(vertices) -> Geometry:
     if len(vertices) < 3:
         raise GeometryError("custom boundary needs at least 3 vertices")
-    return _polygon(name, vertices)
+    return _polygon("custom", vertices)
 
 
 def make_geometry(kind: str, **params) -> Geometry:
@@ -199,9 +192,9 @@ def make_geometry(kind: str, **params) -> Geometry:
     if kind == "cavity":
         return make_cavity(params["w"])
     if kind in ("circle", "cylinder"):
-        return make_circle(params["a"], params.get("center", (0.0, 0.0)))
+        return make_circle(params["a"])
     if kind == "custom":
-        return make_polyline(params["vertices"], params.get("name", "custom"))
+        return make_polyline(params["vertices"])
     raise DomainError(f"unknown geometry kind {kind!r}")
 
 
@@ -302,9 +295,8 @@ def _segment_map(seg, xi, dxi_dt):
     take the Kress grading of GRADING_EXPONENT, circles their uniform angle."""
     if isinstance(seg, Circle):
         phi = 2.0 * np.pi * xi
-        c, r = np.asarray(seg.center), seg.radius
-        dphi = 2.0 * np.pi * dxi_dt
-        pos = c + r * np.column_stack([np.cos(phi), np.sin(phi)])
+        r, dphi = seg.radius, 2.0 * np.pi * dxi_dt
+        pos = r * np.column_stack([np.cos(phi), np.sin(phi)])
         vel = r * np.column_stack([-np.sin(phi), np.cos(phi)]) * dphi
         acc = -r * np.column_stack([np.cos(phi), np.sin(phi)]) * dphi**2
         return pos, vel, acc
@@ -317,7 +309,7 @@ def _segment_map(seg, xi, dxi_dt):
 def mesh_geometry(
     geometry: Geometry,
     k: float,
-    nodes_per_wavelength: float = 12.0,
+    nodes_per_wavelength: float = NODES_PER_WAVELENGTH,
 ) -> BoundaryMesh:
     """Graded composite mesh with globally uniform parameter spacing.
 

@@ -1,9 +1,11 @@
-"""File formats: complex-matrix CSV, spectra, grids, meshes, and the flat
-key=value scenario config.
+"""File formats: every artifact a run writes (matrices, spectra, ports,
+field grids, classification, volume residuals, meshes, the report) and the
+flat key=value scenario config.
 
-All numeric fields print with 17 significant digits so write/read round-trips
-are exact for finite doubles; orderings follow the deterministic mode
-ordering, so identical configs produce byte-identical files.
+Every CSV goes through one writer, and all numeric fields print with 17
+significant digits so write/read round-trips are exact for finite doubles;
+orderings follow the deterministic mode ordering, so identical configs
+produce byte-identical files.
 """
 
 import re
@@ -13,76 +15,81 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
+from .fields import GridSpec
+from .geometry import NODES_PER_WAVELENGTH
 from .modal import ModeSet
 from .smatrix import DEFAULT_SMATRIX_GATE
+from .volumeq import QuadratureSpec
 
 FMT = "%.17g"
 
 
-def _fmt(x) -> str:
-    return FMT % float(x)
-
-
-# ---------------------------------------------------------------------------
-# matrices and vectors
-# ---------------------------------------------------------------------------
-def _write_rows(fh, row_fmt, columns):
-    """One row_fmt line per row of the stacked columns, one % per 4096 rows."""
+def _write_csv(path, header, row_fmt, columns):
+    """Write header, then one row_fmt line per row of the stacked columns,
+    formatted 4096 rows per %; a mixed-type table is one object block."""
     table = np.column_stack(columns)
-    for part in np.split(table, range(4096, len(table), 4096)):
-        fh.write((row_fmt * len(part)) % tuple(part.ravel().tolist()))
+    line = row_fmt + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for part in np.split(table, range(4096, len(table), 4096)):
+            fh.write((line * len(part)) % tuple(part.ravel().tolist()))
 
 
+# ---------------------------------------------------------------------------
+# artifacts
+# ---------------------------------------------------------------------------
 def write_complex_matrix(path, matrix: np.ndarray):
     m = np.asarray(matrix)
     rows, cols = np.indices(m.shape)
-    with open(path, "w") as fh:
-        fh.write("row,col,re,im\n")
-        _write_rows(fh, f"%d,%d,{FMT},{FMT}\n", [a.ravel() for a in (rows, cols, m.real, m.imag)])
+    _write_csv(path, "row,col,re,im", f"%d,%d,{FMT},{FMT}",
+               [a.ravel() for a in (rows, cols, m.real, m.imag)])
 
 
 def write_spectrum(path, delays: np.ndarray):
     """Delay spectrum, ascending; index is 1-based like the mode numbering."""
-    with open(path, "w") as fh:
-        fh.write("index,delay\n")
-        for i, d in enumerate(delays, start=1):
-            fh.write(f"{i},{_fmt(d)}\n")
+    _write_csv(path, "index,delay", f"%d,{FMT}", [np.arange(1, len(delays) + 1), delays])
 
 
 def write_modeset(path, modes: ModeSet):
-    with open(path, "w") as fh:
-        if modes.dim == 3:
-            fh.write("index,l,m\n")
-            for i, p in enumerate(modes.modes):
-                fh.write(f"{i},{p.l},{p.m}\n")
-        else:
-            fh.write("index,n\n")
-            for i, p in enumerate(modes.modes):
-                fh.write(f"{i},{p.n}\n")
+    if modes.dim == 3:
+        ports = [(p.l, p.m) for p in modes.modes]
+        header, row_fmt = "index,l,m", "%d,%d,%d"
+    else:
+        ports = [(p.n,) for p in modes.modes]
+        header, row_fmt = "index,n", "%d,%d"
+    _write_csv(path, header, row_fmt, [np.arange(len(ports)), ports])
 
 
-def write_field_grid(path, grid):
-    """Field samples, row-major (x fastest), header x,y,re,im,masked."""
-    cols = [grid.spec.points(), grid.values.real, grid.values.imag, grid.mask]
-    with open(path, "w") as fh:
-        fh.write("x,y,re,im,masked\n")
-        _write_rows(fh, f"{FMT},{FMT},{FMT},{FMT},%d\n", cols)
+def write_field_grid(path, spec, values: np.ndarray, mask: np.ndarray):
+    """Field samples at spec's points, row-major (x fastest); masked points
+    are inside the scatterer (or in the unreliable boundary band) and hold 0."""
+    _write_csv(path, "x,y,re,im,masked", f"{FMT},{FMT},{FMT},{FMT},%d",
+               [spec.points(), values.real, values.imag, mask])
 
 
 def write_classification(path, classification):
-    with open(path, "w") as fh:
-        fh.write("index,label,delay,boundary_fraction,corner_fraction,interior_fraction,warning\n")
-        for c in classification:
-            fh.write(
-                f"{c.index + 1},{c.label},{_fmt(c.delay)},{_fmt(c.boundary_fraction)},"
-                f"{_fmt(c.corner_fraction)},{_fmt(c.interior_fraction)},{int(c.warning)}\n"
-            )
+    rows = [(c.index + 1, c.label, c.delay, c.boundary_fraction, c.corner_fraction,
+             c.interior_fraction, c.warning) for c in classification]
+    _write_csv(path, "index,label,delay,boundary_fraction,corner_fraction,"
+               "interior_fraction,warning", f"%d,%s,{FMT},{FMT},{FMT},{FMT},%d",
+               [np.array(rows, dtype=object)])
+
+
+def write_volume_residuals(path, rows):
+    """The volume routes' Q diagonals against j S^dag S', one row per
+    (p, q, route, value, reference, relative error)."""
+    _write_csv(path, "p,q,route,value_re,value_im,reference_re,reference_im,rel_err",
+               "%d,%d,%s," + ",".join([FMT] * 5), [np.array(rows, dtype=object)])
 
 
 def write_mesh(path, mesh):
+    _write_csv(path, "x,y,nx,ny,weight", ",".join([FMT] * 5),
+               [mesh.nodes, mesh.normals, mesh.weights])
+
+
+def write_report(path, lines):
     with open(path, "w") as fh:
-        fh.write("x,y,nx,ny,weight\n")
-        _write_rows(fh, ",".join([FMT] * 5) + "\n", [mesh.nodes, mesh.normals, mesh.weights])
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +108,13 @@ class ScenarioConfig:
     w: float = 3.0                    # cavity gap width
     mode_count: Optional[int] = None  # explicit M; default from the circumradius
     delta_k: Optional[float] = None   # FD step; default wigner.fd_step
-    nodes_per_wavelength: float = 12.0
-    grid_nx: int = 301
-    grid_ny: int = 301
+    nodes_per_wavelength: float = NODES_PER_WAVELENGTH
+    grid_nx: int = GridSpec.nx
+    grid_ny: int = GridSpec.ny
     grid_halfwidth: Optional[float] = None
     smatrix_gate: float = DEFAULT_SMATRIX_GATE
     vol_kr: float = 200.0
-    vol_npw: float = 24.0
+    vol_npw: float = QuadratureSpec.nodes_per_wavelength
     checks: tuple = ()
     export_modes: tuple = ()          # 1-based mode indices for field export
     polyline: Optional[str] = None

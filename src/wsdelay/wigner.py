@@ -37,9 +37,6 @@ class QMatrix:
     provenance: str = "analytic"
     presym_residual: float = 0.0
 
-    def hermiticity_residual(self) -> float:
-        return relative_residual(self.matrix, self.matrix.conj().T)
-
 
 @dataclass
 class WSDecomposition:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from wsdelay import cli, mie, specfun, volumeq
+from wsdelay import bem, cli, mie, specfun, volumeq
 from wsdelay.cli import main, run_scenario
 from wsdelay.errors import ConfigError
 from wsdelay.io import (
@@ -469,6 +469,16 @@ class TestMainExitCodes:
         assert main(["--config", cfg, "--out", str(out), "--modes", "1"]) == 0
         assert len(open(out / "classification.csv").read().splitlines()) == 2
         assert (out / "mode_001_field.csv").exists()
+
+    def test_solver_failure_exit_4_before_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bem, "lu_solve", lambda lu, rhs: np.zeros_like(rhs))
+        cfg = write(tmp_path / "c.cfg", "scenario=strip\nmodes=11\ngrid_nx=41\ngrid_ny=41\n")
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "solver error:" in err
+        assert "residual 1.0e+00 above 1e-08" in err
+        assert not out.exists()
 
     def test_missing_config_exit_3(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 3

@@ -3,8 +3,8 @@ wsdelay functions by name; a renamed or re-signed layer function would
 otherwise break only the traced benchmark run, and silently. The 2D
 kernels' Bessel functions have one call site. Importing the package
 loads no scipy subpackage beyond the two it uses. Every public function
-or class has a reader outside the tests. And the README's config block
-documents exactly the keys the parser reads."""
+or class has a reader outside the tests. Only io opens a file for writing.
+And the README's config block documents exactly the keys the parser reads."""
 
 import ast
 import importlib
@@ -121,6 +121,28 @@ def test_every_public_definition_is_used():
                         defined[node.name] = name
     unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
     assert not unused, unused
+
+
+def test_only_io_opens_files_for_writing():
+    """Every artifact's file format is decided in io: an open() call in any
+    other module reads. A mode that is not a string constant counts as a
+    write."""
+    package = os.path.join(SRC, "wsdelay")
+    writers = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            if any(not (isinstance(m, ast.Constant) and set(m.value) <= set("rbt"))
+                   for m in modes):
+                writers.add(f"{name}:{node.lineno}")
+    assert {w.split(":")[0] for w in writers} == {"io.py"}, sorted(writers)
 
 
 def test_readme_config_block_lists_every_key():

@@ -334,7 +334,7 @@ class TestVolumeQMatrix:
         scale = np.max(np.abs(np.diag(qref.matrix)))
         assert np.max(np.abs(qvol.matrix - qref.matrix)) / scale < 1e-3
         assert qvol.provenance == "volume-integral"
-        assert qvol.hermiticity_residual() < 1e-12
+        assert np.array_equal(qvol.matrix, qvol.matrix.conj().T)
 
     @pytest.mark.parametrize("bc", [SOFT, HARD])
     @pytest.mark.parametrize("lmax", [3, 9])
