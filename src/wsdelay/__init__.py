@@ -59,7 +59,7 @@ from .modal import (
 )
 from .smatrix import BoundaryCondition, SMatrix
 from .volumeq import (
-    QuadratureSpec,
+    check_cutoff,
     surface_identity_check,
     volume_q_matrix,
 )

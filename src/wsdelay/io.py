@@ -19,7 +19,6 @@ from .fields import GridSpec
 from .geometry import NODES_PER_WAVELENGTH
 from .modal import ModeSet
 from .smatrix import DEFAULT_SMATRIX_GATE
-from .volumeq import QuadratureSpec
 
 FMT = "%.17g"
 
@@ -114,7 +113,6 @@ class ScenarioConfig:
     grid_halfwidth: Optional[float] = None
     smatrix_gate: float = DEFAULT_SMATRIX_GATE
     vol_kr: float = 200.0
-    vol_npw: float = QuadratureSpec.nodes_per_wavelength
     checks: tuple = ()
     export_modes: tuple = ()          # 1-based mode indices for field export
     polyline: Optional[str] = None
@@ -124,8 +122,7 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.bc not in ("soft", "hard"):
             raise ConfigError(f"bc must be soft or hard, got {self.bc!r}")
-        positive = {"k": self.k, "a": self.a, "w": self.w,
-                    "vol_kr": self.vol_kr, "vol_npw": self.vol_npw}
+        positive = {"k": self.k, "a": self.a, "w": self.w, "vol_kr": self.vol_kr}
         if self.grid_halfwidth is not None:
             positive["grid_halfwidth"] = self.grid_halfwidth
         for name, val in positive.items():
@@ -173,7 +170,6 @@ _FIELD_PARSERS = {
     "grid_halfwidth": float,
     "smatrix_gate": float,
     "vol_kr": float,
-    "vol_npw": float,
     "checks": lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
     "export_modes": lambda s: tuple(int(x) for x in s.split(",") if x.strip()),
     "polyline": str,

@@ -13,10 +13,12 @@ closed form. Three styles are implemented:
 
 All three equal j S^dag S' in exact arithmetic. Angular integrals are
 reduced exactly by orthonormality/conjugation of the harmonics, leaving the
-total field's 1D radial integrals over [a, R], done by composite 12-point
-Gauss panels; the Appendix-B surface check takes its angular integral by
+total field's 1D radial integrals over [a, R], which are closed forms too:
+the field energy by Lommel's integral (DLMF 10.22(i), spherical form) and
+the gradient energy from it by Green's identity, both evaluated at r = a and
+r = R. The Appendix-B surface check takes its angular integral by
 orthonormality too, so no harmonic is ever evaluated. Every degree's radial
-integrals come from one h^(1) table on the panel nodes (specfun's
+integrals come from one h^(1) table at k[a, R] (specfun's
 sph_hankel1_table: one j/y recurrence for all degrees, derivatives from the
 neighbouring row), with h^(2) = conj h^(1) for real arguments, and the three
 styles are combinations of that one set of integrals. The fields'
@@ -27,7 +29,7 @@ A sharp cutoff at R leaves an O(1/(k^2 R)) oscillatory boundary error. Since
 h_l is exactly a polynomial in 1/r times e^{jkr}/r, the [R, inf) tail of the
 renormalized integrand is a finite combination of power and oscillatory
 moments and is summed in closed form (repeated integration by parts); with
-the tail closure the route is limited only by quadrature.
+the tail closure the route is limited only by rounding.
 """
 
 from dataclasses import dataclass
@@ -45,23 +47,6 @@ from .wigner import QMatrix
 STYLES = ("symmetric", "a", "b")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Radial quadrature layout for the renormalized volume integrals."""
-
-    radius: float                       # outer cutoff R (m)
-    nodes_per_wavelength: float = 24.0  # Gauss nodes per radial wavelength
-
-    def validate(self, k: float, a: float):
-        # negated comparisons, so that NaN fails them
-        if not self.radius * k >= 50.0:
-            raise DomainError("need kR >= 50 for the far-field port region")
-        if not self.radius >= 3.0 * a:
-            raise DomainError("need R >= 3a")
-        if not self.nodes_per_wavelength >= 4.0:
-            raise DomainError("radial quadrature too coarse")
-
-
 def _degree_entries(matrix: np.ndarray, modes: ModeSet, lmax: int) -> np.ndarray:
     """The (l, 0) diagonal entries for degrees 0..lmax. On S they are the
     outgoing coefficients beta_l = (-1)^(l+1) alpha_l (far form
@@ -69,28 +54,6 @@ def _degree_entries(matrix: np.ndarray, modes: ModeSet, lmax: int) -> np.ndarray
     column phase of (l, 0) is (-1)^(l+1), so both are exact."""
     rows = [modes.position(ModeIndex.spherical(l, 0)) for l in range(lmax + 1)]
     return matrix[rows, rows]
-
-
-# ---------------------------------------------------------------------------
-# Gauss panels
-# ---------------------------------------------------------------------------
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
-
-
-def _gauss_panels(lo: float, hi: float, k: float, nodes_per_wavelength: float):
-    """Composite Gauss nodes/weights on [lo, hi], one _GAUSS_X rule per panel
-    and nodes_per_wavelength nodes per radial wavelength."""
-    if hi <= lo:
-        raise DomainError("empty radial interval")
-    wavelength = 2.0 * np.pi / k
-    panel = wavelength * len(_GAUSS_X) / nodes_per_wavelength
-    n_panels = max(int(np.ceil((hi - lo) / panel)), 1)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
-    weights = (half[:, None] * _GAUSS_W[None, :]).ravel()
-    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +145,25 @@ def _difference_tails(l: int, beta: complex, k: float, radius: float):
     return tail_ff, tail_gg
 
 
+def check_cutoff(k: float, a: float, radius: float, lmax: int) -> float:
+    """radius, once it can be the volume routes' cutoff R for degrees 0..lmax:
+    kR >= 50, R >= 3a (NaN fails both), and a finite, converged [R, inf) tail
+    closure at the top degree, where it is hardest. The sphere's outgoing
+    coefficients are unimodular, so beta = 1 stands in for the solve's."""
+    if not radius * k >= 50.0:
+        raise DomainError("need kR >= 50 for the far-field port region")
+    if not radius >= 3.0 * a:
+        raise DomainError("need R >= 3a")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            tails = _difference_tails(lmax, 1.0, k, radius)
+    except AccuracyError as exc:
+        raise DomainError(f"degree {lmax} at kR={k * radius:g}: {exc}") from None
+    if not np.all(np.isfinite(tails)):
+        raise DomainError(f"degree {lmax} tail closure overflows at kR={k * radius:g}")
+    return radius
+
+
 # ---------------------------------------------------------------------------
 # radial integrals
 # ---------------------------------------------------------------------------
@@ -195,26 +177,29 @@ def _free_field_integrals(betas: np.ndarray, k: float, radius: float):
     return power + wave, k**2 * (power - wave)
 
 
-def _radial_differences(betas: np.ndarray, k: float, a: float, quad: QuadratureSpec):
-    """(D_ff, D_gg) for degrees 0..lmax: renormalized ff and gg radial
-    integrals incl. tails, from one h^(1) table on the [a, R] nodes. The
-    degree-l field is c1 (h_l^(1) + alpha_l h_l^(2)) outside the scatterer,
-    c1 = k j^(l+1), with alpha_l = (-1)^(l+1) beta_l."""
+def _shell_integrals(betas: np.ndarray, k: float, a: float, radius: float):
+    """(T_ff, T_gg) for degrees 0..lmax: the total field's int_a^R |f|^2 r^2 dr
+    and int_a^R (|f_r|^2 r^2 + l(l+1) |f|^2) dr from one h^(1) table at
+    k[a, R]. The degree-l field is c1 (h_l^(1) + alpha_l h_l^(2)), c1 = k j^(l+1),
+    alpha_l = (-1)^(l+1) beta_l. With x = kr and f' = df/dx, Lommel's integral
+        int x^2 |f|^2 dx = (x^3/2)(|f|^2 + |f'|^2 - l(l+1)|f|^2/x^2) + (x^2/2) Re(conj(f) f')
+    gives T_ff, and as (r^2 f_r)_r = (l(l+1) - k^2 r^2) f, Green's identity
+    gives T_gg = [r^2 Re(conj(f) f_r)] + k^2 T_ff."""
     lmax = len(betas) - 1
     c1 = np.array([k * 1j ** (l + 1) for l in range(lmax + 1)])[:, None]
     degree = np.arange(lmax + 1)[:, None]
     c2 = c1 * ((-1.0) ** (degree + 1) * betas[:, None])
     ll = degree * (degree + 1)
 
-    r_t, w_t = _gauss_panels(a, quad.radius, k, quad.nodes_per_wavelength)
-    h, dh = sph_hankel1_table(lmax, k * r_t)
+    x = k * np.array([a, radius])
+    h, dh = sph_hankel1_table(lmax, x)
     f = c1 * h + c2 * np.conj(h)
-    df = k * (c1 * dh + c2 * np.conj(dh))
-    t_ff = np.sum(w_t * np.abs(f) ** 2 * r_t**2, axis=1)
-    t_gg = np.sum(w_t * (np.abs(df) ** 2 * r_t**2 + ll * np.abs(f) ** 2), axis=1)
-    f_ff, f_gg = _free_field_integrals(betas, k, quad.radius)
-    tails = np.array([_difference_tails(l, b, k, quad.radius) for l, b in enumerate(betas)])
-    return t_ff - f_ff + tails[:, 0], t_gg - f_gg + tails[:, 1]
+    fx = c1 * dh + c2 * np.conj(dh)
+    f2, cross = np.abs(f) ** 2, np.real(np.conj(f) * fx)
+    lommel = 0.5 * x**3 * (f2 + np.abs(fx) ** 2 - ll * f2 / x**2) + 0.5 * x**2 * cross
+    green = x**2 * cross / k
+    t_ff = (lommel[:, 1] - lommel[:, 0]) / k**3
+    return t_ff, green[:, 1] - green[:, 0] + k**2 * t_ff
 
 
 def _style_corrections(smat: np.ndarray, modes: ModeSet, k: float) -> np.ndarray:
@@ -234,18 +219,23 @@ def _combine(style: str, d_ff, d_gg, k: float, corr=0.0):
     return d_gg / k**2 - corr
 
 
-def volume_q_matrix(s: SMatrix, a: float, quad: QuadratureSpec) -> dict:
-    """Volume-route Q of the radius-a sphere whose scattering matrix is s, in
-    every style, {style: QMatrix} in STYLES order: k and the modes are s's,
-    every degree's outgoing coefficient is read off s, and the radial
-    integrals (diagonal per degree) and the a/b corrections come from it."""
+def volume_q_matrix(s: SMatrix, a: float, radius: float) -> dict:
+    """Volume-route Q of the radius-a sphere whose scattering matrix is s,
+    cut off at radius R, in every style, {style: QMatrix} in STYLES order:
+    k and the modes are s's, every degree's outgoing coefficient is read off
+    s, and the radial integrals (diagonal per degree) and the a/b
+    corrections come from it."""
     k, modes = s.k, s.modes
     if modes.dim != 3:
         raise ContractError("volume formulation is implemented for dim=3 only")
-    quad.validate(k, a)
     degrees = [p.l for p in modes.modes]
-    diffs = _radial_differences(_degree_entries(s.matrix, modes, max(degrees)), k, a, quad)
-    d_ff, d_gg = (np.diag(d[degrees]) for d in diffs)
+    check_cutoff(k, a, radius, max(degrees))
+    # per degree: the [a, R] shell integrals less the free-field ones over
+    # [0, R], plus the exact tails
+    betas = _degree_entries(s.matrix, modes, max(degrees))
+    shell, free = _shell_integrals(betas, k, a, radius), _free_field_integrals(betas, k, radius)
+    tails = np.array([_difference_tails(l, b, k, radius) for l, b in enumerate(betas)]).T
+    d_ff, d_gg = (np.diag((t - f + tail)[degrees]) for t, f, tail in zip(shell, free, tails))
     corr = _style_corrections(s.matrix, modes, k)
     routes = {}
     for style in STYLES:

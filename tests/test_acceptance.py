@@ -21,7 +21,6 @@ from wsdelay.mie import (
 from wsdelay.modal import ModeIndex, ModeSet
 from wsdelay.smatrix import BoundaryCondition, SMatrix
 from wsdelay.volumeq import (
-    QuadratureSpec,
     STYLES,
     surface_identity_check,
     volume_q_matrix,
@@ -119,17 +118,16 @@ def test_criterion_1_ws_identity_closed_form():
 
 
 def test_criterion_2_route_equivalence():
-    """Volume-integral Q (all styles, both bcs) matches jS'S at kR=200."""
+    """Volume-integral Q (all styles, both bcs) matches jS'S at kR=200 and 400."""
     t0 = time.perf_counter()
     k, a = 1.0, 2.0  # ka = 2
-    quad = QuadratureSpec(radius=200.0)
     ok = True
-    worst = 0.0
+    worst = tight = 0.0
     for bc in (SOFT, HARD):
         modes = ModeSet.spherical(3, k)
         s = mie_smatrix(3, bc, k, a, modes)
         qref = q_matrix(s, mie_smatrix_deriv(3, bc, k, a, modes))
-        routes = volume_q_matrix(s, a, quad)
+        routes = volume_q_matrix(s, a, 200.0)
         for l in range(4):
             p = ModeIndex.spherical(l, 0)
             i = modes.position(p)
@@ -138,22 +136,14 @@ def test_criterion_2_route_equivalence():
                 rel = abs(routes[style].matrix[i, i] - ref) / abs(ref)
                 worst = max(worst, rel)
                 ok &= bool(rel < 1e-3)
-    # refinement: doubling the radial density shrinks the residual
-    p = ModeIndex.spherical(2, 0)
-    modes = ModeSet.spherical(2, 1.0)
-    s = mie_smatrix(3, SOFT, 1.0, a, modes)
-    qref = q_matrix(s, mie_smatrix_deriv(3, SOFT, 1.0, a, modes))
-    i = modes.position(p)
-    ref = qref.matrix[i, i].real
-    errs = []
-    for npw in (8.0, 16.0):
-        routes = volume_q_matrix(s, a, QuadratureSpec(200.0, npw))
-        errs.append(abs(routes["symmetric"].matrix[i, i] - ref))
-    e_coarse, e_fine = errs
-    ok &= bool(e_fine < e_coarse)
+        # closed-form radial integrals: every style tight at kR 200 and 400
+        scale = np.max(np.abs(np.diag(qref.matrix)))
+        for qv in (*routes.values(), *volume_q_matrix(s, a, 400.0 / k).values()):
+            tight = max(tight, np.max(np.abs(qv.matrix - qref.matrix)) / scale)
+    ok &= bool(tight <= 1e-11)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30.0
-    report(2, ok, f"worst style residual {worst:.2e} (<1e-3), refinement {e_coarse:.1e}->{e_fine:.1e}, {elapsed:.1f}s")
+    report(2, ok, f"worst style residual {worst:.2e} (<1e-3), matrix residual at kR 200 and 400 {tight:.1e} (<=1e-11), {elapsed:.1f}s")
 
 
 def test_criterion_3_surface_integral_identity():
@@ -189,14 +179,14 @@ def test_criterion_4_free_space():
     sp = SMatrix(modes=modes, k=1.0, matrix=np.zeros_like(s.matrix))
     q = q_matrix(s, sp)
     ok = bool(np.max(np.abs(q.matrix)) <= 1e-12)
-    quad = QuadratureSpec(radius=100.0)
+    radius = 100.0
     p0 = ModeIndex.spherical(0, 0)
     p1 = ModeIndex.spherical(1, 0)
-    v_diag = qtilde_infinity(p0, p0, 1.0, quad)
-    v_off = qtilde_infinity(p1, ModeIndex.spherical(2, 0), 1.0, quad)
+    v_diag = qtilde_infinity(p0, p0, 1.0, radius)
+    v_off = qtilde_infinity(p1, ModeIndex.spherical(2, 0), 1.0, radius)
     ok &= bool(abs(v_diag - 200.0) / 200.0 < 0.005)
-    ok &= bool(abs(qtilde_infinity(p1, p1, 1.0, quad) - 200.0) / 200.0 < 0.005)
-    ok &= bool(abs(v_off) < 1e-6 * quad.radius)
+    ok &= bool(abs(qtilde_infinity(p1, p1, 1.0, radius) - 200.0) / 200.0 < 0.005)
+    ok &= bool(abs(v_off) < 1e-6 * radius)
     report(4, ok, f"free-space Q = 0, normalizer {v_diag:.4f} vs 200 at kR=100")
 
 

@@ -420,12 +420,13 @@ class TestMainExitCodes:
                 id="volume-q-kr-inf",
             ),
             pytest.param(
-                "scenario=sphere\nmodes=4\nvol_npw=nan\n", ["--check", "volume-q"],
-                id="volume-q-npw-nan",
+                "scenario=sphere\nmodes=4\nvol_npw=24\n", ["--check", "volume-q"],
+                id="vol-npw-gone",
             ),
             pytest.param(
-                "scenario=sphere\nmodes=4\nvol_npw=inf\n", ["--check", "volume-q"],
-                id="volume-q-npw-inf",
+                # l_max 14: the tail closure's series diverges at kR = 50
+                "scenario=sphere\na=2\nmodes=225\nvol_kr=50\n", ["--check", "volume-q"],
+                id="volume-q-tail-diverges",
             ),
             pytest.param(
                 f"scenario=custom\nmodes=17\npolyline={DATA}/no_such_polyline.csv\n", [],

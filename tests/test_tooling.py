@@ -4,7 +4,8 @@ otherwise break only the traced benchmark run, and silently. The 2D
 kernels' Bessel functions have one call site. Importing the package
 loads no scipy subpackage beyond the two it uses. Every public function
 or class has a reader outside the tests. Only io opens a file for writing.
-And the README's config block documents exactly the keys the parser reads."""
+The README's config block documents exactly the keys the parser reads, and
+every config field has a reader."""
 
 import ast
 import importlib
@@ -158,3 +159,25 @@ def test_readme_config_block_lists_every_key():
         body = re.split(r"\s#|\(", line.lstrip("# "))[0]
         keys += re.findall(r"(\w+)=", body)
     assert sorted(keys) == sorted(wio._FIELD_PARSERS)
+
+
+def test_every_config_field_is_read():
+    """Every ScenarioConfig field is read as cfg.<field> somewhere in the
+    package outside io, which only parses and validates it: a field no
+    stage reads is a key that changes nothing."""
+    from dataclasses import fields
+
+    from wsdelay.io import ScenarioConfig
+
+    package = os.path.join(SRC, "wsdelay")
+    read = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "io.py":
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == "cfg"}
+    unread = sorted(f.name for f in fields(ScenarioConfig) if f.name not in read)
+    assert not unread, unread

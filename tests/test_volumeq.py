@@ -11,14 +11,14 @@ from wsdelay.modal import ModeIndex, ModeSet, conjugate_mode
 from wsdelay.smatrix import BoundaryCondition
 from wsdelay.specfun import sph_hankel1_table, sph_jy_table
 from wsdelay.volumeq import (
-    QuadratureSpec,
     STYLES,
     _combine,
     _degree_entries,
     _difference_tails,
     _free_field_integrals,
-    _gauss_panels,
+    _shell_integrals,
     _style_corrections,
+    check_cutoff,
     surface_identity_check,
     volume_q_matrix,
 )
@@ -30,7 +30,7 @@ HARD = BoundaryCondition.SOUND_HARD
 P00 = ModeIndex.spherical(0, 0)
 
 
-def qtilde_infinity(p: ModeIndex, q: ModeIndex, k: float, quad: QuadratureSpec) -> float:
+def qtilde_infinity(p: ModeIndex, q: ModeIndex, k: float, radius: float) -> float:
     """Free-field normalizer integral; analytically 2R delta_pq.
 
     Uses the free-space outgoing coefficient. The angular reduction makes
@@ -39,14 +39,16 @@ def qtilde_infinity(p: ModeIndex, q: ModeIndex, k: float, quad: QuadratureSpec) 
     """
     if p.dim != 3 or q.dim != 3:
         raise ContractError("volume formulation is implemented for dim=3 only")
-    if not quad.radius * k >= 50.0:
+    if not radius * k >= 50.0:
         raise DomainError("need kR >= 50")
     if (p.l, p.m) != (q.l, q.m):
         return 0.0
     beta = (-1.0) ** (p.l + 1) + 0.0j      # alpha = 1
-    f_ff, f_gg = _free_field_integrals(np.array([beta]), k, quad.radius)
+    f_ff, f_gg = _free_field_integrals(np.array([beta]), k, radius)
     return float(_combine("symmetric", f_ff[0], f_gg[0], k))
-QUAD = QuadratureSpec(radius=200.0)
+
+
+RADIUS = 200.0
 
 
 def reference_q(bc, k, a, lmax):
@@ -59,8 +61,8 @@ def reference_q(bc, k, a, lmax):
     )
 
 
-def routes_for(bc, k, a, modes, quad):
-    return volume_q_matrix(mie_smatrix(3, bc, k, a, modes), a, quad)
+def routes_for(bc, k, a, modes, radius):
+    return volume_q_matrix(mie_smatrix(3, bc, k, a, modes), a, radius)
 
 
 def closed_form(bc, k=1.0, a=2.0, lmax=5):
@@ -107,18 +109,50 @@ def ref_diagonal(matrix, modes, l):
     return matrix[i, i]
 
 
-def ref_radial_differences(l, beta, k, a, quad):
+def ref_field(l, beta, k, z):
+    """The degree-l field c1 (h^(1) + alpha_l h^(2)) at z and its z-derivative."""
     c1 = k * 1j ** (l + 1)
     c2 = c1 * ((-1.0) ** (l + 1) * beta)
-    r_t, w_t = _gauss_panels(a, quad.radius, k, quad.nodes_per_wavelength)
-    z = k * r_t
     f = c1 * ref_hankel(l, z, 1) + c2 * ref_hankel(l, z, -1)
-    df = k * (c1 * ref_hankel_dx(l, z, 1) + c2 * ref_hankel_dx(l, z, -1))
-    t_ff = np.sum(w_t * np.abs(f) ** 2 * r_t**2)
-    t_gg = np.sum(w_t * (np.abs(df) ** 2 * r_t**2 + l * (l + 1) * np.abs(f) ** 2))
+    fx = c1 * ref_hankel_dx(l, z, 1) + c2 * ref_hankel_dx(l, z, -1)
+    return f, fx
+
+
+def ref_shell_integrals(l, beta, k, a, radius):
+    """The [a, R] integrals by Lommel's integral and Green's identity, one
+    degree at a time."""
+    x = k * np.array([a, radius])
+    f, fx = ref_field(l, beta, k, x)
+    f2, cross = np.abs(f) ** 2, np.real(np.conj(f) * fx)
+    lommel = 0.5 * x**3 * (f2 + np.abs(fx) ** 2 - l * (l + 1) * f2 / x**2) + 0.5 * x**2 * cross
+    green = x**2 * cross / k
+    t_ff = (lommel[1] - lommel[0]) / k**3
+    return t_ff, green[1] - green[0] + k**2 * t_ff
+
+
+def gauss_panels(lo, hi, k, nodes_per_wavelength):
+    """Composite 12-point Gauss nodes/weights on [lo, hi] with
+    nodes_per_wavelength nodes per radial wavelength."""
+    x, w = np.polynomial.legendre.leggauss(12)
+    panel = (2.0 * np.pi / k) * len(x) / nodes_per_wavelength
+    edges = np.linspace(lo, hi, max(int(np.ceil((hi - lo) / panel)), 1) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel(), (half * w).ravel()
+
+
+def quadrature_shell_integrals(l, beta, k, a, radius, nodes_per_wavelength=48.0):
+    """The same [a, R] integrals by composite Gauss quadrature."""
+    r, w = gauss_panels(a, radius, k, nodes_per_wavelength)
+    f, fx = ref_field(l, beta, k, k * r)
+    t_ff = np.sum(w * np.abs(f) ** 2 * r**2)
+    t_gg = np.sum(w * (np.abs(k * fx) ** 2 * r**2 + l * (l + 1) * np.abs(f) ** 2))
+    return t_ff, t_gg
+
+
+def ref_radial_differences(l, beta, k, a, radius):
+    t_ff, t_gg = ref_shell_integrals(l, beta, k, a, radius)
     # the free field e^{jkr} + beta e^{-jkr} and jk (e^{jkr} - beta e^{-jkr})
     # over [0, R]: R (1 + |beta|^2) +- Re(conj(beta) (e^{2jkR} - 1)/(jk))
-    radius = quad.radius
     power = radius * (1.0 + np.abs(beta) ** 2)
     wave = (beta.real * np.sin(2.0 * k * radius)
             + beta.imag * (1.0 - np.cos(2.0 * k * radius))) / k
@@ -128,11 +162,11 @@ def ref_radial_differences(l, beta, k, a, quad):
     return complex(d_ff), complex(d_gg)
 
 
-def ref_volume_q_matrix(style, s, a, quad):
+def ref_volume_q_matrix(style, s, a, radius):
     k, modes = s.k, s.modes
     lmax = max(p.l for p in modes.modes)
     diff_by_l = [
-        ref_radial_differences(l, ref_diagonal(s.matrix, modes, l), k, a, quad)
+        ref_radial_differences(l, ref_diagonal(s.matrix, modes, l), k, a, radius)
         for l in range(lmax + 1)
     ]
     d_ff, d_gg = (np.diag([diff_by_l[p.l][i] for p in modes.modes]) for i in (0, 1))
@@ -173,11 +207,10 @@ class TestOneTableAgainstPerDegreeReference:
     def test_every_style_bitwise(self, bc, lmax, kr):
         k, a = 1.0, 2.0
         s = mie_smatrix(3, bc, k, a, ModeSet.spherical(lmax, k))
-        quad = QuadratureSpec(radius=kr / k)
-        routes = volume_q_matrix(s, a, quad)
+        routes = volume_q_matrix(s, a, kr / k)
         assert list(routes) == list(STYLES)
         for style in STYLES:
-            ref = ref_volume_q_matrix(style, s, a, quad)
+            ref = ref_volume_q_matrix(style, s, a, kr / k)
             assert np.array_equal(routes[style].matrix, ref.matrix), style
             assert routes[style].presym_residual == ref.presym_residual, style
 
@@ -223,6 +256,33 @@ class TestOneTableAgainstPerDegreeReference:
             assert got == want
 
 
+class TestShellIntegrals:
+    # the closed-form [a, R] integrals against composite Gauss quadrature of
+    # their integrands at 48 nodes per radial wavelength
+    @pytest.mark.parametrize("bc", [SOFT, HARD], ids=["soft", "hard"])
+    @pytest.mark.parametrize("k,a", [(1.0, 2.0), (0.7, 1.0)])
+    @pytest.mark.parametrize("kr", [200.0, 400.0])
+    def test_match_fine_quadrature(self, bc, k, a, kr):
+        lmax = 9
+        modes = ModeSet.spherical(lmax, k)
+        betas = _degree_entries(mie_smatrix(3, bc, k, a, modes).matrix, modes, lmax)
+        got = _shell_integrals(betas, k, a, kr / k)
+        for l, beta in enumerate(betas):
+            want = quadrature_shell_integrals(l, beta, k, a, kr / k)
+            for g, w in zip(got, want):
+                assert abs(g[l] - w) <= 1e-12 * abs(w), l
+
+    def test_any_outgoing_coefficient(self):
+        # Lommel's integral holds for every combination of h^(1) and h^(2)
+        k, a, radius = 1.0, 2.0, 60.0
+        betas = np.array([0.3 - 0.4j, 2.5 * np.exp(-2.1j), 1j, -0.8])
+        got = _shell_integrals(betas, k, a, radius)
+        for l, beta in enumerate(betas):
+            want = quadrature_shell_integrals(l, beta, k, a, radius)
+            for g, w in zip(got, want):
+                assert abs(g[l] - w) <= 1e-12 * abs(w), l
+
+
 class TestRadialProfile:
     @pytest.mark.parametrize("bc", [SOFT, HARD])
     @pytest.mark.parametrize("l", [0, 1, 4])
@@ -242,7 +302,7 @@ class TestRadialProfile:
 class TestVolumeQEntries:
     def test_soft_monopole_reference(self):
         modes = ModeSet.spherical(0, 1.0)
-        routes = routes_for(SOFT, 1.0, 1.0, modes, QUAD)
+        routes = routes_for(SOFT, 1.0, 1.0, modes, RADIUS)
         for style in STYLES:
             v = entry(routes, style, P00, P00, modes)
             assert v.real == pytest.approx(-2.0, abs=2e-5)
@@ -251,7 +311,7 @@ class TestVolumeQEntries:
 
     def test_off_block_entries_vanish(self):
         modes = ModeSet.spherical(2, 1.0)
-        routes = routes_for(SOFT, 1.0, 1.0, modes, QUAD)
+        routes = routes_for(SOFT, 1.0, 1.0, modes, RADIUS)
         p, q = ModeIndex.spherical(1, 0), ModeIndex.spherical(2, 0)
         for style in STYLES:
             assert entry(routes, style, p, q, modes) == 0.0
@@ -264,7 +324,7 @@ class TestVolumeQEntries:
     def test_route_equivalence_all_styles(self, bc):
         k, a = 1.0, 2.0  # ka = 2
         qref, modes = reference_q(bc, k, a, 3)
-        routes = routes_for(bc, k, a, modes, QUAD)
+        routes = routes_for(bc, k, a, modes, RADIUS)
         for l in range(4):
             p = ModeIndex.spherical(l, 0)
             ref = qref.matrix[modes.position(p), modes.position(p)].real
@@ -275,53 +335,64 @@ class TestVolumeQEntries:
     def test_styles_agree_pairwise(self):
         p = ModeIndex.spherical(1, 0)
         modes = ModeSet.spherical(1, 1.0)
-        routes = routes_for(SOFT, 1.0, 2.0, modes, QUAD)
+        routes = routes_for(SOFT, 1.0, 2.0, modes, RADIUS)
         vals = {style: entry(routes, style, p, p, modes) for style in STYLES}
         assert abs(vals["a"] - vals["b"]) / abs(vals["symmetric"]) < 1e-3
         combo = 0.5 * (vals["a"] + vals["b"])
         assert combo == pytest.approx(vals["symmetric"], rel=1e-12)
 
-    def test_quadrature_refinement_reduces_error(self):
+    @pytest.mark.parametrize("bc", [SOFT, HARD], ids=["soft", "hard"])
+    @pytest.mark.parametrize("kr", [200.0, 400.0])
+    def test_every_style_tight_at_both_radii(self, bc, kr):
         k, a = 1.0, 2.0
-        qref, modes = reference_q(SOFT, k, a, 2)
-        p = ModeIndex.spherical(2, 0)
-        ref = qref.matrix[modes.position(p), modes.position(p)].real
-        errs = []
-        for npw in (8.0, 16.0):
-            quad = QuadratureSpec(radius=200.0, nodes_per_wavelength=npw)
-            routes = routes_for(SOFT, k, a, modes, quad)
-            errs.append(abs(entry(routes, "symmetric", p, p, modes) - ref))
-        assert errs[1] < errs[0] / 4.0
+        qref, modes = reference_q(bc, k, a, 3)
+        routes = routes_for(bc, k, a, modes, kr / k)
+        scale = np.max(np.abs(np.diag(qref.matrix)))
+        for style in STYLES:
+            assert np.max(np.abs(routes[style].matrix - qref.matrix)) <= 1e-11 * scale, style
 
     def test_r_independence_with_tail_closure(self):
         modes = ModeSet.spherical(0, 1.0)
         v1, v2 = (
-            entry(routes_for(SOFT, 1.0, 1.0, modes, QuadratureSpec(r)), "symmetric",
-                  P00, P00, modes)
+            entry(routes_for(SOFT, 1.0, 1.0, modes, r), "symmetric", P00, P00, modes)
             for r in (160.0, 200.0)
         )
-        assert abs(v1 - v2) / abs(v2) < 1e-3
+        assert abs(v1 - v2) / abs(v2) < 1e-12
 
     def test_validation(self):
         modes = ModeSet.spherical(0, 1.0)
         with pytest.raises(DomainError):
-            routes_for(SOFT, 1.0, 1.0, modes, QuadratureSpec(30.0))
+            routes_for(SOFT, 1.0, 1.0, modes, 30.0)
         with pytest.raises(ContractError):
-            volume_q_matrix(mie_smatrix(2, SOFT, 1.0, 1.0, ModeSet.angular(0, 1.0)), 1.0, QUAD)
+            volume_q_matrix(mie_smatrix(2, SOFT, 1.0, 1.0, ModeSet.angular(0, 1.0)), 1.0, RADIUS)
 
     @pytest.mark.parametrize(
-        "quad",
+        "k,a,radius,lmax",
         [
-            QuadratureSpec(float("nan")),
-            QuadratureSpec(200.0, nodes_per_wavelength=float("nan")),
-            QuadratureSpec(200.0, nodes_per_wavelength=3.0),
-            QuadratureSpec(5.0),
+            (100.0, 2.0, float("nan"), 3),
+            (100.0, 2.0, 5.0, 3),
+            (1.0, 2.0, 40.0, 3),
+            (1.0, 2.0, 50.0, 14),
+            (1.0, 1.0, 200.0, 85),
         ],
-        ids=["radius-nan", "npw-nan", "npw-coarse", "radius-below-3a"],
+        ids=["radius-nan", "radius-below-3a", "kr-below-50", "tail-diverges", "tail-overflows"],
     )
-    def test_quadrature_spec_rejects(self, quad):
+    def test_cutoff_rejects(self, k, a, radius, lmax):
         with pytest.raises(DomainError):
-            quad.validate(100.0, 2.0)
+            check_cutoff(k, a, radius, lmax)
+
+    def test_cutoff_accepts(self):
+        # l_max 13 is the last degree whose tail converges at kR = 50
+        assert check_cutoff(1.0, 2.0, 50.0, 13) == 50.0
+
+    def test_volume_route_rejects_before_any_work(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("shell integrals reached")
+
+        monkeypatch.setattr(volumeq, "_shell_integrals", boom)
+        modes = ModeSet.spherical(14, 1.0)
+        with pytest.raises(DomainError):
+            routes_for(SOFT, 1.0, 2.0, modes, 50.0)
 
 
 class TestVolumeQMatrix:
@@ -330,7 +401,7 @@ class TestVolumeQMatrix:
         k, a = 1.0, 2.0
         modes = ModeSet.spherical(2, k)
         qref, _ = reference_q(SOFT, k, a, 2)
-        qvol = routes_for(SOFT, k, a, modes, QUAD)[style]
+        qvol = routes_for(SOFT, k, a, modes, RADIUS)[style]
         scale = np.max(np.abs(np.diag(qref.matrix)))
         assert np.max(np.abs(qvol.matrix - qref.matrix)) / scale < 1e-3
         assert qvol.provenance == "volume-integral"
@@ -378,7 +449,7 @@ class TestHighDegreeRoutes:
     def test_every_style_and_diagonal_entry(self, bc):
         k, a, lmax = 1.0, 2.0, 9
         qref, modes = reference_q(bc, k, a, lmax)
-        routes = routes_for(bc, k, a, modes, QuadratureSpec(radius=400.0 / k))
+        routes = routes_for(bc, k, a, modes, 400.0 / k)
         diag = np.diag(qref.matrix)
         scale = np.max(np.abs(diag))
         for style in STYLES:
@@ -390,16 +461,14 @@ class TestHighDegreeRoutes:
 
 class TestQtildeInfinity:
     def test_diagonal_is_twice_radius(self):
-        quad = QuadratureSpec(radius=100.0)
-        val = qtilde_infinity(P00, P00, 1.0, quad)
+        val = qtilde_infinity(P00, P00, 1.0, 100.0)
         assert abs(val - 200.0) / 200.0 < 0.005
         p = ModeIndex.spherical(1, 0)
-        assert abs(qtilde_infinity(p, p, 1.0, quad) - 200.0) / 200.0 < 0.005
+        assert abs(qtilde_infinity(p, p, 1.0, 100.0) - 200.0) / 200.0 < 0.005
 
     def test_off_diagonal_vanishes(self):
-        quad = QuadratureSpec(radius=100.0)
-        v = qtilde_infinity(ModeIndex.spherical(1, 0), ModeIndex.spherical(2, 0), 1.0, quad)
-        assert abs(v) < 1e-6 * quad.radius
+        v = qtilde_infinity(ModeIndex.spherical(1, 0), ModeIndex.spherical(2, 0), 1.0, 100.0)
+        assert abs(v) < 1e-6 * 100.0
 
 
 class TestSurfaceIdentity:
