@@ -58,11 +58,7 @@ from .modal import (
     suggested_mode_count,
 )
 from .smatrix import BoundaryCondition, SMatrix
-from .volumeq import (
-    check_cutoff,
-    surface_identity_check,
-    volume_q_matrix,
-)
+from .volumeq import surface_identity_check, volume_q_matrix
 from .wigner import (
     QMatrix,
     WSDecomposition,

@@ -51,7 +51,7 @@ from .geometry import (
 from .mie import mie_smatrix, mie_smatrix_deriv
 from .modal import ModeIndex, ModeSet, suggested_mode_count
 from .smatrix import BoundaryCondition
-from .volumeq import check_cutoff, surface_identity_check, volume_q_matrix
+from .volumeq import surface_identity_check, volume_q_matrix
 from .wigner import fd_step, q_matrix, smatrix_fd_derivative, validate_smatrix, ws_decompose
 
 UNITS_NOTE = (
@@ -106,7 +106,6 @@ class _Setup:
     mesh: Optional[BoundaryMesh]    # None for the closed-form scenarios
     grid: Optional[GridSpec]        # field-map grid, 2D only
     regions: Optional[RegionMasks]  # the grid's live points and metric regions
-    radius: Optional[float]         # volume-route cutoff R, volume-q only
 
 
 def _setup(cfg) -> _Setup:
@@ -131,7 +130,7 @@ def _setup(cfg) -> _Setup:
     for idx1 in cfg.export_modes:
         if not 1 <= idx1 <= len(modes):
             raise ConfigError(f"export mode {idx1} out of range 1..{len(modes)}")
-    mesh = grid = regions = radius = None
+    mesh = grid = regions = None
     if cfg.scenario not in ("sphere", "cylinder"):
         mesh = mesh_geometry(geometry, k, cfg.nodes_per_wavelength)
         if np.any(np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1]) == 0.0):
@@ -147,10 +146,8 @@ def _setup(cfg) -> _Setup:
         empty = [name for name, mask in read.items() if not np.any(mask)]
         if empty:
             raise ConfigError(f"field grid has no {', '.join(empty)} points to classify from")
-    if "volume-q" in cfg.checks:
-        radius = check_cutoff(k, cfg.a, cfg.vol_kr / k, max(p.l for p in modes.modes))
     bc = BoundaryCondition.SOUND_SOFT if cfg.bc == "soft" else BoundaryCondition.SOUND_HARD
-    return _Setup(dim, bc, geometry, circumradius, modes, mesh, grid, regions, radius)
+    return _Setup(dim, bc, geometry, circumradius, modes, mesh, grid, regions)
 
 
 def _solve(cfg, st):
@@ -216,10 +213,10 @@ def _sphere_checks(cfg, st, s, sprime, q, gates):
     both read off the solve's S and S', added to the gates; returns the volume
     routes' residual rows, or None."""
     rows = None
-    if st.radius is not None:
+    if "volume-q" in cfg.checks:
         scale = float(np.max(np.abs(np.diag(q.matrix))))
         rows = []
-        for style, qv in volume_q_matrix(s, cfg.a, st.radius).items():
+        for style, qv in volume_q_matrix(s, cfg.a).items():
             gates.add(f"volume_route_{style}", np.max(np.abs(qv.matrix - q.matrix)) / scale, 1e-3)
             for i in range(len(st.modes)):
                 val, ref = qv.matrix[i, i], q.matrix[i, i]

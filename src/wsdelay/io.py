@@ -149,6 +149,13 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown check {c!r}")
             if self.scenario != "sphere":
                 raise ConfigError(f"the {c} check applies to the sphere scenario")
+        if "appendix-b" in self.checks:
+            # the Appendix-B surface r = vol_kr/k is in the far zone, well
+            # outside the sphere
+            if self.vol_kr < 50.0:
+                raise ConfigError("appendix-b needs vol_kr >= 50 (far-zone surface)")
+            if self.vol_kr / self.k < 3.0 * self.a:
+                raise ConfigError("appendix-b needs vol_kr/k >= 3a (surface outside the sphere)")
         if self.export_modes and self.scenario == "sphere":
             raise ConfigError("field exports apply to the 2D scenarios")
         if self.scenario == "custom" and not self.polyline:

@@ -193,8 +193,8 @@ class TestRunScenario:
         assert all(float(l.split(",")[-1]) < 1e-3 for l in lines[1:])
 
     def test_sphere_checks_read_the_solved_matrices(self, tmp_path, monkeypatch):
-        # one table at ka per closed-form matrix, one on the Gauss nodes and
-        # one at kR; the checks build no S or S' of their own
+        # one table at ka per closed-form matrix, one at ka for the volume
+        # routes and one at kR; the checks build no S or S' of their own
         originals = {
             "sph_hankel1_table": specfun.sph_hankel1_table,
             "mie_smatrix": mie.mie_smatrix,
@@ -408,8 +408,13 @@ class TestMainExitCodes:
                 "scenario=cylinder\na=2\nmodes=9\nrichardson=true\n", [], id="richardson-gone"
             ),
             pytest.param(
-                "scenario=sphere\nmodes=4\nvol_kr=10\n", ["--check", "volume-q"],
-                id="volume-q-kr",
+                "scenario=sphere\nmodes=4\nvol_kr=10\n", ["--check", "appendix-b"],
+                id="appendix-b-kr",
+            ),
+            pytest.param(
+                # the surface at R = 60 would lie inside the a = 100 sphere
+                "scenario=sphere\na=100\nk=1\nmodes=4\nvol_kr=60\n", ["--check", "appendix-b"],
+                id="appendix-b-inside",
             ),
             pytest.param(
                 "scenario=sphere\nmodes=4\nvol_kr=nan\n", ["--check", "volume-q"],
@@ -422,11 +427,6 @@ class TestMainExitCodes:
             pytest.param(
                 "scenario=sphere\nmodes=4\nvol_npw=24\n", ["--check", "volume-q"],
                 id="vol-npw-gone",
-            ),
-            pytest.param(
-                # l_max 14: the tail closure's series diverges at kR = 50
-                "scenario=sphere\na=2\nmodes=225\nvol_kr=50\n", ["--check", "volume-q"],
-                id="volume-q-tail-diverges",
             ),
             pytest.param(
                 f"scenario=custom\nmodes=17\npolyline={DATA}/no_such_polyline.csv\n", [],
@@ -456,6 +456,19 @@ class TestMainExitCodes:
         out = tmp_path / "o"
         assert main(["--config", cfg, "--out", str(out)] + extra) == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("bc", ["soft", "hard"])
+    def test_volume_q_high_degree_exit_0(self, tmp_path, bc):
+        # l_max 14 with vol_kr = 50: the routes take R -> inf in closed
+        # form, so no cutoff limits the degree
+        cfg = write(tmp_path / "c.cfg",
+                    f"scenario=sphere\nbc={bc}\na=2\nmodes=225\nvol_kr=50\n")
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "--check", "volume-q"]) == 0
+        gates = [line.split()[0].split("=") for line in open(out / "report.txt")
+                 if line.startswith("volume_route_")]
+        assert len(gates) == 3
+        assert all(float(value) <= 1e-12 for _, value in gates), gates
 
     @pytest.mark.parametrize("scenario", ["strip", "cavity"])
     def test_one_port_bem_exit_0(self, tmp_path, scenario):

@@ -1,6 +1,8 @@
 """Checks on the source that no run would show. The benchmark's tracer wraps
 wsdelay functions by name; a renamed or re-signed layer function would
-otherwise break only the traced benchmark run, and silently. The 2D
+otherwise break only the traced benchmark run, and silently. Likewise every
+keyword the benchmark passes to a wsdelay callable must be one of its
+parameters, or only the benchmark's jobs would fail. The 2D
 kernels' Bessel functions have one call site. Importing the package
 loads no scipy subpackage beyond the two it uses. Every public function
 or class has a reader outside the tests. Only io opens a file for writing.
@@ -18,6 +20,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
 TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
+BENCH = os.path.join(ROOT, "perfbench", "bench.py")
 SRC = os.path.join(ROOT, "src")
 BEM = os.path.join(SRC, "wsdelay", "bem.py")
 README = os.path.join(ROOT, "README.md")
@@ -40,6 +43,40 @@ def test_every_trace_target_exists():
             if not wanted or missing:
                 broken.append(f"wsdelay.{module}.{func} lacks {sorted(missing)}")
     assert not broken, broken
+
+
+def test_benchmark_keywords_are_parameters():
+    """Every keyword perfbench/bench.py passes to wsdelay.<name>(...) is a
+    parameter of that callable, e.g. bem_smatrix's gate= and q_matrix's
+    provenance=."""
+    import wsdelay
+
+    with open(BENCH) as fh:
+        tree = ast.parse(fh.read())
+    checked, broken = set(), []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.keywords):
+            continue
+        path, target = [], node.func
+        while isinstance(target, ast.Attribute):
+            path.insert(0, target.attr)
+            target = target.value
+        if not (isinstance(target, ast.Name) and target.id == "wsdelay" and path):
+            continue
+        fn = wsdelay
+        for attr in path:
+            fn = getattr(fn, attr)
+        params = inspect.signature(fn).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        name = ".".join(path)
+        for kw in node.keywords:
+            if kw.arg is not None:
+                checked.add((name, kw.arg))
+                if kw.arg not in params:
+                    broken.append(f"bench.py:{node.lineno} wsdelay.{name}(..., {kw.arg}=)")
+    assert not broken, broken
+    assert {("bem_smatrix", "gate"), ("q_matrix", "provenance")} <= checked, sorted(checked)
 
 
 def test_import_loads_only_linalg_and_special():
