@@ -126,6 +126,33 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(p)
 
+    @pytest.mark.parametrize(
+        "k,a,vol_kr,match",
+        [
+            (1.0, 2.0, 40.0, "vol_kr >= 50"),
+            (100.0, 2.0, 500.0, "3a"),
+            (1.0, 100.0, 60.0, "3a"),
+        ],
+        ids=["kr-below-50", "radius-below-3a", "surface-inside-sphere"],
+    )
+    def test_appendix_b_surface_rejected(self, k, a, vol_kr, match):
+        cfg = ScenarioConfig(scenario="sphere", k=k, a=a, vol_kr=vol_kr, checks=("appendix-b",))
+        with pytest.raises(ConfigError, match=match):
+            cfg.validate()
+
+    @pytest.mark.parametrize(
+        "k,a,vol_kr", [(1.0, 2.0, 50.0), (10.0, 2.0, 60.0)], ids=["kr-at-50", "radius-at-3a"]
+    )
+    def test_appendix_b_surface_accepted_at_the_bounds(self, k, a, vol_kr):
+        cfg = ScenarioConfig(scenario="sphere", k=k, a=a, vol_kr=vol_kr, checks=("appendix-b",))
+        assert cfg.validate() is cfg
+
+    def test_volume_q_alone_takes_no_surface(self):
+        # the volume routes take R -> inf in closed form, so vol_kr bounds
+        # only the Appendix-B surface
+        cfg = ScenarioConfig(scenario="sphere", a=100.0, vol_kr=10.0, checks=("volume-q",))
+        assert cfg.validate() is cfg
+
     def test_polyline(self, tmp_path):
         p = write(tmp_path / "v.csv", "0,0\n1 0 # corner\n1,1\n")
         verts = read_polyline(p)

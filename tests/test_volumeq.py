@@ -181,11 +181,11 @@ def ref_dk_profile_terms(l, k, z, alpha, dalpha):
 class TestOneTableAgainstPerDegreeReference:
     @pytest.mark.parametrize("bc", [SOFT, HARD], ids=["soft", "hard"])
     @pytest.mark.parametrize("lmax", [3, 9])
-    def test_every_style_entrywise(self, bc, lmax):
+    @pytest.mark.parametrize("k,a", [(1.0, 2.0), (0.7, 1.0)])
+    def test_every_style_entrywise(self, bc, lmax, k, a):
         # the reference's per-degree tables seed Miller's recurrence at
         # their own degree, so its j_l differ from the one table's in the
-        # last bits: every entry agrees to 4e-15 of itself (1.0e-15 read)
-        k, a = 1.0, 2.0
+        # last bits: every entry agrees to 4e-15 of itself (1.6e-15 read)
         s = mie_smatrix(3, bc, k, a, ModeSet.spherical(lmax, k))
         routes = volume_q_matrix(s, a)
         assert list(routes) == list(STYLES)
@@ -193,7 +193,6 @@ class TestOneTableAgainstPerDegreeReference:
             ref = ref_volume_q_matrix(style, s, a)
             got = routes[style].matrix
             assert np.all(np.abs(got - ref.matrix) <= 4e-15 * np.abs(ref.matrix)), style
-            assert routes[style].presym_residual == ref.presym_residual, style
             assert routes[style].presym_residual == ref.presym_residual, style
 
     @pytest.mark.parametrize("bc", [SOFT, HARD], ids=["soft", "hard"])
@@ -326,8 +325,8 @@ class TestVolumeQEntries:
         assert combo == pytest.approx(vals["symmetric"], rel=1e-12)
 
     @pytest.mark.parametrize("bc", [SOFT, HARD], ids=["soft", "hard"])
-    def test_every_style_tight(self, bc):
-        k, a = 1.0, 2.0
+    @pytest.mark.parametrize("k,a", [(1.0, 2.0), (0.7, 1.0)])
+    def test_every_style_tight(self, bc, k, a):
         qref, modes = reference_q(bc, k, a, 3)
         routes = routes_for(bc, k, a, modes)
         scale = np.max(np.abs(np.diag(qref.matrix)))
