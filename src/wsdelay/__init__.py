@@ -13,7 +13,6 @@ from .bem import (
     solve_exterior,
 )
 from .errors import (
-    AccuracyError,
     CapacityError,
     ConfigError,
     ContractError,

@@ -21,7 +21,6 @@ import numpy as np
 from . import io as wio
 from .bem import bem_smatrix
 from .errors import (
-    AccuracyError,
     CapacityError,
     ConfigError,
     DomainError,
@@ -50,7 +49,7 @@ from .geometry import (
 )
 from .mie import mie_smatrix, mie_smatrix_deriv
 from .modal import ModeIndex, ModeSet, suggested_mode_count
-from .smatrix import BoundaryCondition
+from .smatrix import DEFAULT_SMATRIX_GATE, BoundaryCondition
 from .volumeq import surface_identity_check, volume_q_matrix
 from .wigner import fd_step, q_matrix, smatrix_fd_derivative, validate_smatrix, ws_decompose
 
@@ -60,8 +59,6 @@ UNITS_NOTE = (
 
 
 def _grid_halfwidth(cfg, circumradius):
-    if cfg.grid_halfwidth is not None:
-        return cfg.grid_halfwidth
     if cfg.scenario == "strip":
         return 40.0
     if cfg.scenario == "cavity":
@@ -125,7 +122,7 @@ def _setup(cfg) -> _Setup:
         circumradius = max(np.hypot(*v) for v in geometry.corners)
     count = cfg.mode_count
     if count is None:
-        count = suggested_mode_count(k, circumradius, 3.0, dim)
+        count = suggested_mode_count(k, circumradius, dim)
     modes = ModeSet.with_count(dim, count, k)
     for idx1 in cfg.export_modes:
         if not 1 <= idx1 <= len(modes):
@@ -184,11 +181,11 @@ def _decompose(cfg, st, s, sprime, provenance):
     with no limit, is M's shortfall from the truncation rule."""
     q = q_matrix(s, sprime, provenance=provenance)
     dec = ws_decompose(q, s)
-    gate = cfg.smatrix_gate
+    gate = DEFAULT_SMATRIX_GATE
     gates = GateLedger()
-    rule = suggested_mode_count(cfg.k, st.circumradius, 3.0, st.dim)
+    rule = suggested_mode_count(cfg.k, st.circumradius, st.dim)
     gates.record("mode_count_shortfall", max(0, rule - len(st.modes)))
-    srep = validate_smatrix(s, gate)
+    srep = validate_smatrix(s)
     gates.add("unitarity_residual", srep.unitarity_residual, gate)
     gates.add("symmetry_residual", srep.symmetry_residual, gate)
     gates.record("q_presym_residual", q.presym_residual)
@@ -337,7 +334,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="scenario config file")
     parser.add_argument("--out", default="wsdelay_out", help="output directory")
     parser.add_argument(
-        "--check", default=None, help="comma-separated extra sphere checks (volume-q,appendix-b)"
+        "--check", default=None, help="comma-separated sphere checks (volume-q,appendix-b)"
     )
     parser.add_argument(
         "--modes", default=None, help="comma-separated 1-based mode indices to export fields"
@@ -347,8 +344,7 @@ def main(argv=None) -> int:
     try:
         cfg = wio.parse_config(args.config)
         if args.check:
-            extra = tuple(x.strip() for x in args.check.split(",") if x.strip())
-            cfg.checks = tuple(dict.fromkeys(cfg.checks + extra))
+            cfg.checks = tuple(x.strip() for x in args.check.split(",") if x.strip())
         if args.modes:
             cfg.export_modes = tuple(int(x) for x in args.modes.split(","))
         cfg.validate()
@@ -361,7 +357,7 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, GeometryError, CapacityError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
-    except (SolverError, AccuracyError) as exc:
+    except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4
     except WsdelayError as exc:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The hierarchy distinguishes caller mistakes (domain/contract errors) from
-runtime failures of the numerics (solver/accuracy errors) so the CLI can map
+runtime failures of the numerics (solver and quality-gate errors) so the CLI can map
 them to distinct exit codes.
 """
 
@@ -32,10 +32,6 @@ class GeometryError(WsdelayError, ValueError):
 
 class SolverError(WsdelayError, RuntimeError):
     """Linear solve failed or produced a residual above threshold."""
-
-
-class AccuracyError(WsdelayError, RuntimeError):
-    """Quadrature or series did not converge to the requested tolerance."""
 
 
 class QualityGateError(WsdelayError, RuntimeError):

@@ -18,7 +18,6 @@ from .errors import ConfigError
 from .fields import GridSpec
 from .geometry import NODES_PER_WAVELENGTH
 from .modal import ModeSet
-from .smatrix import DEFAULT_SMATRIX_GATE
 
 FMT = "%.17g"
 
@@ -110,11 +109,9 @@ class ScenarioConfig:
     nodes_per_wavelength: float = NODES_PER_WAVELENGTH
     grid_nx: int = GridSpec.nx
     grid_ny: int = GridSpec.ny
-    grid_halfwidth: Optional[float] = None
-    smatrix_gate: float = DEFAULT_SMATRIX_GATE
     vol_kr: float = 200.0
-    checks: tuple = ()
-    export_modes: tuple = ()          # 1-based mode indices for field export
+    checks: tuple = ()                # set from --check
+    export_modes: tuple = ()          # 1-based mode indices, set from --modes
     polyline: Optional[str] = None
 
     def validate(self):
@@ -123,8 +120,6 @@ class ScenarioConfig:
         if self.bc not in ("soft", "hard"):
             raise ConfigError(f"bc must be soft or hard, got {self.bc!r}")
         positive = {"k": self.k, "a": self.a, "w": self.w, "vol_kr": self.vol_kr}
-        if self.grid_halfwidth is not None:
-            positive["grid_halfwidth"] = self.grid_halfwidth
         for name, val in positive.items():
             if not np.isfinite(val) or val <= 0:
                 raise ConfigError(f"{name} must be positive and finite")
@@ -142,8 +137,6 @@ class ScenarioConfig:
             raise ConfigError("nodes_per_wavelength must be finite and at least 6")
         if self.grid_nx < 2 or self.grid_ny < 2:
             raise ConfigError("grid_nx and grid_ny must be at least 2")
-        if not 0 < self.smatrix_gate < np.inf:
-            raise ConfigError("smatrix_gate must be positive and finite")
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}")
@@ -174,11 +167,7 @@ _FIELD_PARSERS = {
     "nodes_per_wavelength": float,
     "grid_nx": int,
     "grid_ny": int,
-    "grid_halfwidth": float,
-    "smatrix_gate": float,
     "vol_kr": float,
-    "checks": lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
-    "export_modes": lambda s: tuple(int(x) for x in s.split(",") if x.strip()),
     "polyline": str,
 }
 

@@ -133,18 +133,16 @@ class ModeSet:
         return self.dim == other.dim and self.modes == other.modes
 
 
-def suggested_mode_count(k: float, a: float, c: float, dim: int) -> int:
-    """Mode count from the truncation rule l_max = ka + c (ka)^(1/3).
+def suggested_mode_count(k: float, a: float, dim: int) -> int:
+    """Mode count from the truncation rule l_max = ka + 3 (ka)^(1/3).
 
     Returns (l_max+1)^2 in 3D and 2*l_max+1 in 2D. This is a sizing helper;
     scenario configs take the mode count directly.
     """
     if k <= 0 or a <= 0:
         raise DomainError("k and a must be positive")
-    if not 2.0 <= c <= 4.0:
-        raise DomainError("truncation constant c must lie in [2, 4]")
     ka = k * a
-    lmax = int(np.ceil(ka + c * ka ** (1.0 / 3.0)))
+    lmax = int(np.ceil(ka + 3.0 * ka ** (1.0 / 3.0)))
     if dim == 3:
         return (lmax + 1) ** 2
     if dim == 2:

@@ -8,7 +8,8 @@ import numpy as np
 from .errors import ContractError
 from .modal import ModeSet
 
-# Largest unitarity or symmetry residual an S matrix may carry by default.
+# Largest unitarity or symmetry residual an S matrix may carry: the one S
+# gate of every verdict (validate_smatrix, the run's report, bem_smatrix).
 DEFAULT_SMATRIX_GATE = 1e-3
 
 

@@ -72,21 +72,18 @@ class WSDecomposition:
 class SMatrixReport:
     unitarity_residual: float
     symmetry_residual: float
-    gate: float
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        self.passed = (
-            self.unitarity_residual <= self.gate and self.symmetry_residual <= self.gate
-        )
+        gate = DEFAULT_SMATRIX_GATE
+        self.passed = self.unitarity_residual <= gate and self.symmetry_residual <= gate
 
 
-def validate_smatrix(s: SMatrix, gate: float = DEFAULT_SMATRIX_GATE) -> SMatrixReport:
-    """Frobenius-normalized unitarity and symmetry residuals against a gate."""
+def validate_smatrix(s: SMatrix) -> SMatrixReport:
+    """Frobenius-normalized unitarity and symmetry residuals against
+    DEFAULT_SMATRIX_GATE."""
     return SMatrixReport(
-        unitarity_residual=s.unitarity_residual(),
-        symmetry_residual=s.symmetry_residual(),
-        gate=gate,
+        unitarity_residual=s.unitarity_residual(), symmetry_residual=s.symmetry_residual()
     )
 
 

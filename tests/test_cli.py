@@ -66,7 +66,7 @@ class TestConfigParsing:
             k=1.0
             modes=111
             delta_k=2e-4
-            export_modes=1,2
+            nodes_per_wavelength=12
             """.replace("            ", ""),
         )
         cfg = parse_config(p)
@@ -74,7 +74,7 @@ class TestConfigParsing:
         assert cfg.bc == "hard"
         assert cfg.mode_count == 111
         assert cfg.delta_k == 2e-4
-        assert cfg.export_modes == (1, 2)
+        assert cfg.nodes_per_wavelength == 12.0
 
     def test_unknown_key_reports_line(self, tmp_path):
         p = write(tmp_path / "c.cfg", "scenario=strip\nbogus=1\n")
@@ -119,12 +119,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="nodes_per_wavelength"):
             ScenarioConfig(scenario="strip", nodes_per_wavelength=npw).validate()
 
-    def test_checks_are_sphere_only(self, tmp_path):
-        p = write(tmp_path / "s.cfg", "scenario=sphere\nmodes=4\nchecks=volume-q\n")
-        assert parse_config(p).checks == ("volume-q",)
-        p = write(tmp_path / "c.cfg", "scenario=strip\nmodes=11\nchecks=volume-q\n")
-        with pytest.raises(ConfigError):
-            parse_config(p)
+    def test_checks_are_sphere_only(self):
+        cfg = ScenarioConfig(scenario="sphere", mode_count=4, checks=("volume-q",))
+        assert cfg.validate() is cfg
+        with pytest.raises(ConfigError, match="sphere scenario"):
+            ScenarioConfig(scenario="strip", mode_count=11, checks=("volume-q",)).validate()
 
     @pytest.mark.parametrize(
         "k,a,vol_kr,match",
@@ -341,7 +340,7 @@ class TestRunScenario:
         summary = run_scenario(cfg, str(out))
         assert summary["circumradius"] == pytest.approx(radius)
         ports = open(out / "modes.csv").read().strip().splitlines()[1:]
-        assert len(ports) == suggested_mode_count(1.0, radius, 3.0, 2)
+        assert len(ports) == suggested_mode_count(1.0, radius, 2)
         if scenario == "custom":
             assert len(ports) == 17
 
@@ -368,14 +367,6 @@ class TestMainExitCodes:
         assert main(["--config", cfg, "--out", str(out)]) == 0
         assert (out / "mesh.csv").exists()
 
-    def test_gate_failure_exit_2(self, tmp_path):
-        cfg = write(
-            tmp_path / "c.cfg",
-            "scenario=cylinder\nbc=soft\na=2\nmodes=9\nsmatrix_gate=1e-20\n"
-            "grid_nx=41\ngrid_ny=41\n",
-        )
-        assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 2
-
     def test_input_error_exit_3(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", "scenario=warp\n")
         assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -391,7 +382,7 @@ class TestMainExitCodes:
             pytest.param("scenario=strip\nmodes=11\ngrid_ny=0\n", [], id="grid-ny"),
             pytest.param("scenario=sphere\nmodes=5\n", [], id="sphere-modes"),
             pytest.param(
-                "scenario=strip\nmodes=11\nchecks=volume-q\n", [], id="strip-volume-q"
+                "scenario=strip\nmodes=11\n", ["--check", "volume-q"], id="strip-volume-q"
             ),
             pytest.param(
                 "scenario=cylinder\nmodes=9\n", ["--check", "appendix-b"],
@@ -423,16 +414,24 @@ class TestMainExitCodes:
                 "scenario=cylinder\na=2\nmodes=9\ndelta_k=1.5\n", [], id="dk-above-k"
             ),
             pytest.param(
-                "scenario=cylinder\na=2\nmodes=9\nsmatrix_gate=nan\n", [], id="gate-nan"
-            ),
-            pytest.param(
-                "scenario=sphere\nmodes=4\nexport_modes=1\n", [], id="sphere-export"
-            ),
-            pytest.param(
-                "scenario=strip\nmodes=11\ngrid_halfwidth=-5\n", [], id="halfwidth"
+                "scenario=sphere\nmodes=4\n", ["--modes", "1"], id="sphere-export"
             ),
             pytest.param(
                 "scenario=cylinder\na=2\nmodes=9\nrichardson=true\n", [], id="richardson-gone"
+            ),
+            pytest.param(
+                "scenario=cylinder\na=2\nmodes=9\nsmatrix_gate=1e-3\n", [],
+                id="smatrix-gate-gone",
+            ),
+            pytest.param(
+                "scenario=strip\nmodes=11\ngrid_halfwidth=40\n", [], id="grid-halfwidth-gone"
+            ),
+            pytest.param(
+                "scenario=sphere\nmodes=4\nchecks=volume-q\n", [], id="checks-gone"
+            ),
+            pytest.param(
+                "scenario=cylinder\na=2\nmodes=9\nexport_modes=1\n", [],
+                id="export-modes-gone",
             ),
             pytest.param(
                 "scenario=sphere\nmodes=4\nvol_kr=10\n", ["--check", "appendix-b"],
@@ -471,9 +470,6 @@ class TestMainExitCodes:
                 "scenario=cylinder\na=2\nmodes=403\n", [], id="cylinder-order-ceiling"
             ),
             pytest.param(
-                "scenario=strip\nmodes=11\ngrid_halfwidth=0.5\n", [], id="grid-inside-strip"
-            ),
-            pytest.param(
                 "scenario=strip\nmodes=11\ngrid_nx=2\ngrid_ny=2\n", [], id="grid-2x2"
             ),
         ],
@@ -498,18 +494,22 @@ class TestMainExitCodes:
         assert all(float(value) <= 1e-12 for _, value in gates), gates
 
     @pytest.mark.parametrize("scenario", ["strip", "cavity"])
-    def test_one_port_bem_exit_0(self, tmp_path, scenario):
+    def test_gate_failure_exit_2_writes_every_artifact(self, tmp_path, scenario):
         # one port cannot carry a non-circular scatterer's scattering (the
-        # unitarity residual reads 0.45 on the strip and 0.96 on the cavity),
-        # so the gate is opened: the run itself must go through
+        # unitarity residual reads 0.45 on the strip and 0.96 on the cavity):
+        # the run fails its S gate, and still writes what it computed
         cfg = write(
-            tmp_path / "c.cfg",
-            f"scenario={scenario}\nmodes=1\nsmatrix_gate=1\ngrid_nx=41\ngrid_ny=41\n",
+            tmp_path / "c.cfg", f"scenario={scenario}\nmodes=1\ngrid_nx=41\ngrid_ny=41\n"
         )
         out = tmp_path / "o"
-        assert main(["--config", cfg, "--out", str(out), "--modes", "1"]) == 0
+        assert main(["--config", cfg, "--out", str(out), "--modes", "1"]) == 2
+        csvs = ("smatrix", "sprime", "qmatrix", "wmatrix", "spectrum", "modes", "mesh",
+                "classification", "mode_001_field")
+        assert sorted(os.listdir(out)) == sorted([f"{n}.csv" for n in csvs] + ["report.txt"])
         assert len(open(out / "classification.csv").read().splitlines()) == 2
-        assert (out / "mode_001_field.csv").exists()
+        report = open(out / "report.txt").read().splitlines()
+        assert "overall_pass=0" in report
+        assert any(l.startswith("unitarity_residual=") and l.endswith("pass=0") for l in report)
 
     def test_solver_failure_exit_4_before_output(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(bem, "lu_solve", lambda lu, rhs: np.zeros_like(rhs))
@@ -524,11 +524,11 @@ class TestMainExitCodes:
     def test_missing_config_exit_3(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 3
 
-    def test_check_flag_merges(self, tmp_path):
+    def test_check_flag_sets_checks(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", "scenario=sphere\nbc=soft\na=1\nmodes=4\n")
-        code = main(
-            ["--config", cfg, "--out", str(tmp_path / "o"), "--check", "appendix-b"]
-        )
-        assert code == 0
-        text = open(tmp_path / "o" / "report.txt").read()
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "--check", "appendix-b"]) == 0
+        text = open(out / "report.txt").read()
         assert "appendix_b_algebraic" in text
+        assert "volume_route_" not in text
+        assert not (out / "volumeq_residuals.csv").exists()

@@ -120,20 +120,20 @@ class TestModeOrdering:
 
 class TestSuggestedModeCount:
     def test_3d_small(self):
-        # ka = 1, c = 2 -> l_max = ceil(3) = 3 -> 16 modes
-        assert suggested_mode_count(1.0, 1.0, 2.0, dim=3) == 16
+        # ka = 1 -> l_max = ceil(1 + 3) = 4 -> 25 modes
+        assert suggested_mode_count(1.0, 1.0, dim=3) == 25
 
     def test_matches_rule(self):
-        k, a, c = 1.0, 25.05, 3.7
-        lmax = int(np.ceil(k * a + c * (k * a) ** (1 / 3)))
-        assert suggested_mode_count(k, a, c, dim=2) == 2 * lmax + 1
-        assert suggested_mode_count(k, a, c, dim=3) == (lmax + 1) ** 2
+        k, a = 1.0, 25.05
+        lmax = int(np.ceil(k * a + 3 * (k * a) ** (1 / 3)))
+        assert suggested_mode_count(k, a, dim=2) == 2 * lmax + 1
+        assert suggested_mode_count(k, a, dim=3) == (lmax + 1) ** 2
 
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
-            suggested_mode_count(-1.0, 1.0, 3.0, dim=2)
+            suggested_mode_count(-1.0, 1.0, dim=2)
         with pytest.raises(DomainError):
-            suggested_mode_count(1.0, 1.0, 5.0, dim=2)
+            suggested_mode_count(1.0, 1.0, dim=4)
 
 
 class TestConjugateMode:

@@ -7,7 +7,7 @@ kernels' Bessel functions have one call site. Importing the package
 loads no scipy subpackage beyond the two it uses. Every public function
 or class has a reader outside the tests. Only io opens a file for writing.
 The README's config block documents exactly the keys the parser reads, and
-every config field has a reader."""
+every config field has a reader. Every error type is raised somewhere."""
 
 import ast
 import importlib
@@ -218,3 +218,29 @@ def test_every_config_field_is_read():
                  and node.value.id == "cfg"}
     unread = sorted(f.name for f in fields(ScenarioConfig) if f.name not in read)
     assert not unread, unread
+
+
+def test_every_error_type_is_raised():
+    """Every WsdelayError subclass in errors.py, the base class aside, is
+    named in a raise statement in the package: a type nothing raises is an
+    except clause and a public name that catch nothing."""
+    package = os.path.join(SRC, "wsdelay")
+    with open(os.path.join(package, "errors.py")) as fh:
+        classes = [node for node in ast.parse(fh.read()).body if isinstance(node, ast.ClassDef)]
+    errors = {"WsdelayError"}
+    for node in classes:
+        if any(isinstance(b, ast.Name) and b.id in errors for b in node.bases):
+            errors.add(node.name)
+    raised = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert len(errors) > 1
+    assert sorted(errors - {"WsdelayError"} - raised) == []

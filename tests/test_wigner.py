@@ -148,7 +148,9 @@ class TestWsDecompose:
 class TestValidateSmatrix:
     def test_mie_passes(self):
         s = mie_smatrix(2, SOFT, 1.0, 2.0, ModeSet.angular(6, 1.0))
-        rep = validate_smatrix(s, gate=1e-12)
+        rep = validate_smatrix(s)
+        assert rep.unitarity_residual <= 1e-12
+        assert rep.symmetry_residual <= 1e-12
         assert rep.passed
 
     def test_truncated_dense_unitary_fails(self):
@@ -160,6 +162,6 @@ class TestValidateSmatrix:
         keep = m - 5
         modes = ModeSet.angular((keep - 1) // 2, 1.0)
         s = SMatrix(modes=modes, k=1.0, matrix=u[:keep, :keep])
-        rep = validate_smatrix(s, gate=1e-3)
+        rep = validate_smatrix(s)
         assert not rep.passed
         assert rep.unitarity_residual > 1e-3
