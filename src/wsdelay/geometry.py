@@ -22,7 +22,7 @@ STRIP_Y_TOP = 0.75
 CAVITY_OUTER = 15.0   # outer square half-side
 CAVITY_INNER = 11.0   # inner void half-side (wall thickness 4)
 CAVITY_INTERIOR_BOX = (-CAVITY_INNER, CAVITY_INNER, -CAVITY_INNER, CAVITY_INNER)
-GRADING_EXPONENT = 4  # Kress grading of straight segments toward their ends
+GRADING_EXPONENT = 6  # Kress grading of straight segments toward their ends
 NODES_PER_WAVELENGTH = 12.0  # default mesh density at the coarsest spacing
 
 

@@ -257,7 +257,9 @@ def test_criterion_7_strip_sound_hard(strip_soft, strip_hard):
 
 
 def test_criterion_8_cavity(cavity_hard, cavity_soft_w3, cavity_soft_w5):
-    """Trapped modes: hard cavity tags the two largest delays; soft traps at w=5."""
+    """Trapped modes: hard cavity tags the two largest delays; soft traps at w=5;
+    every cavity run passes its own gates."""
+    runs = (cavity_hard, cavity_soft_w3, cavity_soft_w5)
     cls = cavity_hard["classification"]
     d = cavity_hard["delays"]
     top_two = cls[-2:]
@@ -267,11 +269,13 @@ def test_criterion_8_cavity(cavity_hard, cavity_soft_w3, cavity_soft_w5):
     f5 = cavity_soft_w5["classification"][-1].interior_fraction
     f3 = cavity_soft_w3["classification"][-1].interior_fraction
     ok &= bool(f5 >= 10.0 * f3)
+    ok &= all(run["passed"] for run in runs)
     report(
         8,
         ok,
         f"hard cavity delays {d[-2]:.0f}s/{d[-1]:.0f}s tagged cavity; "
-        f"soft interior fraction ratio w5/w3 = {f5 / max(f3, 1e-300):.1f}",
+        f"soft interior fraction ratio w5/w3 = {f5 / max(f3, 1e-300):.1f}; "
+        f"gates passed {[bool(run['passed']) for run in runs]}",
     )
 
 

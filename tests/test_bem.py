@@ -164,9 +164,12 @@ def offnode_dirichlet_residual(
 
     The equation is the boundary condition, so its residual at parameters the
     solve never saw measures how well the condition holds along the whole
-    curve. The density is evaluated there by trigonometric interpolation and
-    the log-quadrature weights by their general-point formula. Returns the
-    max residual normalized by the incident sup-norm.
+    curve. The density is evaluated there by trigonometric interpolation of
+    sigma psi, the quadrature's integrand with sigma = |x'(t)|, divided by
+    sigma(t*): the grading flattens sigma toward the corners, so psi itself
+    steepens in t there while sigma psi stays smooth. The log-quadrature
+    weights take their general-point formula. Returns the max residual
+    normalized by the incident sup-norm.
 
     The density of the combined-field equation is singular at corners, where
     pointwise interpolation necessarily degrades even though far-field
@@ -177,7 +180,7 @@ def offnode_dirichlet_residual(
     n = mesh.n_nodes
     n_half = n // 2
     tstar = mesh.t + offset * mesh.h
-    pos, _ = mesh.embed(tstar)
+    pos, vel = mesh.embed(tstar)
 
     # general-point log weights R_j(t*)
     m = np.arange(1, n_half)
@@ -198,11 +201,11 @@ def offnode_dirichlet_residual(
         rw, lg, mesh.h, diag=None, out=(combined.real, combined.imag),
     )
 
-    # trigonometric interpolation of the density at t*
+    # trigonometric interpolation of sigma psi at t*, divided by sigma(t*)
     delta = tstar[:, None] - mesh.t[None, :]
     basis = np.sin(n * delta / 2.0) / np.tan(delta / 2.0) / n
     psi = solution.density[:, 0]
-    psi_star = basis @ psi
+    psi_star = basis @ (mesh.speed * psi) / np.hypot(vel[:, 0], vel[:, 1])
 
     lhs = 0.5 * psi_star + combined @ psi
     inc = incident_fn(pos)
@@ -873,7 +876,7 @@ class TestReciprocity:
     @pytest.mark.parametrize(
         "vertices, bc",
         [
-            pytest.param(QUADRILATERAL, SOFT, marks=pytest.mark.xfail(strict=True)),
+            (QUADRILATERAL, SOFT),
             (QUADRILATERAL, HARD),
             pytest.param(
                 convex_hull_polygon(SHARP_TRIANGLE), HARD, marks=pytest.mark.xfail(strict=True)
@@ -882,9 +885,9 @@ class TestReciprocity:
         ids=["quadrilateral-soft", "quadrilateral-hard", "sharp-triangle-hard"],
     )
     def test_symmetry_gate_on_pinned_shapes(self, vertices, bc):
-        # quadrilateral: soft symmetry 6.0e-3, hard 4.8e-5, the corner grading
-        # defect of the soft formulation; sharp triangle: hard symmetry
-        # 1.3e-3 and unitarity 2.1e-2, the unresolved corner
+        # quadrilateral: soft symmetry 6.6e-4 (6.0e-3 at grading p = 4), hard
+        # 5.4e-5; sharp triangle: hard symmetry 2.0e-3 and unitarity 2.6e-2,
+        # the unresolved corner
         s = bem_smatrix(make_polyline(vertices), bc, 1.0, ModeSet.angular(8, 1.0), gate=None)
         assert s.symmetry_residual() <= DEFAULT_SMATRIX_GATE
 
