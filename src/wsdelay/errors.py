@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The hierarchy distinguishes caller mistakes (domain/contract errors) from
-runtime failures of the numerics (solver and quality-gate errors) so the CLI can map
-them to distinct exit codes.
+runtime failures of the numerics (solver and quality-gate errors) so the CLI
+can map them to distinct exit codes.
 """
 
 
