@@ -52,8 +52,8 @@ import numpy as np
 from scipy import special as sp
 from scipy.linalg import lu_factor, lu_solve, toeplitz
 
-from .errors import ContractError, DomainError, QualityGateError, SolverError
-from .geometry import BoundaryMesh, Geometry, mesh_geometry
+from .errors import ContractError, DomainError, SolverError
+from .geometry import BoundaryMesh, Geometry
 from .mie import free_space_smatrix
 from .modal import ModeSet, regular_waves_batch
 from .smatrix import DEFAULT_SMATRIX_GATE, BoundaryCondition, SMatrix
@@ -421,7 +421,7 @@ def standing_mode_traces(mesh: BoundaryMesh, modes: ModeSet, k: float):
     Column p holds 2 gamma_n J_n(kr) X_n(theta) at the nodes: the incoming
     mode p plus its own free-space outgoing response, finite everywhere; its
     normal derivative is not, so a node on the basis origin raises
-    SingularPointError.
+    DomainError.
     """
     return regular_waves_batch(modes, k, mesh.nodes, mesh.normals)
 
@@ -431,22 +431,21 @@ def bem_smatrix(
     bc: BoundaryCondition,
     k: float,
     modes: ModeSet,
-    mesh: BoundaryMesh = None,
+    mesh: BoundaryMesh,
     gate: Optional[float] = DEFAULT_SMATRIX_GATE,
     return_solution: bool = False,
 ):
     """Scattering matrix of an arbitrary piecewise-smooth 2D boundary.
 
     S = S_free + projection of the scattered far fields of the M standing
-    excitations. Pass a prebuilt mesh of geometry to keep the node set fixed
-    across nearby wavenumbers (finite-difference dS/dk needs that). With
-    return_solution, returns (S, boundary solution).
+    excitations, solved on mesh, a mesh of geometry: one mesh serves nearby
+    wavenumbers, so a finite-difference dS/dk differences one node set. With
+    gate, S failing it raises SolverError. With return_solution, returns
+    (S, boundary solution).
     """
     if modes.dim != 2:
         raise ContractError("BEM scattering needs a 2D mode set")
-    if mesh is None:
-        mesh = mesh_geometry(geometry, k)
-    elif mesh.geometry != geometry:
+    if mesh.geometry != geometry:
         raise ContractError("mesh was built for another geometry")
     values, normal_derivs = standing_mode_traces(mesh, modes, k)
     sol = solve_exterior(mesh, bc, values, normal_derivs, k=k)
@@ -455,9 +454,7 @@ def bem_smatrix(
     if gate is not None:
         res = max(s.unitarity_residual(), s.symmetry_residual())
         if res > gate:
-            raise QualityGateError(
-                f"scattering matrix fails quality gate ({res:.2e} > {gate:.2e})"
-            )
+            raise SolverError(f"scattering matrix fails quality gate ({res:.2e} > {gate:.2e})")
     if return_solution:
         return s, sol
     return s

@@ -20,14 +20,7 @@ import numpy as np
 
 from . import io as wio
 from .bem import bem_smatrix
-from .errors import (
-    CapacityError,
-    ConfigError,
-    DomainError,
-    GeometryError,
-    SolverError,
-    WsdelayError,
-)
+from .errors import ConfigError, DomainError, SolverError, WsdelayError
 from .fields import (
     ClassificationThresholds,
     GridSpec,
@@ -347,14 +340,13 @@ def main(argv=None) -> int:
             cfg.checks = tuple(x.strip() for x in args.check.split(",") if x.strip())
         if args.modes:
             cfg.export_modes = tuple(int(x) for x in args.modes.split(","))
-        cfg.validate()
     except (ConfigError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
 
     try:
         summary = run_scenario(cfg, args.out)
-    except (ConfigError, DomainError, GeometryError, CapacityError) as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except SolverError as exc:

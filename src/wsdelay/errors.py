@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The hierarchy distinguishes caller mistakes (domain/contract errors) from
-runtime failures of the numerics (solver and quality-gate errors) so the CLI
-can map them to distinct exit codes.
+The hierarchy distinguishes caller mistakes (config, domain and contract
+errors) from failures of the numerics (solver errors) so the CLI can map
+them to distinct exit codes.
 """
 
 
@@ -11,31 +11,16 @@ class WsdelayError(Exception):
 
 
 class DomainError(WsdelayError, ValueError):
-    """An argument lies outside the mathematical domain of the operation."""
-
-
-class CapacityError(WsdelayError, ValueError):
-    """A requested order/degree exceeds the configured ceiling."""
-
-
-class SingularPointError(DomainError):
-    """Evaluation requested at a singular point (e.g. the basis origin)."""
+    """An argument lies outside the domain of the operation: a bad value,
+    a degenerate geometry, an order past its ceiling or a singular point."""
 
 
 class ContractError(WsdelayError, ValueError):
     """Inconsistent objects passed together (shape/mode-set/dimension mismatch)."""
 
 
-class GeometryError(WsdelayError, ValueError):
-    """Degenerate or invalid scatterer geometry."""
-
-
 class SolverError(WsdelayError, RuntimeError):
-    """Linear solve failed or produced a residual above threshold."""
-
-
-class QualityGateError(WsdelayError, RuntimeError):
-    """A produced matrix violates its quality gate (unitarity/symmetry/...)."""
+    """A linear solve failed, or a produced matrix failed its own check."""
 
 
 class ConfigError(WsdelayError, ValueError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GeometryError
+from .errors import DomainError
 
 STRIP_HALF_LENGTH = 25.0
 STRIP_Y_BOTTOM = -0.25
@@ -101,7 +101,7 @@ def _polygon(name, vertices):
         a, b = verts[i], verts[(i + 1) % n]
         seg = Line(a, b)
         if seg.length < 1e-9:
-            raise GeometryError(f"degenerate segment at vertex {i} of {name}")
+            raise DomainError(f"degenerate segment at vertex {i} of {name}")
         segs.append(seg)
     area = 0.0
     for i in range(n):
@@ -109,7 +109,7 @@ def _polygon(name, vertices):
         x2, y2 = verts[(i + 1) % n]
         area += x1 * y2 - x2 * y1
     if area <= 0:
-        raise GeometryError("polygon must be counterclockwise (positive area)")
+        raise DomainError("polygon must be counterclockwise (positive area)")
     _reject_self_intersection(verts)
     return Geometry(name=name, segments=tuple(segs), corners=tuple(verts))
 
@@ -128,7 +128,7 @@ def _reject_self_intersection(verts):
             if i == 0 and j == n - 1:
                 continue
             if crosses(verts[i], verts[(i + 1) % n], verts[j], verts[(j + 1) % n]):
-                raise GeometryError("boundary is self-intersecting")
+                raise DomainError("boundary is self-intersecting")
 
 
 def make_strip() -> Geometry:
@@ -181,7 +181,7 @@ def make_circle(radius: float) -> Geometry:
 
 def make_polyline(vertices) -> Geometry:
     if len(vertices) < 3:
-        raise GeometryError("custom boundary needs at least 3 vertices")
+        raise DomainError("custom boundary needs at least 3 vertices")
     return _polygon("custom", vertices)
 
 
@@ -325,7 +325,7 @@ def mesh_geometry(
     counts = []
     for seg in geometry.segments:
         if seg.length < 1e-9:
-            raise GeometryError("degenerate segment")
+            raise DomainError("degenerate segment")
         if isinstance(seg, Circle):
             n = max(32, int(np.ceil(nodes_per_wavelength * seg.length / wavelength)))
         else:

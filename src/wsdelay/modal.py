@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DomainError, SingularPointError
+from .errors import ContractError, DomainError
 from .specfun import cyl_jn_table
 
 
@@ -162,7 +162,7 @@ def polar_coordinates(points, allow_origin=False):
     theta = np.arctan2(pts[..., 1], pts[..., 0])
     if np.any(r == 0.0):
         if not allow_origin:
-            raise SingularPointError("field evaluation at the basis origin")
+            raise DomainError("field evaluation at the basis origin")
         # regular fields are finite at the origin: J_n(0) kills the
         # undefined angle for n != 0; clamp r so special functions accept it
         r = np.where(r == 0.0, 1e-300, r)

@@ -19,7 +19,7 @@ Everything is pure and reentrant; x may be a scalar or an ndarray.
 import numpy as np
 from scipy import special as _sp
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 
 # Nominal ceilings. Beyond these, double precision under/overflows for
 # small arguments (y_l grows like (2l-1)!!/x^(l+1)).
@@ -42,7 +42,7 @@ def cyl_hankel1_table(n: int, x):
     by order: scipy's J and Y over the order vector, and
     f_n' = (f_{n-1} - f_{n+1})/2 from the neighbouring rows, f_{-1} = -f_1."""
     if n > CYL_ORDER_MAX:
-        raise CapacityError(f"cylindrical order {n} exceeds ceiling {CYL_ORDER_MAX}")
+        raise DomainError(f"cylindrical order {n} exceeds ceiling {CYL_ORDER_MAX}")
     x = np.atleast_1d(_check_x(x))
     order = np.arange(n + 2)[:, None]
     f = _sp.jv(order, x) + 1j * _sp.yv(order, x)
@@ -107,7 +107,7 @@ def sph_jy_table(l: int, x):
     if l < 0:
         raise DomainError("spherical degree must be >= 0")
     if l > SPH_DEGREE_MAX:
-        raise CapacityError(f"spherical degree {l} exceeds ceiling {SPH_DEGREE_MAX}")
+        raise DomainError(f"spherical degree {l} exceeds ceiling {SPH_DEGREE_MAX}")
     x = np.atleast_1d(_check_x(x))
     sin, cos = np.sin(x), np.cos(x)
     j = _miller_downward(l, x, 1, sin / x, sin / x**2 - cos / x)[: l + 1]

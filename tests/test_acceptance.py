@@ -11,7 +11,7 @@ import pytest
 
 from wsdelay.bem import bem_smatrix
 from wsdelay.cli import run_scenario
-from wsdelay.geometry import make_circle
+from wsdelay.geometry import make_circle, mesh_geometry
 from wsdelay.io import ScenarioConfig
 from wsdelay.mie import (
     free_space_smatrix,
@@ -197,9 +197,11 @@ def test_criterion_5_bem_validity():
     modes = ModeSet.angular(7, k)
     ok = True
     worst = 0.0
+    geom = make_circle(a)
+    mesh = mesh_geometry(geom, k)
     for bc in (SOFT, HARD):
         ref = mie_smatrix(2, bc, k, a, modes)
-        s = bem_smatrix(make_circle(a), bc, k, modes, gate=None)
+        s = bem_smatrix(geom, bc, k, modes, mesh=mesh, gate=None)
         entry = float(np.max(np.abs(s.matrix - ref.matrix)))
         worst = max(worst, entry)
         ok &= bool(entry <= 1e-4)

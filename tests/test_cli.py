@@ -467,6 +467,15 @@ class TestMainExitCodes:
                 id="polyline-origin-node",
             ),
             pytest.param(
+                f"scenario=custom\nmodes=17\npolyline={DATA}/polyline_clockwise.csv\n", [],
+                id="polyline-clockwise",
+            ),
+            pytest.param(
+                f"scenario=custom\nmodes=17\npolyline={DATA}/polyline_two_vertices.csv\n", [],
+                id="polyline-two-vertices",
+            ),
+            pytest.param("scenario=cavity\nw=22\nmodes=11\n", [], id="cavity-gap-too-wide"),
+            pytest.param(
                 "scenario=cylinder\na=2\nmodes=403\n", [], id="cylinder-order-ceiling"
             ),
             pytest.param(
@@ -474,10 +483,11 @@ class TestMainExitCodes:
             ),
         ],
     )
-    def test_bad_input_exit_3_before_output(self, tmp_path, text, extra):
+    def test_bad_input_exit_3_before_output(self, tmp_path, capsys, text, extra):
         cfg = write(tmp_path / "c.cfg", text)
         out = tmp_path / "o"
         assert main(["--config", cfg, "--out", str(out)] + extra) == 3
+        assert capsys.readouterr().err.startswith("input error: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("bc", ["soft", "hard"])

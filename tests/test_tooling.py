@@ -7,7 +7,9 @@ kernels' Bessel functions have one call site. Importing the package
 loads no scipy subpackage beyond the two it uses. Every public function
 or class has a reader outside the tests. Only io opens a file for writing.
 The README's config block documents exactly the keys the parser reads, and
-every config field has a reader. Every error type is raised somewhere."""
+every config field has a reader. Every error type is raised somewhere. The
+package's top level binds exactly the names that perfbench/ and the README's
+library example import from it, and that example runs."""
 
 import ast
 import importlib
@@ -18,12 +20,15 @@ import re
 import subprocess
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(__file__))
 TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
 BENCH = os.path.join(ROOT, "perfbench", "bench.py")
 SRC = os.path.join(ROOT, "src")
 BEM = os.path.join(SRC, "wsdelay", "bem.py")
 README = os.path.join(ROOT, "README.md")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 QUARTET = {"j0", "y0", "j1", "y1"}
 
 
@@ -244,3 +249,43 @@ def test_every_error_type_is_raised():
                     raised.add(exc.id)
     assert len(errors) > 1
     assert sorted(errors - {"WsdelayError"} - raised) == []
+
+
+def _readme_example():
+    with open(README) as fh:
+        return fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_top_level_names_are_what_callers_import():
+    """The public names wsdelay/__init__.py binds are the names perfbench/
+    reads from wsdelay, as wsdelay.<name> or by from-import, plus the README
+    example's imports; submodules such as cli and io do not count."""
+    import wsdelay
+
+    package = os.path.join(SRC, "wsdelay")
+    submodules = {name[:-3] for name in os.listdir(package) if name.endswith(".py")}
+    sources = [_readme_example()]
+    for name in sorted(os.listdir(PERFBENCH)):
+        if name.endswith(".py"):
+            with open(os.path.join(PERFBENCH, name)) as fh:
+                sources.append(fh.read())
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "wsdelay":
+                read |= {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "wsdelay"):
+                read.add(node.attr)
+    public = {name for name in vars(wsdelay) if not name.startswith("_")} - submodules
+    wanted = {name for name in read if not name.startswith("_")} - submodules
+    assert sorted(public) == sorted(wanted)
+
+
+def test_readme_example_runs():
+    """The README's library example runs, and its first four delays are the
+    corner-diffraction modes, in criterion 6's window [-32, -6]."""
+    scope = {}
+    exec(compile(_readme_example(), README, "exec"), scope)
+    delays = scope["dec"].delays[:4]
+    assert np.all((delays >= -32.0) & (delays <= -6.0)), delays
