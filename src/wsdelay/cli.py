@@ -352,6 +352,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"solver error: out of memory: {str(exc) or 'no detail'}", file=sys.stderr)
+        return 4
     except WsdelayError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

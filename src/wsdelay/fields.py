@@ -26,7 +26,7 @@ from .geometry import BoundaryMesh, Geometry
 from .mie import free_space_smatrix
 from .modal import ModeSet, gamma_2d, polar_coordinates, regular_waves_batch
 from .smatrix import SMatrix
-from .specfun import cyl_hankel1_table
+from .specfun import hankel1_table
 
 MODE_LABELS = ("corner", "ballistic", "surface-wave", "non-propagating", "cavity")
 
@@ -173,7 +173,7 @@ def modal_excitation_fields(s: SMatrix, spec: GridSpec, regions: RegionMasks, ex
 
     def fields_at(pts):
         r, theta = polar_coordinates(pts)
-        h1 = cyl_hankel1_table(int(np.max(np.abs(orders))), s.k * r)[0]
+        h1 = hankel1_table(2, int(np.max(np.abs(orders))), s.k * r)[0]
         outgoing = np.conj(h1[np.abs(orders)]).T * scale
         outgoing *= np.exp(-1j * np.outer(theta, orders)) / np.sqrt(2.0 * np.pi)
         f = regular_waves_batch(s.modes, s.k, pts)

@@ -108,9 +108,9 @@ def _polygon(name, vertices):
         x1, y1 = verts[i]
         x2, y2 = verts[(i + 1) % n]
         area += x1 * y2 - x2 * y1
+    _reject_self_intersection(verts)
     if area <= 0:
         raise DomainError("polygon must be counterclockwise (positive area)")
-    _reject_self_intersection(verts)
     return Geometry(name=name, segments=tuple(segs), corners=tuple(verts))
 
 

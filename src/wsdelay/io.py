@@ -17,7 +17,8 @@ import numpy as np
 from .errors import ConfigError
 from .fields import GridSpec
 from .geometry import NODES_PER_WAVELENGTH
-from .modal import ModeSet
+from .modal import ModeSet, suggested_mode_count
+from .specfun import ORDER_MAX
 
 FMT = "%.17g"
 
@@ -153,6 +154,14 @@ class ScenarioConfig:
             raise ConfigError("field exports apply to the 2D scenarios")
         if self.scenario == "custom" and not self.polyline:
             raise ConfigError("custom scenario needs polyline=<csv path>")
+        if self.scenario in ("sphere", "cylinder"):
+            # the closed forms' Hankel tables stop at ORDER_MAX; the default
+            # count is the truncation rule at the radius a
+            dim = 3 if self.scenario == "sphere" else 2
+            count = self.mode_count or suggested_mode_count(self.k, self.a, dim)
+            top = round(np.sqrt(count)) - 1 if dim == 3 else (count - 1) // 2
+            if top > ORDER_MAX:
+                raise ConfigError(f"{count} modes reach order {top}, past ceiling {ORDER_MAX}")
         return self
 
 

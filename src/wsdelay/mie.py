@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .modal import ModeIndex, ModeSet, conjugate_mode
 from .smatrix import BoundaryCondition, SMatrix
-from .specfun import cyl_hankel1_table, sph_hankel1_table
+from .specfun import hankel1_table
 
 
 def radial_second_derivative(dim: int, order, z, f, df):
@@ -46,7 +46,7 @@ def _reflection(dim: int, bc: BoundaryCondition, order: int, z: float, a: float,
 def reflection_table(dim: int, bc: BoundaryCondition, k: float, a: float, n_max: int):
     """(alpha, dalpha): reflection coefficients alpha_n (|alpha_n| = 1) and
     their analytic k-derivatives for every order n = 0..n_max, from one
-    Hankel table at z = ka (sph_hankel1_table in 3D, cyl_hankel1_table in 2D).
+    Hankel table at z = ka (specfun.hankel1_table).
 
     The few products per order run on scalars: numpy's vectorized complex
     product may fuse multiply-adds depending on the CPU, which would make
@@ -55,7 +55,7 @@ def reflection_table(dim: int, bc: BoundaryCondition, k: float, a: float, n_max:
     z = k * a
     if not z > 0:
         raise DomainError("ka must be positive")
-    table = sph_hankel1_table(n_max, z) if dim == 3 else cyl_hankel1_table(n_max, z)
+    table = hankel1_table(dim, n_max, z)
     rows = [
         _reflection(dim, bc, n, z, a, h, d)
         for n, (h, d) in enumerate(zip(table[0][:, 0], table[1][:, 0]))

@@ -1,17 +1,21 @@
 """Cylindrical and spherical Bessel/Hankel tables.
 
-Every Bessel/Hankel evaluation is a table: all orders (degrees) 0..n of one
-function on positive real arguments, rows indexed by order. Spherical
-Bessel functions are computed by recurrence: j_l by downward (Miller-style)
-recurrence normalized against the closed-form j_0/j_1, which is stable for
-l greater than x, and y_l by upward recurrence, which is stable everywhere.
-One sph_jy_table call holds every degree 0..l; sph_hankel1_table gives
-h^(1) = j + jy of every degree and, from the neighbouring rows, its
-derivatives. Cylindrical J_n comes from the same downward recurrence (one
-table of orders 0..n, normalized against scipy's J_0/J_1). The Hankel
-functions are delegated to scipy's J and Y behind the same argument
-checks: cyl_hankel1_table holds H^(1) of every order 0..n and, from the
-neighbouring rows, its derivatives. H^(2) and h^(2) are the conjugates.
+Every Bessel/Hankel evaluation is a table: all orders 0..n of one function
+on positive real arguments, rows indexed by order. Both dimensions share one
+recurrence pair, with odd = 0 for the cylindrical J, Y, H and odd = 1 for
+the spherical j, y, h (degree l in the role of the order):
+
+    f_{m-1} + f_{m+1} = (2m+odd)/x f_m,    f_m' = f_{m-1} - (m+odd)/x f_m.
+
+The regular kind (J, j) comes from Miller's downward recurrence, which is
+stable for orders above x, normalized against its order-0 and order-1
+values; the singular kind (Y, y) from the upward recurrence, which is stable
+everywhere. hankel1_table gives H^(1) = J + jY (2D) or h^(1) = j + jy (3D)
+of every order 0..n and, from the neighbouring rows, their derivatives; the
+seeds are scipy's J/Y at orders 0 and 1 (AMOS, which keeps its digits at
+large x) in 2D and the closed forms in 3D. cyl_jn_table gives J alone,
+origin included, normalized against scipy's J_0/J_1. H^(2) and h^(2) are
+the conjugates.
 
 Everything is pure and reentrant; x may be a scalar or an ndarray.
 """
@@ -21,10 +25,9 @@ from scipy import special as _sp
 
 from .errors import DomainError
 
-# Nominal ceilings. Beyond these, double precision under/overflows for
-# small arguments (y_l grows like (2l-1)!!/x^(l+1)).
-CYL_ORDER_MAX = 200
-SPH_DEGREE_MAX = 200
+# Nominal ceiling. Beyond it, double precision under/overflows for small
+# arguments (y_l grows like (2l-1)!!/x^(l+1), Y_n like (n-1)!(2/x)^n).
+ORDER_MAX = 200
 
 
 def _check_x(x):
@@ -34,20 +37,32 @@ def _check_x(x):
     return x
 
 
-# ---------------------------------------------------------------------------
-# Cylindrical tables (J by recurrence, H^(1) scipy-backed)
-# ---------------------------------------------------------------------------
-def cyl_hankel1_table(n: int, x):
-    """H^(1)_0..H^(1)_n at positive x and their x-derivatives, rows indexed
-    by order: scipy's J and Y over the order vector, and
-    f_n' = (f_{n-1} - f_{n+1})/2 from the neighbouring rows, f_{-1} = -f_1."""
-    if n > CYL_ORDER_MAX:
-        raise DomainError(f"cylindrical order {n} exceeds ceiling {CYL_ORDER_MAX}")
+def hankel1_table(dim: int, n: int, x):
+    """H^(1)_0..H^(1)_n (dim 2) or h^(1)_0..h^(1)_n (dim 3) at positive x and
+    their x-derivatives, rows indexed by order (see the module docstring).
+    Below row 0 the derivative reads H_{-1} = -H_1, or h_{-1} = e^{jx}/x."""
+    n = int(n)
+    if n < 0:
+        raise DomainError("order must be >= 0")
+    if n > ORDER_MAX:
+        raise DomainError(f"order {n} exceeds ceiling {ORDER_MAX}")
     x = np.atleast_1d(_check_x(x))
-    order = np.arange(n + 2)[:, None]
-    f = _sp.jv(order, x) + 1j * _sp.yv(order, x)
-    prev = np.concatenate([-f[1:2], f[:-2]])
-    return f[:-1], 0.5 * (prev - f[1:])
+    odd = dim - 2
+    if dim == 3:
+        sin, cos = np.sin(x), np.cos(x)
+        j0, j1, y0, y1 = sin / x, sin / x**2 - cos / x, -cos / x, -cos / x**2 - sin / x
+    else:
+        j0, j1, y0, y1 = _sp.jv(0, x), _sp.jv(1, x), _sp.yv(0, x), _sp.yv(1, x)
+    j = _miller_downward(n, x, odd, j0, j1)
+    y = np.zeros_like(j)
+    y[0], y[1] = y0, y1
+    for m in range(1, n):
+        y[m + 1] = (2 * m + odd) / x * y[m] - y[m - 1]
+    f = j + 1j * y
+    below = cos / x + 1j * (sin / x) if dim == 3 else -f[1]
+    prev = np.concatenate([below[None], f[:n]])
+    f = f[: n + 1]
+    return f, prev - (np.arange(n + 1)[:, None] + odd) / x * f
 
 
 def cyl_jn_table(n: int, x) -> np.ndarray:
@@ -67,9 +82,6 @@ def cyl_jn_table(n: int, x) -> np.ndarray:
     return jm[: n + 1]
 
 
-# ---------------------------------------------------------------------------
-# Miller's downward recurrence (cylindrical J, spherical j) and spherical functions
-# ---------------------------------------------------------------------------
 def _miller_downward(order: int, x: np.ndarray, odd: int, f0, f1) -> np.ndarray:
     """Rows 0..max(order, 1) of the solution of f_{m-1} = (2m+odd)/x f_m - f_{m+1}
     that decays with m (Miller): seeded high above the order, recursed down
@@ -97,39 +109,3 @@ def _miller_downward(order: int, x: np.ndarray, odd: int, f0, f1) -> np.ndarray:
     denom1 = np.where(jm[1] == 0.0, 1.0, jm[1])
     scale = np.where(use0, f0 / denom0, f1 / denom1)
     return jm * scale
-
-
-def sph_jy_table(l: int, x):
-    """j_0..j_l and y_0..y_l at positive x, rows indexed by degree: j by
-    Miller's downward recurrence normalized against the closed-form j_0/j_1,
-    y by upward recurrence (stable)."""
-    l = int(l)
-    if l < 0:
-        raise DomainError("spherical degree must be >= 0")
-    if l > SPH_DEGREE_MAX:
-        raise DomainError(f"spherical degree {l} exceeds ceiling {SPH_DEGREE_MAX}")
-    x = np.atleast_1d(_check_x(x))
-    sin, cos = np.sin(x), np.cos(x)
-    j = _miller_downward(l, x, 1, sin / x, sin / x**2 - cos / x)[: l + 1]
-    y = np.zeros((l + 1, x.size))
-    y[0] = -cos / x
-    if l >= 1:
-        y[1] = -cos / x**2 - sin / x
-        for m in range(1, l):
-            y[m + 1] = (2 * m + 1) / x * y[m] - y[m - 1]
-    return j, y
-
-
-def sph_hankel1_table(l: int, x):
-    """h^(1)_0..h^(1)_l at positive x and their x-derivatives, rows indexed
-    by degree, from one sph_jy_table.
-
-    f_l' = f_{l-1} - (l+1)/x f_l, with the standard extension below row 0:
-    j_{-1} = cos(x)/x, y_{-1} = sin(x)/x, so h1_{-1} = e^{jx}/x.
-    """
-    x = np.atleast_1d(_check_x(x))
-    j, y = sph_jy_table(l, x)
-    f = j + 1j * y
-    below = np.cos(x) / x + 1j * (np.sin(x) / x)
-    prev = np.concatenate([below[None], f[:-1]])
-    return f, prev - np.arange(1, len(f) + 1)[:, None] / x * f

@@ -20,7 +20,7 @@ to constants in the outgoing coefficient, so the R -> inf limit needs the
 closed forms at r = a only. The Appendix-B surface check takes its angular
 integral by orthonormality too, so no harmonic is ever evaluated. Every
 degree's radial integrals come from one h^(1) table at ka (specfun's
-sph_hankel1_table: one j/y recurrence for all degrees, derivatives from the
+hankel1_table: one j/y recurrence for all degrees, derivatives from the
 neighbouring row), with h^(2) = conj h^(1) for real arguments, and the three
 styles are combinations of that one set of integrals. The fields'
 reflection coefficients are read off the S (and, for the surface identity,
@@ -35,7 +35,7 @@ from .errors import ContractError, DomainError
 from .mie import radial_second_derivative
 from .modal import ModeIndex, ModeSet, conjugate_mode
 from .smatrix import SMatrix, relative_residual
-from .specfun import sph_hankel1_table
+from .specfun import hankel1_table
 from .wigner import QMatrix
 
 STYLES = ("symmetric", "a", "b")
@@ -74,7 +74,7 @@ def _renormalized_integrals(betas: np.ndarray, k: float, a: float):
     ll = degree * (degree + 1)
 
     x = k * a
-    h, dh = sph_hankel1_table(lmax, x)
+    h, dh = hankel1_table(3, lmax, x)
     h, dh = h[:, 0], dh[:, 0]
     f = c1 * h + c2 * np.conj(h)
     fx = c1 * dh + c2 * np.conj(dh)
@@ -174,7 +174,7 @@ def surface_identity_check(
         raise DomainError("need kR >= 50 for the far-zone surface")
     smat, sp = s.matrix, sprime.matrix
     lmax = max(max(p.l, q.l) for p, q in pairs)
-    h, dh = sph_hankel1_table(lmax, kr)
+    h, dh = hankel1_table(3, lmax, kr)
     sign = (-1.0) ** np.arange(1, lmax + 2)
     alpha = sign * _degree_entries(smat, modes, lmax)
     dalpha = sign * _degree_entries(sp, modes, lmax)

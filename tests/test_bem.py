@@ -299,12 +299,13 @@ class TestGeometry:
         assert not cav.contains(np.array([[0.0, -13.0]]))[0]  # inside the gap channel
 
     def test_self_intersection_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="self-intersecting"):
             make_polyline([(0, 0), (1, 1), (1, 0), (0, 1)])
-        # the bowtie's signed area is 0, so the orientation check stops it
-        # first; this one has positive area
         with pytest.raises(DomainError, match="self-intersecting"):
             make_polyline([(0, 0), (4, 0), (4, 4), (2, -2), (0, 4)])
+        # a simple loop the wrong way round is told its orientation
+        with pytest.raises(DomainError, match="counterclockwise"):
+            make_polyline([(0, 0), (0, 1), (1, 1), (1, 0)])
 
     def test_factory(self):
         assert make_geometry("strip").name == "strip"

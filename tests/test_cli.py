@@ -146,6 +146,24 @@ class TestConfigParsing:
         cfg = ScenarioConfig(scenario="sphere", k=k, a=a, vol_kr=vol_kr, checks=("appendix-b",))
         assert cfg.validate() is cfg
 
+    @pytest.mark.parametrize(
+        "scenario,a,count",
+        [("cylinder", 2.0, 403), ("sphere", 2.0, 202**2), ("cylinder", 200.0, None),
+         ("sphere", 200.0, None)],
+        ids=["cylinder-modes", "sphere-modes", "cylinder-rule", "sphere-rule"],
+    )
+    def test_order_ceiling_rejected(self, scenario, a, count):
+        # order 201 from an explicit count, and order 218 from the
+        # truncation rule at ka = 200
+        cfg = ScenarioConfig(scenario=scenario, a=a, mode_count=count)
+        with pytest.raises(ConfigError, match="ceiling 200"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("scenario,count", [("cylinder", 401), ("sphere", 201**2)])
+    def test_order_ceiling_accepted_at_the_bound(self, scenario, count):
+        cfg = ScenarioConfig(scenario=scenario, a=2.0, mode_count=count)
+        assert cfg.validate() is cfg
+
     def test_volume_q_alone_takes_no_surface(self):
         # the volume routes take R -> inf in closed form, so vol_kr bounds
         # only the Appendix-B surface
@@ -222,7 +240,7 @@ class TestRunScenario:
         # one table at ka per closed-form matrix, one at ka for the volume
         # routes and one at kR; the checks build no S or S' of their own
         originals = {
-            "sph_hankel1_table": specfun.sph_hankel1_table,
+            "hankel1_table": specfun.hankel1_table,
             "mie_smatrix": mie.mie_smatrix,
             "mie_smatrix_deriv": mie.mie_smatrix_deriv,
         }
@@ -242,7 +260,7 @@ class TestRunScenario:
         cfg = ScenarioConfig(scenario="sphere", bc="soft", a=2.0, mode_count=16,
                              checks=("volume-q", "appendix-b"))
         assert run_scenario(cfg, str(tmp_path / "o"))["passed"]
-        assert calls["sph_hankel1_table"] <= 4
+        assert calls["hankel1_table"] <= 4
         assert calls["mie_smatrix"] == 1
         assert calls["mie_smatrix_deriv"] == 1
 
@@ -529,6 +547,18 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "solver error:" in err
         assert "residual 1.0e+00 above 1e-08" in err
+        assert not out.exists()
+
+    def test_memory_exhaustion_exit_4_before_output(self, tmp_path, monkeypatch, capsys):
+        def exhausted(cfg, st):
+            raise MemoryError("Unable to allocate 12.2 GiB")
+
+        monkeypatch.setattr(cli, "_solve", exhausted)
+        cfg = write(tmp_path / "c.cfg", "scenario=sphere\na=2\nmodes=4\n")
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == "solver error: out of memory: Unable to allocate 12.2 GiB\n"
         assert not out.exists()
 
     def test_missing_config_exit_3(self, tmp_path):

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -14,7 +15,7 @@ from wsdelay.mie import (
 )
 from wsdelay.modal import ModeIndex, ModeSet, regular_waves_batch
 from wsdelay.smatrix import BoundaryCondition
-from wsdelay.specfun import sph_jy_table
+from wsdelay.specfun import hankel1_table
 from test_modal import outgoing_template, ref_incoming, ref_outgoing, ref_regular
 
 SOFT = BoundaryCondition.SOUND_SOFT
@@ -27,12 +28,14 @@ HARD = BoundaryCondition.SOUND_HARD
 # h^(1)
 # ---------------------------------------------------------------------------
 def ref_sph(l, z, sign):
-    j, y = sph_jy_table(l, z)
+    h = hankel1_table(3, l, z)[0]
+    j, y = h.real, h.imag
     return (j[l] + 1j * y[l] if sign > 0 else j[l] - 1j * y[l])[0]
 
 
 def ref_sph_dx(l, z, sign):
-    j, y = sph_jy_table(max(l, 1), z)
+    h = hankel1_table(3, max(l, 1), z)[0]
+    j, y = h.real, h.imag
     jm1, ym1 = (np.cos(z) / z, np.sin(z) / z) if l == 0 else (j[l - 1][0], y[l - 1][0])
     if sign > 0:
         prev, curr = jm1 + 1j * ym1, j[l][0] + 1j * y[l][0]
@@ -42,9 +45,9 @@ def ref_sph_dx(l, z, sign):
 
 
 def ref_cyl(order, z, sign):
-    """H^(1) (sign > 0) or H^(2) of one order from scipy's J and Y."""
-    j, y = sp.jv(order, z), sp.yv(order, z)
-    return j + 1j * y if sign > 0 else j - 1j * y
+    """H^(1) (sign > 0) or H^(2) of one order from mpmath, at its working
+    precision."""
+    return mp.hankel1(order, z) if sign > 0 else mp.hankel2(order, z)
 
 
 def ref_cyl_dx(order, z, sign):
@@ -81,27 +84,25 @@ class TestConjugateHankelAgainstReference:
     @pytest.mark.parametrize("bc", [SOFT, HARD], ids=["soft", "hard"])
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("ka", [0.05, 0.7, 1.0, 2.0, 10.0, 40.0])
-    def test_smatrix_and_derivative_bitwise(self, bc, dim, ka):
-        # 2D: the same scipy calls per order, so bitwise. 3D: one spherical
-        # table for every degree starts Miller's recurrence above the
-        # highest degree, not above each one, which moves S and S' by
-        # rounding (4e-16 measured)
-        k = 1.0
-        modes = ModeSet.spherical(8, k) if dim == 3 else ModeSet.angular(12, k)
+    def test_smatrix_and_derivative_against_reference(self, bc, dim, ka):
+        # 2D: mpmath's Hankel functions, with every reference operation at
+        # 40 digits. 3D: one spherical table for every degree starts
+        # Miller's recurrence above the highest degree, not above each one,
+        # which moves S and S' by rounding (4e-16 measured)
+        k = mp.mpf(1) if dim == 2 else 1.0
+        modes = ModeSet.spherical(8, k) if dim == 3 else ModeSet.angular(12, 1.0)
 
         def order(p):
             return p.l if dim == 3 else abs(p.n)
 
-        want_s = _assemble(modes, lambda p: ref_alpha(dim, bc, order(p), k * ka))
-        want_ds = _assemble(modes, lambda p: ref_dalpha(dim, bc, order(p), k, ka))
-        got_s = mie_smatrix(dim, bc, k, ka, modes).matrix
-        got_ds = mie_smatrix_deriv(dim, bc, k, ka, modes).matrix
-        if dim == 2:
-            assert np.array_equal(got_s, want_s)
-            assert np.array_equal(got_ds, want_ds)
-        else:
-            assert np.max(np.abs(got_s - want_s)) <= 1e-15
-            assert np.max(np.abs(got_ds - want_ds)) <= 1e-15 * np.max(np.abs(want_ds))
+        with mp.workdps(40):
+            want_s = _assemble(modes, lambda p: ref_alpha(dim, bc, order(p), k * ka))
+            want_ds = _assemble(modes, lambda p: ref_dalpha(dim, bc, order(p), k, ka))
+        got_s = mie_smatrix(dim, bc, 1.0, ka, modes).matrix
+        got_ds = mie_smatrix_deriv(dim, bc, 1.0, ka, modes).matrix
+        tol = 2e-15 if dim == 2 else 1e-15
+        assert np.max(np.abs(got_s - want_s)) <= tol
+        assert np.max(np.abs(got_ds - want_ds)) <= tol * np.max(np.abs(want_ds))
 
 
 class TestModalReflection:

@@ -3,7 +3,9 @@ wsdelay functions by name; a renamed or re-signed layer function would
 otherwise break only the traced benchmark run, and silently. Likewise every
 keyword the benchmark passes to a wsdelay callable must be one of its
 parameters, or only the benchmark's jobs would fail. The 2D
-kernels' Bessel functions have one call site. Importing the package
+kernels' Bessel functions have one call site, and every scipy.special call
+is a Bessel function of order 0 or 1: higher orders come from specfun's
+recurrence tables. Importing the package
 loads no scipy subpackage beyond the two it uses. Every public function
 or class has a reader outside the tests. Only io opens a file for writing.
 The README's config block documents exactly the keys the parser reads, and
@@ -120,6 +122,55 @@ def test_bessel_quartet_has_one_site():
     with open(BEM) as fh:
         visit(ast.parse(fh.read()), None)
     assert sorted(sites) == sorted(("_bessel", name) for name in QUARTET)
+
+
+def test_bessel_tables_use_no_per_order_scipy_call():
+    """Every scipy.special function the package references is called, and
+    is j0, j1, y0, y1, or jv/yv at a literal order 0 or 1: a per-order
+    scipy evaluation is the path the recurrence tables replace."""
+    package = os.path.join(SRC, "wsdelay")
+    broken = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        modules, direct = set(), {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                modules |= {a.asname or a.name for a in node.names if a.name == "special"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy.special":
+                direct.update({a.asname or a.name: a.name for a in node.names})
+            elif isinstance(node, ast.Import):
+                modules |= {a.asname for a in node.names if a.name == "scipy.special" and a.asname}
+
+        def function(node):
+            """The scipy.special function node names, or None."""
+            if isinstance(node, ast.Name):
+                return direct.get(node.id)
+            if not isinstance(node, ast.Attribute):
+                return None
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id in modules:
+                return node.attr
+            if (isinstance(owner, ast.Attribute) and owner.attr == "special"
+                    and isinstance(owner.value, ast.Name) and owner.value.id == "scipy"):
+                return node.attr
+            return None
+
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and function(node.func) is not None:
+                fn, args = function(node.func), node.args
+                literal = bool(args) and isinstance(args[0], ast.Constant) \
+                    and args[0].value in (0, 1)
+                if fn in QUARTET or (fn in ("jv", "yv") and literal):
+                    allowed.add(id(node.func))
+        for node in ast.walk(tree):
+            fn = function(node)
+            if fn is not None and id(node) not in allowed:
+                broken.append(f"{name}:{node.lineno} {fn}")
+    assert not broken, broken
 
 
 def _names_used(tree, strings):

@@ -9,7 +9,7 @@ from wsdelay.errors import ContractError, DomainError
 from wsdelay.mie import free_space_smatrix, mie_smatrix, mie_smatrix_deriv
 from wsdelay.modal import ModeIndex, ModeSet, conjugate_mode
 from wsdelay.smatrix import BoundaryCondition, SMatrix
-from wsdelay.specfun import sph_hankel1_table, sph_jy_table
+from wsdelay.specfun import hankel1_table
 from wsdelay.volumeq import (
     STYLES,
     _combine,
@@ -76,13 +76,15 @@ def entry(routes, style, p, q, modes):
 # ---------------------------------------------------------------------------
 def ref_hankel(l, z, sign):
     """h_l^(1) (sign +1) or h_l^(2) (sign -1) from its own j/y table."""
-    j, y = sph_jy_table(l, z)
+    h = hankel1_table(3, l, z)[0]
+    j, y = h.real, h.imag
     return j[l] + 1j * y[l] if sign > 0 else j[l] - 1j * y[l]
 
 
 def ref_hankel_dx(l, z, sign):
     z = np.atleast_1d(z)
-    j, y = sph_jy_table(max(l, 1), z)
+    h = hankel1_table(3, max(l, 1), z)[0]
+    j, y = h.real, h.imag
     if l == 0:
         jm1, ym1 = np.cos(z) / z, np.sin(z) / z
     else:
@@ -276,7 +278,7 @@ class TestRadialProfile:
         modes = ModeSet.spherical(4, k)
         beta = _degree_entries(mie_smatrix(3, bc, k, a, modes).matrix, modes, 4)[l]
         alpha = (-1.0) ** (l + 1) * beta
-        h, dh = sph_hankel1_table(l, k * a)
+        h, dh = hankel1_table(3, l, k * a)
         f = h if bc is SOFT else dh                 # field or its radial derivative
         value = f[l, 0] + alpha * np.conj(f[l, 0])
         assert abs(value) / abs(f[l, 0]) < 1e-10
