@@ -30,13 +30,6 @@ from .errors import DomainError
 ORDER_MAX = 200
 
 
-def _check_x(x):
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise DomainError("argument must be positive and finite")
-    return x
-
-
 def hankel1_table(dim: int, n: int, x):
     """H^(1)_0..H^(1)_n (dim 2) or h^(1)_0..h^(1)_n (dim 3) at positive x and
     their x-derivatives, rows indexed by order (see the module docstring).
@@ -46,7 +39,9 @@ def hankel1_table(dim: int, n: int, x):
         raise DomainError("order must be >= 0")
     if n > ORDER_MAX:
         raise DomainError(f"order {n} exceeds ceiling {ORDER_MAX}")
-    x = np.atleast_1d(_check_x(x))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
+        raise DomainError("argument must be positive and finite")
     odd = dim - 2
     if dim == 3:
         sin, cos = np.sin(x), np.cos(x)
