@@ -65,11 +65,9 @@ class GateLedger:
     def __init__(self):
         self.entries = []
 
-    def add(self, name, value, limit):
-        self.entries.append((name, float(value), float(limit)))
-
-    def record(self, name, value):
-        self.entries.append((name, float(value), None))
+    def add(self, name, value, limit=None):
+        """A gate with limit, or a value reported without one."""
+        self.entries.append((name, float(value), None if limit is None else float(limit)))
 
     @property
     def passed(self):
@@ -88,7 +86,6 @@ class GateLedger:
 
 @dataclass
 class _Setup:
-    dim: int
     bc: BoundaryCondition
     geometry: Optional[Geometry]    # None for the sphere
     circumradius: float
@@ -137,7 +134,7 @@ def _setup(cfg) -> _Setup:
         if empty:
             raise ConfigError(f"field grid has no {', '.join(empty)} points to classify from")
     bc = BoundaryCondition.SOUND_SOFT if cfg.bc == "soft" else BoundaryCondition.SOUND_HARD
-    return _Setup(dim, bc, geometry, circumradius, modes, mesh, grid, regions)
+    return _Setup(bc, geometry, circumradius, modes, mesh, grid, regions)
 
 
 def _solve(cfg, st):
@@ -146,8 +143,8 @@ def _solve(cfg, st):
     (s, sprime, provenance, boundary solution or None, report lines)."""
     k, modes = cfg.k, st.modes
     if st.mesh is None:
-        s = mie_smatrix(st.dim, st.bc, k, cfg.a, modes)
-        sprime = mie_smatrix_deriv(st.dim, st.bc, k, cfg.a, modes)
+        s = mie_smatrix(modes.dim, st.bc, k, cfg.a, modes)
+        sprime = mie_smatrix_deriv(modes.dim, st.bc, k, cfg.a, modes)
         return s, sprime, "analytic", None, [f"solver: separation of variables, a={cfg.a:g}"]
     s, solution = bem_smatrix(
         st.geometry, st.bc, k, modes, mesh=st.mesh, gate=None, return_solution=True
@@ -155,7 +152,7 @@ def _solve(cfg, st):
 
     def provider(kp):
         return bem_smatrix(
-            st.geometry, st.bc, kp, ModeSet.with_count(2, len(modes), kp),
+            st.geometry, st.bc, kp, ModeSet.angular(modes.top, kp),
             mesh=st.mesh, gate=None,
         )
 
@@ -176,12 +173,12 @@ def _decompose(cfg, st, s, sprime, provenance):
     dec = ws_decompose(q, s)
     gate = DEFAULT_SMATRIX_GATE
     gates = GateLedger()
-    rule = suggested_mode_count(cfg.k, st.circumradius, st.dim)
-    gates.record("mode_count_shortfall", max(0, rule - len(st.modes)))
+    rule = suggested_mode_count(cfg.k, st.circumradius, st.modes.dim)
+    gates.add("mode_count_shortfall", max(0, rule - len(st.modes)))
     srep = validate_smatrix(s)
     gates.add("unitarity_residual", srep.unitarity_residual, gate)
     gates.add("symmetry_residual", srep.symmetry_residual, gate)
-    gates.record("q_presym_residual", q.presym_residual)
+    gates.add("q_presym_residual", q.presym_residual)
     gates.add("w_orthonormality", dec.orthonormality_residual(), 1e-10)
     gates.add("q_reconstruction", dec.reconstruction_residual(q), 1e-10)
     gates.add(
@@ -216,7 +213,7 @@ def _sphere_checks(cfg, st, s, sprime, q, gates):
         # diagonal pairs, so every one has a numeric side; (1, 1) reads its
         # conjugate port (1, -1) with sign -1
         ports = [(0, 0)]
-        if max(p.l for p in st.modes.modes) >= 1:
+        if st.modes.top >= 1:
             ports += [(1, 0), (1, 1)]
         pairs = [(ModeIndex.spherical(*lm),) * 2 for lm in ports]
         reports = surface_identity_check(s, sprime, pairs, cfg.vol_kr / cfg.k)
@@ -252,7 +249,7 @@ def _report(cfg, st, solver_lines, classification, dec, gates):
     lines = [
         "wsdelay scenario report",
         "=======================",
-        f"scenario={cfg.scenario} bc={cfg.bc} k={cfg.k:g} M={len(st.modes)} dim={st.dim}",
+        f"scenario={cfg.scenario} bc={cfg.bc} k={cfg.k:g} M={len(st.modes)} dim={st.modes.dim}",
         UNITS_NOTE,
         *solver_lines,
     ]

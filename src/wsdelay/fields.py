@@ -173,7 +173,7 @@ def modal_excitation_fields(s: SMatrix, spec: GridSpec, regions: RegionMasks, ex
 
     def fields_at(pts):
         r, theta = polar_coordinates(pts)
-        h1 = hankel1_table(2, int(np.max(np.abs(orders))), s.k * r)[0]
+        h1 = hankel1_table(2, s.modes.top, s.k * r)[0]
         outgoing = np.conj(h1[np.abs(orders)]).T * scale
         outgoing *= np.exp(-1j * np.outer(theta, orders)) / np.sqrt(2.0 * np.pi)
         f = regular_waves_batch(s.modes, s.k, pts)

@@ -202,15 +202,12 @@ def make_geometry(kind: str, **params) -> Geometry:
 # Kress grading
 # ---------------------------------------------------------------------------
 def _kress_v(s, p):
-    return (1.0 / p - 0.5) * ((np.pi - s) / np.pi) ** 3 + (s - np.pi) / (np.pi * p) + 0.5
-
-
-def _kress_v1(s, p):
-    return 3.0 * (0.5 - 1.0 / p) * (np.pi - s) ** 2 / np.pi**3 + 1.0 / (np.pi * p)
-
-
-def _kress_v2(s, p):
-    return -6.0 * (0.5 - 1.0 / p) * (np.pi - s) / np.pi**3
+    """Kress's cubic v(s) and its first two s-derivatives."""
+    return (
+        (1.0 / p - 0.5) * ((np.pi - s) / np.pi) ** 3 + (s - np.pi) / (np.pi * p) + 0.5,
+        3.0 * (0.5 - 1.0 / p) * (np.pi - s) ** 2 / np.pi**3 + 1.0 / (np.pi * p),
+        -6.0 * (0.5 - 1.0 / p) * (np.pi - s) / np.pi**3,
+    )
 
 
 def kress_w(xi, p):
@@ -219,11 +216,9 @@ def kress_w(xi, p):
     Returns (w, w', w'') with derivatives taken w.r.t. xi.
     """
     s = 2.0 * np.pi * np.asarray(xi, dtype=float)
-    v, v1, v2 = _kress_v(s, p), _kress_v1(s, p), _kress_v2(s, p)
+    v, v1, v2 = _kress_v(s, p)
     u = np.maximum(v, 0.0)
-    vm, vm1, vm2 = _kress_v(2 * np.pi - s, p), _kress_v1(2 * np.pi - s, p), _kress_v2(
-        2 * np.pi - s, p
-    )
+    vm, vm1, vm2 = _kress_v(2 * np.pi - s, p)
     um = np.maximum(vm, 0.0)
     a = u**p
     b = um**p

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .fields import GridSpec
 from .geometry import NODES_PER_WAVELENGTH
 from .modal import ModeSet, suggested_mode_count
@@ -124,14 +124,15 @@ class ScenarioConfig:
         for name, val in positive.items():
             if not np.isfinite(val) or val <= 0:
                 raise ConfigError(f"{name} must be positive and finite")
+        dim = 3 if self.scenario == "sphere" else 2
+        ports = None
         if self.mode_count is not None:
             if self.mode_count <= 0:
                 raise ConfigError("modes must be positive")
-            if self.scenario == "sphere":
-                if round(np.sqrt(self.mode_count)) ** 2 != self.mode_count:
-                    raise ConfigError("3D mode count must be a perfect square")
-            elif self.mode_count % 2 == 0:
-                raise ConfigError("2D mode count must be odd")
+            try:
+                ports = ModeSet.with_count(dim, self.mode_count, self.k)
+            except DomainError as exc:
+                raise ConfigError(str(exc)) from None
         if self.delta_k is not None and not 0 < self.delta_k < self.k:
             raise ConfigError("delta_k must be positive and below k")
         if not 6 <= self.nodes_per_wavelength < np.inf:
@@ -157,11 +158,11 @@ class ScenarioConfig:
         if self.scenario in ("sphere", "cylinder"):
             # the closed forms' Hankel tables stop at ORDER_MAX; the default
             # count is the truncation rule at the radius a
-            dim = 3 if self.scenario == "sphere" else 2
-            count = self.mode_count or suggested_mode_count(self.k, self.a, dim)
-            top = round(np.sqrt(count)) - 1 if dim == 3 else (count - 1) // 2
-            if top > ORDER_MAX:
-                raise ConfigError(f"{count} modes reach order {top}, past ceiling {ORDER_MAX}")
+            if ports is None:
+                ports = ModeSet.with_count(dim, suggested_mode_count(self.k, self.a, dim), self.k)
+            if ports.top > ORDER_MAX:
+                raise ConfigError(
+                    f"{len(ports)} modes reach order {ports.top}, past ceiling {ORDER_MAX}")
         return self
 
 

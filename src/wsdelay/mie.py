@@ -50,17 +50,24 @@ def reflection_table(dim: int, bc: BoundaryCondition, k: float, a: float, n_max:
 
     The few products per order run on scalars: numpy's vectorized complex
     product may fuse multiply-adds depending on the CPU, which would make
-    the bits of S' machine-dependent.
+    the bits of S' machine-dependent. The singular kind outgrows double
+    precision at high order and small ka (dalpha first, from order 99 at
+    ka = 2), so a non-finite coefficient raises DomainError naming its order.
     """
     z = k * a
     if not z > 0:
         raise DomainError("ka must be positive")
-    table = hankel1_table(dim, n_max, z)
-    rows = [
-        _reflection(dim, bc, n, z, a, h, d)
-        for n, (h, d) in enumerate(zip(table[0][:, 0], table[1][:, 0]))
-    ]
-    return tuple(np.array(col) for col in zip(*rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = hankel1_table(dim, n_max, z)
+        rows = [
+            _reflection(dim, bc, n, z, a, h, d)
+            for n, (h, d) in enumerate(zip(table[0][:, 0], table[1][:, 0]))
+        ]
+    alpha, dalpha = (np.array(col) for col in zip(*rows))
+    bad = np.flatnonzero(~(np.isfinite(alpha) & np.isfinite(dalpha)))
+    if bad.size:
+        raise DomainError(f"reflection coefficients overflow from order {bad[0]} at ka={z:g}")
+    return alpha, dalpha
 
 
 def _column_phase(p: ModeIndex) -> complex:
@@ -85,12 +92,8 @@ def _closed_form(dim, bc, k, a, modes, column):
         raise ContractError(f"mode set dim {modes.dim} != requested dim {dim}")
     if a <= 0:
         raise DomainError("radius must be positive")
-
-    def order(p):
-        return p.l if dim == 3 else abs(p.n)
-
-    values = reflection_table(dim, bc, k, a, max(map(order, modes.modes)))[column]
-    return SMatrix(modes=modes, k=k, matrix=_assemble(modes, lambda p: values[order(p)]))
+    values = reflection_table(dim, bc, k, a, modes.top)[column]
+    return SMatrix(modes=modes, k=k, matrix=_assemble(modes, lambda p: values[p.order]))
 
 
 def mie_smatrix(

@@ -12,11 +12,13 @@ with gamma_n = sqrt(pi k/2) e^{j(n pi/2 + pi/4)}.
 
 Mode ordering is total and deterministic (3D lexicographic in (l, m); 2D by
 n = 0, -1, +1, -2, +2, ...) so that matrix files are reproducible across
-runs. The basis origin is the coordinate origin; scatterer placement relative
-to it matters and is recorded on the ModeSet.
+runs. A port set is its dimension, top order and k; its ports, their count
+and each port's row follow from those. The basis origin is the coordinate
+origin; scatterer placement relative to it matters.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +50,11 @@ class ModeIndex:
     def angular(n: int) -> "ModeIndex":
         return ModeIndex(dim=2, n=n)
 
+    @property
+    def order(self) -> int:
+        """l in 3D, |n| in 2D."""
+        return self.l if self.dim == 3 else abs(self.n)
+
     def __repr__(self):
         if self.dim == 3:
             return f"(l={self.l},m={self.m})"
@@ -65,49 +72,30 @@ def conjugate_mode(p: ModeIndex):
     return ModeIndex.angular(-p.n), 1.0
 
 
-def spherical_mode_list(l_max: int):
-    return tuple(
-        ModeIndex.spherical(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)
-    )
-
-
-def angular_mode_list(n_max: int):
-    """2D ordering n = 0, -1, +1, -2, +2, ..."""
-    order = [0]
-    for n in range(1, n_max + 1):
-        order.extend([-n, n])
-    return tuple(ModeIndex.angular(n) for n in order)
-
-
 @dataclass(frozen=True)
 class ModeSet:
-    """Ordered port basis at a fixed wavenumber."""
+    """Ordered port basis at a fixed wavenumber: every port up to order top,
+    (l, m) with l <= top in 3D and n = -top..top in 2D."""
 
     dim: int
-    modes: tuple
+    top: int
     k: float
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k <= 0:
             raise DomainError("wavenumber must be positive")
-        if self.dim == 2 and len(self.modes) % 2 == 0:
-            raise DomainError("2D mode count must be odd (symmetric range -N..N)")
-        if self.dim == 3:
-            lmax = int(np.sqrt(len(self.modes))) - 1
-            if (lmax + 1) ** 2 != len(self.modes):
-                raise DomainError("3D mode count must be (l_max+1)^2")
-        object.__setattr__(
-            self, "_index", {p: i for i, p in enumerate(self.modes)}
-        )
+        if self.dim not in (2, 3):
+            raise DomainError(f"dim must be 2 or 3, got {self.dim}")
+        if self.top < 0:
+            raise DomainError(f"top order must be non-negative, got {self.top}")
 
     @staticmethod
     def spherical(l_max: int, k: float) -> "ModeSet":
-        return ModeSet(dim=3, modes=spherical_mode_list(l_max), k=k)
+        return ModeSet(dim=3, top=l_max, k=k)
 
     @staticmethod
     def angular(n_max: int, k: float) -> "ModeSet":
-        return ModeSet(dim=2, modes=angular_mode_list(n_max), k=k)
+        return ModeSet(dim=2, top=n_max, k=k)
 
     @staticmethod
     def with_count(dim: int, count: int, k: float) -> "ModeSet":
@@ -120,17 +108,28 @@ class ModeSet:
             raise DomainError("3D mode count must be a perfect square")
         return ModeSet.spherical(lmax, k)
 
+    @cached_property
+    def modes(self) -> tuple:
+        """The ports in matrix order (see position)."""
+        if self.dim == 3:
+            return tuple(ModeIndex.spherical(l, m)
+                         for l in range(self.top + 1) for m in range(-l, l + 1))
+        return (ModeIndex.angular(0),) + tuple(
+            ModeIndex.angular(s * n) for n in range(1, self.top + 1) for s in (-1, 1))
+
     def __len__(self):
-        return len(self.modes)
+        return (self.top + 1) ** 2 if self.dim == 3 else 2 * self.top + 1
 
     def position(self, p: ModeIndex) -> int:
-        try:
-            return self._index[p]
-        except KeyError:
-            raise ContractError(f"mode {p} not in mode set") from None
+        """Row of port p: l^2 + l + m in 3D, 2|n| - (n < 0) in 2D."""
+        if p.dim != self.dim or p.order > self.top:
+            raise ContractError(f"mode {p} not in mode set")
+        if p.dim == 3:
+            return p.l * p.l + p.l + p.m
+        return 2 * abs(p.n) - (p.n < 0)
 
     def same_modes(self, other: "ModeSet") -> bool:
-        return self.dim == other.dim and self.modes == other.modes
+        return (self.dim, self.top) == (other.dim, other.top)
 
 
 def suggested_mode_count(k: float, a: float, dim: int) -> int:
@@ -191,8 +190,7 @@ def regular_waves_batch(modes: ModeSet, k: float, points, normals=None):
         raise ContractError("batched regular waves implemented for dim=2 only")
     r, theta = polar_coordinates(points, allow_origin=normals is None)
     orders = np.array([p.n for p in modes.modes])
-    n_max = int(np.max(np.abs(orders)))
-    table = cyl_jn_table(n_max + 1, k * r)
+    table = cyl_jn_table(modes.top + 1, k * r)
 
     def jn(n):  # J_{-n} = (-1)^n J_n
         return table[n] if n >= 0 else (-1.0) ** (-n % 2) * table[-n]

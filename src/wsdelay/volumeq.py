@@ -103,23 +103,23 @@ def _combine(style: str, d_ff, d_gg, k: float, corr=0.0):
 
 def volume_q_matrix(s: SMatrix, a: float) -> dict:
     """Volume-route Q of the radius-a sphere whose scattering matrix is s,
-    in every style, {style: QMatrix} in STYLES order: k and the modes are
-    s's, every degree's outgoing coefficient is read off s, and the
+    in every style, {style: QMatrix} in STYLES order on s's ports: every
+    degree's outgoing coefficient is read off s, and the
     renormalized radial integrals (diagonal per degree) and the a/b
     corrections come from it."""
     k, modes = s.k, s.modes
     if modes.dim != 3:
         raise ContractError("volume formulation is implemented for dim=3 only")
     degrees = [p.l for p in modes.modes]
-    betas = _degree_entries(s.matrix, modes, max(degrees))
+    betas = _degree_entries(s.matrix, modes, modes.top)
     d_ff, d_gg = (np.diag(d[degrees]) for d in _renormalized_integrals(betas, k, a))
     corr = _style_corrections(s.matrix, modes, k)
     routes = {}
     for style in STYLES:
         out = _combine(style, d_ff, d_gg, k, corr)
         routes[style] = QMatrix(
-            matrix=0.5 * (out + out.conj().T), k=k, modes=modes,
-            provenance="volume-integral", presym_residual=relative_residual(out, out.conj().T),
+            matrix=0.5 * (out + out.conj().T), provenance="volume-integral",
+            presym_residual=relative_residual(out, out.conj().T),
         )
     return routes
 

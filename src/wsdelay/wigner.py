@@ -32,8 +32,6 @@ class QMatrix:
     """Hermitian-symmetrized time-delay matrix with its provenance."""
 
     matrix: np.ndarray
-    k: float
-    modes: ModeSet
     provenance: str = "analytic"
     presym_residual: float = 0.0
 
@@ -45,8 +43,6 @@ class WSDecomposition:
     delays: np.ndarray          # ascending, real
     w: np.ndarray               # unitary, columns are the delay eigenmodes
     sbar: np.ndarray            # W^T S W
-    modes: ModeSet
-    k: float
 
     def orthonormality_residual(self) -> float:
         m = self.w.shape[0]
@@ -105,8 +101,7 @@ def smatrix_fd_derivative(provider, k: float, dk: float = None):
     if not sp.modes.same_modes(sm.modes):
         raise ContractError("provider returned mismatched mode sets")
     d = (sp.matrix - sm.matrix) / (2.0 * dk)
-    modes_at_k = ModeSet(dim=sp.modes.dim, modes=sp.modes.modes, k=k)
-    return SMatrix(modes=modes_at_k, k=k, matrix=d)
+    return SMatrix(modes=ModeSet(sp.modes.dim, sp.modes.top, k), k=k, matrix=d)
 
 
 def q_matrix(s: SMatrix, sp: SMatrix, provenance: str = "analytic") -> QMatrix:
@@ -117,7 +112,7 @@ def q_matrix(s: SMatrix, sp: SMatrix, provenance: str = "analytic") -> QMatrix:
         raise ContractError("S and dS/dk built on different mode sets")
     raw = 1j * s.matrix.conj().T @ sp.matrix
     return QMatrix(
-        matrix=0.5 * (raw + raw.conj().T), k=s.k, modes=s.modes, provenance=provenance,
+        matrix=0.5 * (raw + raw.conj().T), provenance=provenance,
         presym_residual=relative_residual(raw, raw.conj().T),
     )
 
@@ -205,4 +200,4 @@ def ws_decompose(q: QMatrix, s: SMatrix) -> WSDecomposition:
     delays, w = _resolve_degenerate_clusters(delays, w, s.matrix)
     w = _fix_phases(w)
     sbar = w.T @ s.matrix @ w
-    return WSDecomposition(delays=delays, w=w, sbar=sbar, modes=q.modes, k=q.k)
+    return WSDecomposition(delays=delays, w=w, sbar=sbar)

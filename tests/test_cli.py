@@ -497,6 +497,9 @@ class TestMainExitCodes:
                 "scenario=cylinder\na=2\nmodes=403\n", [], id="cylinder-order-ceiling"
             ),
             pytest.param(
+                "scenario=cylinder\na=2\nmodes=199\n", [], id="cylinder-closed-form-overflow"
+            ),
+            pytest.param(
                 "scenario=strip\nmodes=11\ngrid_nx=2\ngrid_ny=2\n", [], id="grid-2x2"
             ),
         ],
@@ -507,6 +510,12 @@ class TestMainExitCodes:
         assert main(["--config", cfg, "--out", str(out)] + extra) == 3
         assert capsys.readouterr().err.startswith("input error: ")
         assert not out.exists()
+
+    def test_closed_form_below_overflow_exit_0(self, tmp_path):
+        # order 98 at ka = 2, one below the first order whose dalpha overflows
+        cfg = write(tmp_path / "c.cfg", "scenario=cylinder\na=2\nmodes=197\n"
+                    "grid_nx=41\ngrid_ny=41\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("bc", ["soft", "hard"])
     def test_volume_q_high_degree_exit_0(self, tmp_path, bc):

@@ -135,6 +135,18 @@ class TestModalReflection:
         with pytest.raises(DomainError):
             reflection_table(3, SOFT, 1.0, -1.0, 0)
 
+    @pytest.mark.parametrize("dim,bc,top,first", [
+        (2, SOFT, 99, 99), (3, HARD, 98, 98), (2, HARD, 200, 99)])
+    def test_overflow_raises_at_its_first_order(self, dim, bc, top, first):
+        # at ka = 2 the singular kind leaves the double range and dalpha is
+        # not finite from order 99 (98 for the hard sphere); the warnings of
+        # the overflowing rows stay silent up to the order ceiling
+        with pytest.raises(DomainError, match=f"from order {first} at ka=2"):
+            reflection_table(dim, bc, 1.0, 2.0, top)
+        for below in (first - 1, first - 2):
+            alpha, dalpha = reflection_table(dim, bc, 1.0, 2.0, below)
+            assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(dalpha))
+
 
 class TestMieSMatrix:
     def test_unitarity_and_symmetry(self):

@@ -6,7 +6,6 @@ from wsdelay.errors import ContractError, DomainError
 from wsdelay.modal import (
     ModeIndex,
     ModeSet,
-    angular_mode_list,
     conjugate_mode,
     gamma_2d,
     polar_coordinates,
@@ -93,7 +92,7 @@ def outgoing_template(m: ModeIndex, k: float, points):
 
 class TestModeOrdering:
     def test_2d_order_is_zigzag(self):
-        ns = [p.n for p in angular_mode_list(2)]
+        ns = [p.n for p in ModeSet.angular(2, 1.0).modes]
         assert ns == [0, -1, 1, -2, 2]
 
     def test_3d_order_is_lexicographic(self):
@@ -116,6 +115,31 @@ class TestModeOrdering:
         assert ms.position(ModeIndex.angular(2)) == 4
         with pytest.raises(ContractError):
             ms.position(ModeIndex.angular(9))
+
+    @pytest.mark.parametrize("make", [ModeSet.angular, ModeSet.spherical])
+    def test_closed_form_positions_match_the_port_order(self, make):
+        for top in range(41):
+            ms = make(top, 1.0)
+            assert len(ms) == len(ms.modes)
+            assert all(ms.position(p) == i for i, p in enumerate(ms.modes))
+
+    @pytest.mark.parametrize("dim,port", [
+        (2, ModeIndex.angular(-4)), (2, ModeIndex.spherical(0, 0)),
+        (3, ModeIndex.spherical(4, -4)), (3, ModeIndex.angular(0))])
+    def test_port_above_top_or_of_the_other_dim_rejected(self, dim, port):
+        with pytest.raises(ContractError):
+            ModeSet(dim, 3, 1.0).position(port)
+
+    @pytest.mark.parametrize("make", [ModeSet.angular, ModeSet.spherical])
+    def test_negative_top_order_rejected(self, make):
+        with pytest.raises(DomainError):
+            make(-1, 1.0)
+
+    def test_set_is_its_dim_top_and_k(self):
+        ms = ModeSet.with_count(3, 16, 2.0)
+        assert ms == ModeSet(3, 3, 2.0)
+        assert ms.same_modes(ModeSet.spherical(3, 0.5))
+        assert not ms.same_modes(ModeSet.spherical(2, 2.0))
 
 
 class TestSuggestedModeCount:

@@ -158,9 +158,7 @@ def ref_volume_q_matrix(style, s, a):
         np.linalg.norm(out - out.conj().T) / max(np.linalg.norm(out), 1e-300)
     )
     herm = 0.5 * (out + out.conj().T)
-    return QMatrix(
-        matrix=herm, k=k, modes=modes, provenance="volume-integral", presym_residual=presym
-    )
+    return QMatrix(matrix=herm, provenance="volume-integral", presym_residual=presym)
 
 
 def ref_dk_profile_terms(l, k, z, alpha, dalpha):

@@ -129,8 +129,6 @@ class TestWsDecompose:
         d = np.exp(1j * rng.uniform(0, 2 * np.pi, size=q.matrix.shape[0]))
         q2 = QMatrix(
             matrix=np.diag(d) @ q.matrix @ np.diag(d).conj(),
-            k=q.k,
-            modes=modes,
             provenance=q.provenance,
         )
         s2 = SMatrix(modes=modes, k=s.k, matrix=np.diag(d) @ s.matrix @ np.diag(d))
