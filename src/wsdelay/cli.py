@@ -33,11 +33,13 @@ from .fields import (
     region_masks,
 )
 from .geometry import (
-    CAVITY_INTERIOR_BOX,
     GRADING_EXPONENT,
     BoundaryMesh,
     Geometry,
-    make_geometry,
+    make_cavity,
+    make_circle,
+    make_polyline,
+    make_strip,
     mesh_geometry,
 )
 from .mie import mie_smatrix, mie_smatrix_deriv
@@ -103,13 +105,15 @@ def _setup(cfg) -> _Setup:
     rule at the circumradius."""
     k, dim = cfg.k, 3 if cfg.scenario == "sphere" else 2
     geometry = None
-    if cfg.scenario == "custom":
-        geometry = make_geometry("custom", vertices=wio.read_polyline(cfg.polyline))
-    elif dim == 2:
-        geometry = make_geometry(cfg.scenario, a=cfg.a, w=cfg.w)
-    circumradius = cfg.a
-    if geometry is not None and geometry.corners:
-        circumradius = max(np.hypot(*v) for v in geometry.corners)
+    if cfg.scenario == "strip":
+        geometry = make_strip()
+    elif cfg.scenario == "cavity":
+        geometry = make_cavity(cfg.w)
+    elif cfg.scenario == "cylinder":
+        geometry = make_circle(cfg.a)
+    elif cfg.scenario == "custom":
+        geometry = make_polyline(wio.read_polyline(cfg.polyline))
+    circumradius = cfg.a if geometry is None else geometry.circumradius
     count = cfg.mode_count
     if count is None:
         count = suggested_mode_count(k, circumradius, dim)
@@ -125,11 +129,10 @@ def _setup(cfg) -> _Setup:
     if dim == 2:
         hw = _grid_halfwidth(cfg, circumradius)
         grid = GridSpec(-hw, hw, -hw, hw, cfg.grid_nx, cfg.grid_ny)
-        interior = CAVITY_INTERIOR_BOX if cfg.scenario == "cavity" else None
-        regions = region_masks(geometry, grid, k, mesh, interior_box=interior)
+        regions = region_masks(geometry, grid, k, mesh)
         read = {"live": regions.live, "boundary": regions.boundary,
                 "corner": regions.corner if geometry.corners else True,
-                "interior": regions.interior if interior else True}
+                "interior": regions.interior if geometry.interior else True}
         empty = [name for name, mask in read.items() if not np.any(mask)]
         if empty:
             raise ConfigError(f"field grid has no {', '.join(empty)} points to classify from")

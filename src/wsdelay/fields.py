@@ -73,9 +73,9 @@ class RegionMasks:
 
 def region_masks(
     geometry: Geometry, spec: GridSpec, k: float, mesh: Optional[BoundaryMesh] = None,
-    interior_box: Optional[tuple] = None,
 ) -> RegionMasks:
-    """The live grid points and the metric regions within them.
+    """The live grid points and the metric regions within them; the interior
+    region is the live part of the geometry's interior, if it has one.
 
     Points inside the scatterer are dead, and so are those within one panel
     length of mesh's boundary, where the plain quadrature of the
@@ -93,8 +93,8 @@ def region_masks(
         c = np.asarray(geometry.corners, dtype=float)
         dcorner = np.min(np.hypot(pts[:, None, 0] - c[:, 0], pts[:, None, 1] - c[:, 1]), axis=1)
         corner = live & (dcorner <= lam)
-    if interior_box is not None:
-        x0, x1, y0, y1 = interior_box
+    if geometry.interior is not None:
+        x0, x1, y0, y1 = geometry.interior
         x, y = pts[:, 0], pts[:, 1]
         interior = live & (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
     return RegionMasks(boundary=boundary, corner=corner, interior=interior, live=live)

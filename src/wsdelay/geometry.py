@@ -10,7 +10,8 @@ quadrature accuracy there; nodes sit half a step off the segment ends so no
 node ever lands on a corner. Circles keep their native uniform spacing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -21,7 +22,6 @@ STRIP_Y_BOTTOM = -0.25
 STRIP_Y_TOP = 0.75
 CAVITY_OUTER = 15.0   # outer square half-side
 CAVITY_INNER = 11.0   # inner void half-side (wall thickness 4)
-CAVITY_INTERIOR_BOX = (-CAVITY_INNER, CAVITY_INNER, -CAVITY_INNER, CAVITY_INNER)
 GRADING_EXPONENT = 6  # Kress grading of straight segments toward their ends
 NODES_PER_WAVELENGTH = 12.0  # default mesh density at the coarsest spacing
 
@@ -52,10 +52,14 @@ class Geometry:
     name: str
     segments: tuple
     corners: tuple = field(default_factory=tuple)
+    interior: Optional[tuple] = None   # a cavity's void (x0, x1, y0, y1)
 
     @property
-    def perimeter(self) -> float:
-        return sum(s.length for s in self.segments)
+    def circumradius(self) -> float:
+        """Largest distance from the origin to the boundary."""
+        if self.corners:
+            return max(np.hypot(*v) for v in self.corners)
+        return self.segments[0].radius
 
     def contains(self, points) -> np.ndarray:
         """True for points inside the solid region (ray casting for polygons)."""
@@ -154,7 +158,7 @@ def make_cavity(gap_width: float) -> Geometry:
         raise DomainError(f"cavity gap width must lie in (0, {2*CAVITY_INNER})")
     g = gap_width / 2.0
     o, i = CAVITY_OUTER, CAVITY_INNER
-    return _polygon(
+    shell = _polygon(
         f"cavity(w={gap_width:g})",
         [
             (g, -o),
@@ -171,6 +175,7 @@ def make_cavity(gap_width: float) -> Geometry:
             (g, -i),
         ],
     )
+    return replace(shell, interior=(-i, i, -i, i))
 
 
 def make_circle(radius: float) -> Geometry:
@@ -184,18 +189,6 @@ def make_polyline(vertices) -> Geometry:
         raise DomainError("custom boundary needs at least 3 vertices")
     return _polygon("custom", vertices)
 
-
-def make_geometry(kind: str, **params) -> Geometry:
-    """Factory for the named scenario boundaries."""
-    if kind == "strip":
-        return make_strip()
-    if kind == "cavity":
-        return make_cavity(params["w"])
-    if kind in ("circle", "cylinder"):
-        return make_circle(params["a"])
-    if kind == "custom":
-        return make_polyline(params["vertices"])
-    raise DomainError(f"unknown geometry kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .mie import radial_second_derivative
 from .modal import ModeIndex, ModeSet, conjugate_mode
-from .smatrix import SMatrix, relative_residual
+from .smatrix import SMatrix
 from .specfun import hankel1_table
 from .wigner import QMatrix
 
@@ -114,14 +114,8 @@ def volume_q_matrix(s: SMatrix, a: float) -> dict:
     betas = _degree_entries(s.matrix, modes, modes.top)
     d_ff, d_gg = (np.diag(d[degrees]) for d in _renormalized_integrals(betas, k, a))
     corr = _style_corrections(s.matrix, modes, k)
-    routes = {}
-    for style in STYLES:
-        out = _combine(style, d_ff, d_gg, k, corr)
-        routes[style] = QMatrix(
-            matrix=0.5 * (out + out.conj().T), provenance="volume-integral",
-            presym_residual=relative_residual(out, out.conj().T),
-        )
-    return routes
+    return {style: QMatrix.symmetrized(_combine(style, d_ff, d_gg, k, corr), "volume-integral")
+            for style in STYLES}
 
 
 # ---------------------------------------------------------------------------

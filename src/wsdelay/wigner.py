@@ -35,6 +35,12 @@ class QMatrix:
     provenance: str = "analytic"
     presym_residual: float = 0.0
 
+    @classmethod
+    def symmetrized(cls, raw: np.ndarray, provenance: str) -> "QMatrix":
+        """The Hermitian part of raw, with the discarded part recorded."""
+        return cls(matrix=0.5 * (raw + raw.conj().T), provenance=provenance,
+                   presym_residual=relative_residual(raw, raw.conj().T))
+
 
 @dataclass
 class WSDecomposition:
@@ -110,11 +116,7 @@ def q_matrix(s: SMatrix, sp: SMatrix, provenance: str = "analytic") -> QMatrix:
         raise ContractError("S and dS/dk shapes differ")
     if not s.modes.same_modes(sp.modes):
         raise ContractError("S and dS/dk built on different mode sets")
-    raw = 1j * s.matrix.conj().T @ sp.matrix
-    return QMatrix(
-        matrix=0.5 * (raw + raw.conj().T), provenance=provenance,
-        presym_residual=relative_residual(raw, raw.conj().T),
-    )
+    return QMatrix.symmetrized(1j * s.matrix.conj().T @ sp.matrix, provenance)
 
 
 def _first_significant_index(v: np.ndarray) -> int:

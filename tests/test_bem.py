@@ -27,7 +27,6 @@ from wsdelay.geometry import (
     kress_w,
     make_cavity,
     make_circle,
-    make_geometry,
     make_polyline,
     make_strip,
     mesh_geometry,
@@ -261,7 +260,7 @@ def cosine_sum_log_weights(n_half):
 class TestGeometry:
     def test_strip_dimensions(self):
         g = make_strip()
-        assert g.perimeter == pytest.approx(102.0)
+        assert sum(seg.length for seg in g.segments) == pytest.approx(102.0)
         xs = sorted(set(v[0] for v in g.corners))
         ys = sorted(set(v[1] for v in g.corners))
         assert xs == [-25.0, 25.0]
@@ -277,7 +276,7 @@ class TestGeometry:
         gap_x = sorted(abs(v[0]) for v in bottom if abs(v[0]) < 15.0)
         assert gap_x[0] == pytest.approx(2.5)
         # 2x13.5 + 3x30 outer pieces, 2x4 gap walls, 2x9.5 + 3x22 inner pieces
-        assert g3.perimeter == pytest.approx(210.0)
+        assert sum(seg.length for seg in g3.segments) == pytest.approx(210.0)
 
     def test_cavity_invalid_width(self):
         with pytest.raises(DomainError):
@@ -307,12 +306,32 @@ class TestGeometry:
         with pytest.raises(DomainError, match="counterclockwise"):
             make_polyline([(0, 0), (0, 1), (1, 1), (1, 0)])
 
-    def test_factory(self):
-        assert make_geometry("strip").name == "strip"
-        assert make_geometry("cavity", w=3.0).perimeter == pytest.approx(210.0)
-        assert make_geometry("circle", a=2.0).perimeter == pytest.approx(4 * np.pi)
-        with pytest.raises(DomainError):
-            make_geometry("blob")
+    def test_circle_length(self):
+        g = make_circle(2.0)
+        assert sum(seg.length for seg in g.segments) == pytest.approx(4 * np.pi)
+
+    @pytest.mark.parametrize("make, expected", [
+        (make_strip, np.hypot(25.0, 0.75)),
+        (lambda: make_cavity(3.0), 15.0 * np.sqrt(2.0)),
+        (lambda: make_polyline([(1, -1), (3, 0), (0, 4), (-2, 1)]), 4.0),
+        (lambda: make_circle(2.5), 2.5),
+    ], ids=["strip", "cavity", "custom", "circle"])
+    def test_circumradius(self, make, expected):
+        # the farthest corner from the origin, or the circle's radius
+        g = make()
+        assert g.circumradius == pytest.approx(expected, rel=1e-15)
+        if g.corners:
+            assert g.circumradius == max(np.hypot(*v) for v in g.corners)
+
+    @pytest.mark.parametrize("make, interior", [
+        (lambda: make_cavity(3.0), (-11.0, 11.0, -11.0, 11.0)),
+        (lambda: make_cavity(5.0), (-11.0, 11.0, -11.0, 11.0)),
+        (make_strip, None),
+        (lambda: make_circle(2.0), None),
+        (lambda: make_polyline([(0, 0), (1, 0), (0, 1)]), None),
+    ], ids=["cavity-w3", "cavity-w5", "strip", "circle", "custom"])
+    def test_interior_is_the_cavity_void(self, make, interior):
+        assert make().interior == interior
 
 
 class TestMesh:
@@ -352,7 +371,8 @@ class TestMesh:
         for g in (make_strip(), make_cavity(3.0), make_circle(2.0)):
             mesh = mesh_geometry(g, 1.0)
             # trapezoid of |x'| is limited by the grading order at corners
-            assert np.sum(mesh.weights) == pytest.approx(g.perimeter, rel=1e-4)
+            length = sum(seg.length for seg in g.segments)
+            assert np.sum(mesh.weights) == pytest.approx(length, rel=1e-4)
 
     def test_degenerate_segment_rejected(self):
         with pytest.raises(DomainError, match="degenerate segment"):

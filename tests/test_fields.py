@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -17,13 +18,7 @@ from wsdelay.fields import (
     modal_excitation_fields,
     region_masks,
 )
-from wsdelay.geometry import (
-    CAVITY_INTERIOR_BOX,
-    make_circle,
-    make_geometry,
-    make_strip,
-    mesh_geometry,
-)
+from wsdelay.geometry import make_cavity, make_circle, make_strip, mesh_geometry
 from wsdelay.io import ScenarioConfig
 from wsdelay.mie import free_space_smatrix, mie_smatrix, mie_smatrix_deriv
 from wsdelay.modal import ModeSet, regular_waves_batch
@@ -169,13 +164,13 @@ def whole_gram_fractions(whole, w, regions):
     return np.array(energy[1:]) / total
 
 
-# (kind, geometry parameters, M, grid half-width, interior box); the
-# cylinder takes the modal fields, the others the BEM fields
+# (geometry constructor, its arguments, M, grid half-width); the cylinder
+# takes the modal fields, the others the BEM fields
 SCENES = {
-    "strip": ("strip", {}, 111, 40.0, None),
-    "cavity-w3": ("cavity", {"w": 3.0}, 71, 25.0, CAVITY_INTERIOR_BOX),
-    "circle-a2": ("circle", {"a": 2.0}, 13, 20.0, None),
-    "cylinder-a2": ("circle", {"a": 2.0}, 13, 20.0, None),
+    "strip": (make_strip, {}, 111, 40.0),
+    "cavity-w3": (make_cavity, {"gap_width": 3.0}, 71, 25.0),
+    "circle-a2": (make_circle, {"radius": 2.0}, 13, 20.0),
+    "cylinder-a2": (make_circle, {"radius": 2.0}, 13, 20.0),
 }
 
 
@@ -188,15 +183,15 @@ def delay_case(request):
     the CLI's own derivative and masks; the streamed Grams and exported
     values of three modes; and the fields built whole."""
     scene, bc = request.param
-    kind, params, m, hw, box = SCENES[scene]
+    make, params, m, hw = SCENES[scene]
     k = 1.0
-    geom = make_geometry(kind, **params)
+    geom = make(**params)
     modes = ModeSet.with_count(2, m, k)
     spec = GridSpec(-hw, hw, -hw, hw, nx=61, ny=61)
     export_cols = [0, m // 2, m - 1]
     if scene == "cylinder-a2":
-        s = mie_smatrix(2, bc, k, params["a"], modes)
-        dec = ws_decompose(q_matrix(s, mie_smatrix_deriv(2, bc, k, params["a"], modes)), s)
+        s = mie_smatrix(2, bc, k, params["radius"], modes)
+        dec = ws_decompose(q_matrix(s, mie_smatrix_deriv(2, bc, k, params["radius"], modes)), s)
         regions = region_masks(geom, spec, k)
         grams, values = modal_excitation_fields(s, spec, regions, dec.w[:, export_cols])
         return whole_modal_fields(s, spec, regions.live), dec.w, regions, grams, values, export_cols
@@ -207,7 +202,7 @@ def delay_case(request):
         return bem_smatrix(geom, bc, kp, ModeSet.with_count(2, m, kp), mesh=mesh, gate=None)
 
     dec = ws_decompose(q_matrix(s, smatrix_fd_derivative(provider, k)), s)
-    regions = region_masks(geom, spec, k, mesh, interior_box=box)
+    regions = region_masks(geom, spec, k, mesh)
     grams, values = bem_excitation_fields(mesh, sol, modes, spec, regions, dec.w[:, export_cols])
     whole = whole_bem_fields(mesh, sol, modes, spec, regions.live)
     return whole, dec.w, regions, grams, values, export_cols
@@ -292,9 +287,25 @@ class TestMetrics:
 
     def test_interior_box(self, circle_case):
         geom, modes, _, spec, _, _, _ = circle_case
-        regions = region_masks(geom, spec, modes.k, interior_box=(-1.0, 1.0, -1.0, 1.0))
+        boxed = dataclasses.replace(geom, interior=(-1.0, 1.0, -1.0, 1.0))
+        regions = region_masks(boxed, spec, modes.k)
         # box lies inside the scatterer: nothing live there
         assert np.sum(regions.interior) == 0
+
+    def test_interior_region_is_the_geometry_void(self):
+        # the cavity's void, and the same box moved onto a solid, give the
+        # same interior points; a solid has none of its own
+        spec = GridSpec(-25, 25, -25, 25, nx=51, ny=51)
+        cavity = make_cavity(3.0)
+        regions = region_masks(cavity, spec, 1.0)
+        pts = spec.points()
+        inside = np.all(np.abs(pts) <= 11.0, axis=1)
+        assert np.array_equal(regions.interior, regions.live & inside)
+        assert np.any(regions.interior)
+        strip = make_strip()
+        assert not np.any(region_masks(strip, spec, 1.0).interior)
+        moved = region_masks(dataclasses.replace(strip, interior=cavity.interior), spec, 1.0)
+        assert np.array_equal(moved.interior, moved.live & inside)
 
 
 BASELINES = (0.1, 0.02, 0.2)
