@@ -206,7 +206,9 @@ def _sphere_checks(cfg, st, s, sprime, q, gates):
     if "volume-q" in cfg.checks:
         scale = float(np.max(np.abs(np.diag(q.matrix))))
         rows = []
-        for style, qv in volume_q_matrix(s, cfg.a).items():
+        routes, first = volume_q_matrix(s, cfg.a, st.bc)
+        gates.add("volume_bc_degree", first)
+        for style, qv in routes.items():
             gates.add(f"volume_route_{style}", np.max(np.abs(qv.matrix - q.matrix)) / scale, 1e-3)
             for i in range(len(st.modes)):
                 val, ref = qv.matrix[i, i], q.matrix[i, i]

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .mie import radial_second_derivative
 from .modal import ModeIndex, ModeSet, conjugate_mode
-from .smatrix import SMatrix
+from .smatrix import BoundaryCondition, SMatrix
 from .specfun import hankel1_table
 from .wigner import QMatrix
 
@@ -53,9 +53,11 @@ def _degree_entries(matrix: np.ndarray, modes: ModeSet, lmax: int) -> np.ndarray
 # ---------------------------------------------------------------------------
 # radial integrals
 # ---------------------------------------------------------------------------
-def _renormalized_integrals(betas: np.ndarray, k: float, a: float):
-    """(D_ff, D_gg) for degrees 0..lmax: the total field's int_a^R |f|^2 r^2 dr
-    and int_a^R (|f_r|^2 r^2 + l(l+1) |f|^2) dr less the free field's
+def _renormalized_integrals(betas: np.ndarray, k: float, a: float, bc: BoundaryCondition):
+    """(D_ff, D_gg) for degrees 0..lmax, and the first degree whose r = a
+    terms come from the boundary condition (lmax + 1 if none). D_ff and D_gg
+    are the total field's int_a^R |f|^2 r^2 dr and
+    int_a^R (|f_r|^2 r^2 + l(l+1) |f|^2) dr less the free field's
     |e^{jkr} + beta e^{-jkr}|^2 and |jk (e^{jkr} - beta e^{-jkr})|^2 over
     [0, R], as R -> inf, from one h^(1) table at ka. The degree-l field is
     c1 (h_l^(1) + alpha_l h_l^(2)), c1 = k j^(l+1), alpha_l = (-1)^(l+1) beta_l.
@@ -66,7 +68,13 @@ def _renormalized_integrals(betas: np.ndarray, k: float, a: float):
     + k^2 times the field energy. At r = R the closed forms less the free
     field tend to -Im(beta)/k and k Im(beta), for any beta, so
         D_ff = -L(ka)/k^3 - Im(beta)/k,
-        D_gg = k^2 D_ff - (ka)^2 Re(conj(f) f')/k + 2k Im(beta)."""
+        D_gg = k^2 D_ff - (ka)^2 Re(conj(f) f')/k + 2k Im(beta).
+    f(ka) and f'(ka) are differences of terms of size |h_l(ka)|, so a
+    rounding error in beta grows by about |h_l(ka)|^2 in the energy. Where
+    eps |h_l(ka)|^2 >= 1e-6 they come from the boundary condition and the
+    Wronskian h' conj(h) - h conj(h') = 2j/x^2 instead: soft f = 0 and
+    f' = c1 (2j/x^2)/conj(h), hard f' = 0 and f = -c1 (2j/x^2)/conj(h'),
+    and Re(conj(f) f') = 0; beta then enters through Im(beta) only."""
     lmax = len(betas) - 1
     c1 = np.array([k * 1j ** (l + 1) for l in range(lmax + 1)])
     degree = np.arange(lmax + 1)
@@ -78,10 +86,17 @@ def _renormalized_integrals(betas: np.ndarray, k: float, a: float):
     h, dh = h[:, 0], dh[:, 0]
     f = c1 * h + c2 * np.conj(h)
     fx = c1 * dh + c2 * np.conj(dh)
+    switched = np.finfo(float).eps * np.abs(h) ** 2 >= 1e-6
+    wronskian = c1 * (2j / x**2)
+    if bc is BoundaryCondition.SOUND_SOFT:
+        f, fx = np.where(switched, 0.0, f), np.where(switched, wronskian / np.conj(h), fx)
+    else:
+        f, fx = np.where(switched, -wronskian / np.conj(dh), f), np.where(switched, 0.0, fx)
     f2, cross = np.abs(f) ** 2, np.real(np.conj(f) * fx)
     lommel = 0.5 * x**3 * (f2 + np.abs(fx) ** 2 - ll * f2 / x**2) + 0.5 * x**2 * cross
     d_ff = -lommel / k**3 - betas.imag / k
-    return d_ff, k**2 * d_ff - x**2 * cross / k + 2.0 * k * betas.imag
+    first = int(np.argmax(switched)) if np.any(switched) else lmax + 1
+    return d_ff, k**2 * d_ff - x**2 * cross / k + 2.0 * k * betas.imag, first
 
 
 def _style_corrections(smat: np.ndarray, modes: ModeSet, k: float) -> np.ndarray:
@@ -101,21 +116,23 @@ def _combine(style: str, d_ff, d_gg, k: float, corr=0.0):
     return d_gg / k**2 - corr
 
 
-def volume_q_matrix(s: SMatrix, a: float) -> dict:
-    """Volume-route Q of the radius-a sphere whose scattering matrix is s,
-    in every style, {style: QMatrix} in STYLES order on s's ports: every
-    degree's outgoing coefficient is read off s, and the
-    renormalized radial integrals (diagonal per degree) and the a/b
+def volume_q_matrix(s: SMatrix, a: float, bc: BoundaryCondition):
+    """Volume-route Q of the radius-a sphere with boundary condition bc whose
+    scattering matrix is s, in every style, ({style: QMatrix} in STYLES
+    order on s's ports, the first degree whose r = a terms come from the
+    boundary condition): every degree's outgoing coefficient is read off s,
+    and the renormalized radial integrals (diagonal per degree) and the a/b
     corrections come from it."""
     k, modes = s.k, s.modes
     if modes.dim != 3:
         raise ContractError("volume formulation is implemented for dim=3 only")
     degrees = [p.l for p in modes.modes]
     betas = _degree_entries(s.matrix, modes, modes.top)
-    d_ff, d_gg = (np.diag(d[degrees]) for d in _renormalized_integrals(betas, k, a))
+    d_ff, d_gg, first = _renormalized_integrals(betas, k, a, bc)
+    d_ff, d_gg = np.diag(d_ff[degrees]), np.diag(d_gg[degrees])
     corr = _style_corrections(s.matrix, modes, k)
     return {style: QMatrix.symmetrized(_combine(style, d_ff, d_gg, k, corr), "volume-integral")
-            for style in STYLES}
+            for style in STYLES}, first
 
 
 # ---------------------------------------------------------------------------

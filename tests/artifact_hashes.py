@@ -11,8 +11,10 @@ imported from the src/ directory next to this file. Named RUNs restrict the
 listing to those runs. The runs are the five acceptance configs on the
 default 301 x 301 grid, the two strip configs of the strip-maps benchmark
 (101 x 101, four exported modes), the a = 2 cylinder soft and hard, and the
-sphere soft and hard at l_max 3 and 9 with both sphere checks. Not collected
-by pytest: the 301 x 301 runs take minutes.
+sphere soft and hard at l_max 3 and 9 with both sphere checks, and the
+a = 1 sphere soft and hard at l_max 18, whose volume routes take the
+boundary condition's terms from degree 7 on. Not collected by pytest; the
+whole listing takes about 20 s on 2 cores.
 """
 
 import contextlib
@@ -50,6 +52,12 @@ RUNS = {
                                       modes=(lmax + 1) ** 2, vol_kr=kr),
                                  ["--check", "volume-q,appendix-b"])
         for bc in ("soft", "hard") for lmax, kr in ((3, 200), (9, 400))
+    },
+    **{
+        f"sphere_{bc}_a1_l18": (dict(scenario="sphere", bc=bc, k=1.0, a=1.0,
+                                     modes=19 ** 2, vol_kr=300),
+                                ["--check", "volume-q,appendix-b"])
+        for bc in ("soft", "hard")
     },
 }
 

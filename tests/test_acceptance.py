@@ -127,7 +127,7 @@ def test_criterion_2_route_equivalence():
         modes = ModeSet.spherical(3, k)
         s = mie_smatrix(3, bc, k, a, modes)
         qref = q_matrix(s, mie_smatrix_deriv(3, bc, k, a, modes))
-        routes = volume_q_matrix(s, a)
+        routes, _ = volume_q_matrix(s, a, bc)
         for l in range(4):
             p = ModeIndex.spherical(l, 0)
             i = modes.position(p)

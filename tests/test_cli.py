@@ -16,7 +16,7 @@ from wsdelay.io import (
     read_polyline,
     write_complex_matrix,
 )
-from wsdelay.modal import suggested_mode_count
+from wsdelay.modal import ModeIndex, suggested_mode_count
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -529,6 +529,47 @@ class TestMainExitCodes:
                  if line.startswith("volume_route_")]
         assert len(gates) == 3
         assert all(float(value) <= 1e-12 for _, value in gates), gates
+
+    @pytest.mark.parametrize("lmax", [12, 15, 18, 20])
+    @pytest.mark.parametrize("a, first", [(1, 7), (2, 10)])
+    @pytest.mark.parametrize("bc", ["soft", "hard"])
+    def test_volume_q_to_the_degree_ceiling(self, tmp_path, bc, a, first, lmax):
+        # read off beta, degree l's r = a terms carry beta's rounding times
+        # |h_l(ka)|^2, up to 5e7 of scale here with S unitary; from the
+        # reported degree on they come from the boundary condition
+        cfg = write(tmp_path / "c.cfg", f"scenario=sphere\nbc={bc}\na={a}\n"
+                    f"modes={(lmax + 1) ** 2}\nvol_kr=300\n")
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "--check", "volume-q,appendix-b"]) == 0
+        gates = dict(line.split()[0].split("=") for line in open(out / "report.txt")
+                     if line.startswith("volume_"))
+        routes = [float(v) for name, v in gates.items() if name.startswith("volume_route_")]
+        assert len(routes) == 3
+        assert max(routes) <= 1e-12, routes
+        assert float(gates["volume_bc_degree"]) == first
+
+    @pytest.mark.parametrize("bc", ["soft", "hard"])
+    def test_volume_q_fails_a_perturbed_coefficient(self, tmp_path, monkeypatch, bc):
+        # at a = 2, l_max 4 every degree reads its terms off beta: turning
+        # beta_2 by a phase of 1e-2 moves each route by 3.6e-3 to 1.8e-2 of
+        # scale, past the 1e-3 gate, while S stays unitary and symmetric
+        def perturbed(*args):
+            s = mie.mie_smatrix(*args)
+            i = s.modes.position(ModeIndex.spherical(2, 0))
+            s.matrix[i, i] *= np.exp(1e-2j)
+            return s
+
+        monkeypatch.setattr(cli, "mie_smatrix", perturbed)
+        cfg = ScenarioConfig(scenario="sphere", bc=bc, a=2.0, mode_count=25,
+                             checks=("volume-q",))
+        summary = run_scenario(cfg, str(tmp_path / "o"))
+        gates = {name: (value, limit) for name, value, limit in summary["gates"]}
+        assert gates["volume_bc_degree"] == (5.0, None)
+        routes = [gate for name, gate in gates.items() if name.startswith("volume_route_")]
+        assert len(routes) == 3
+        assert all(value > limit for value, limit in routes), routes
+        assert gates["unitarity_residual"][0] <= 1e-14
+        assert not summary["passed"]
 
     @pytest.mark.parametrize("scenario", ["strip", "cavity"])
     def test_gate_failure_exit_2_writes_every_artifact(self, tmp_path, scenario):

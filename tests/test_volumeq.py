@@ -52,7 +52,7 @@ def reference_q(bc, k, a, lmax):
 
 
 def routes_for(bc, k, a, modes):
-    return volume_q_matrix(mie_smatrix(3, bc, k, a, modes), a)
+    return volume_q_matrix(mie_smatrix(3, bc, k, a, modes), a, bc)[0]
 
 
 def closed_form(bc, k=1.0, a=2.0, lmax=5):
@@ -110,12 +110,21 @@ def ref_field(l, beta, k, z):
     return f, fx
 
 
-def ref_renormalized_integrals(l, beta, k, a):
+def ref_renormalized_integrals(l, beta, k, a, bc):
     """The R -> inf renormalized integrals of one degree: Lommel's integral
     and Green's identity at r = a, and the R-end constants -Im(beta)/k and
-    k Im(beta) of the closed forms less the free field."""
+    k Im(beta) of the closed forms less the free field. Where
+    eps |h_l(ka)|^2 >= 1e-6 the field and its derivative at r = a come from
+    the boundary condition and the Wronskian 2j/x^2 instead of beta."""
     x = k * a
-    f, fx = (v[0] for v in ref_field(l, beta, k, np.array([x])))
+    z = np.array([x])
+    f, fx = (v[0] for v in ref_field(l, beta, k, z))
+    if np.finfo(float).eps * abs(ref_hankel(l, z, 1)[0]) ** 2 >= 1e-6:
+        wronskian = k * 1j ** (l + 1) * 2j / x**2
+        if bc is SOFT:
+            f, fx = 0.0, wronskian / ref_hankel(l, z, -1)[0]
+        else:
+            f, fx = -wronskian / ref_hankel_dx(l, z, -1)[0], 0.0
     f2, cross = np.abs(f) ** 2, np.real(np.conj(f) * fx)
     lommel = 0.5 * x**3 * (f2 + np.abs(fx) ** 2 - l * (l + 1) * f2 / x**2) + 0.5 * x**2 * cross
     d_ff = -lommel / k**3 - beta.imag / k
@@ -142,11 +151,11 @@ def quadrature_shell_integrals(l, beta, k, lo, hi, nodes_per_wavelength=48.0):
     return t_ff, t_gg
 
 
-def ref_volume_q_matrix(style, s, a):
+def ref_volume_q_matrix(style, s, a, bc):
     k, modes = s.k, s.modes
     lmax = max(p.l for p in modes.modes)
     diff_by_l = [
-        ref_renormalized_integrals(l, ref_diagonal(s.matrix, modes, l), k, a)
+        ref_renormalized_integrals(l, ref_diagonal(s.matrix, modes, l), k, a, bc)
         for l in range(lmax + 1)
     ]
     d_ff, d_gg = (np.diag([diff_by_l[p.l][i] for p in modes.modes]) for i in (0, 1))
@@ -187,10 +196,10 @@ class TestOneTableAgainstPerDegreeReference:
         # their own degree, so its j_l differ from the one table's in the
         # last bits: every entry agrees to 4e-15 of itself (1.6e-15 read)
         s = mie_smatrix(3, bc, k, a, ModeSet.spherical(lmax, k))
-        routes = volume_q_matrix(s, a)
+        routes, _ = volume_q_matrix(s, a, bc)
         assert list(routes) == list(STYLES)
         for style in STYLES:
-            ref = ref_volume_q_matrix(style, s, a)
+            ref = ref_volume_q_matrix(style, s, a, bc)
             got = routes[style].matrix
             assert np.all(np.abs(got - ref.matrix) <= 4e-15 * np.abs(ref.matrix)), style
             assert routes[style].presym_residual == ref.presym_residual, style
@@ -242,9 +251,9 @@ class TestRenormalizedIntegrals:
     # R-end constants; it must match composite Gauss quadrature of the
     # integrands at 48 nodes per radial wavelength
     @staticmethod
-    def assert_shell_matches(betas, k, a1, a2):
-        inner = _renormalized_integrals(betas, k, a1)
-        outer = _renormalized_integrals(betas, k, a2)
+    def assert_shell_matches(betas, k, a1, a2, bc):
+        inner = _renormalized_integrals(betas, k, a1, bc)[:2]
+        outer = _renormalized_integrals(betas, k, a2, bc)[:2]
         for l, beta in enumerate(betas):
             want = quadrature_shell_integrals(l, beta, k, a1, a2)
             for d1, d2, w in zip(inner, outer, want):
@@ -257,13 +266,14 @@ class TestRenormalizedIntegrals:
         lmax = 9
         modes = ModeSet.spherical(lmax, k)
         betas = _degree_entries(mie_smatrix(3, bc, k, a, modes).matrix, modes, lmax)
-        self.assert_shell_matches(betas, k, a, kr / k)
+        self.assert_shell_matches(betas, k, a, kr / k, bc)
 
     @pytest.mark.parametrize("a2", [60.0, 200.0])
     def test_any_outgoing_coefficient(self, a2):
-        # Lommel's integral holds for every combination of h^(1) and h^(2)
+        # Lommel's integral holds for every combination of h^(1) and h^(2);
+        # at ka = 2 no degree up to 9 takes the boundary condition's terms
         betas = np.array([0.3 - 0.4j, 2.5 * np.exp(-2.1j), 1j, -0.8])
-        self.assert_shell_matches(betas, 1.0, 2.0, a2)
+        self.assert_shell_matches(betas, 1.0, 2.0, a2, SOFT)
 
 
 class TestRadialProfile:
@@ -333,9 +343,22 @@ class TestVolumeQEntries:
         for style in STYLES:
             assert np.max(np.abs(routes[style].matrix - qref.matrix)) <= 1e-12 * scale, style
 
+    @pytest.mark.parametrize("bc", [SOFT, HARD], ids=["soft", "hard"])
+    @pytest.mark.parametrize("a, first", [(0.5, 6), (1.0, 7)])
+    def test_every_style_tight_to_degree_30(self, bc, a, first):
+        # from the first degree with eps |h_l(ka)|^2 >= 1e-6 on, the r = a
+        # terms come from the boundary condition: read off beta, they carry
+        # beta's rounding times |h_l(ka)|^2
+        qref, modes = reference_q(bc, 1.0, a, 30)
+        routes, switched = volume_q_matrix(mie_smatrix(3, bc, 1.0, a, modes), a, bc)
+        assert switched == first
+        scale = np.max(np.abs(np.diag(qref.matrix)))
+        for style in STYLES:
+            assert np.max(np.abs(routes[style].matrix - qref.matrix)) <= 1e-12 * scale, style
+
     def test_validation(self):
         with pytest.raises(ContractError):
-            volume_q_matrix(mie_smatrix(2, SOFT, 1.0, 1.0, ModeSet.angular(0, 1.0)), 1.0)
+            volume_q_matrix(mie_smatrix(2, SOFT, 1.0, 1.0, ModeSet.angular(0, 1.0)), 1.0, SOFT)
 
 
 class TestVolumeQMatrix:
