@@ -2,14 +2,17 @@
 field grids, classification, volume residuals, meshes, the report) and the
 flat key=value scenario config.
 
-Every CSV goes through one writer, and all numeric fields print with 17
-significant digits so write/read round-trips are exact for finite doubles;
-orderings follow the deterministic mode ordering, so identical configs
-produce byte-identical files.
+One writer prints every CSV, 17 significant digits per number (exact
+round-trips for finite doubles) in the deterministic mode order, so identical
+configs produce byte-identical files. It formats each distinct value of a
+column once, and a matrix's row,col and zero lines or a grid's x,y once per
+shape or grid; the bytes are those of row_fmt % row, row by row.
 """
 
+import functools
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -23,25 +26,58 @@ from .specfun import ORDER_MAX
 FMT = "%.17g"
 
 
-def _write_csv(path, header, row_fmt, columns):
-    """Write header, then one row_fmt line per row of the stacked columns,
-    formatted 4096 rows per %; a mixed-type table is one object block."""
-    table = np.column_stack(columns)
-    line = row_fmt + "\n"
+def _text(fmt, column) -> np.ndarray:
+    """fmt % v of each entry, each distinct value (a float's bits) formatted once."""
+    keys = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    text = (fmt + "\0") * len(distinct) % tuple(distinct.view(column.dtype).tolist())
+    return np.array(text.split("\0")[:-1], dtype=object)[inverse]
+
+
+def _write_csv(path, header, row_fmt, columns, index=(), zeros="", starts=None):
+    """Write header and a line per row: its fields in index, then its columns by row_fmt,
+    2048 rows at a time; a row all +0.0 prints its line of zeros, from starts[row] on."""
+    columns = [c for a in map(np.asarray, columns) for c in (a.T if a.ndim == 2 else [a])]
+    fmts = (row_fmt.replace(",", ",\0") + "\n").split("\0")
+    live, after, head = np.arange(len(columns[0])), [], ""
+    if starts is not None:      # the zero lines ahead of the first live row, and after each
+        live = np.flatnonzero(np.any([c.view(np.int64) for c in columns], axis=0))
+        ends = zip([0, *starts[live + 1].tolist()], [*starts[live].tolist(), None])
+        head, *gaps = [zeros[a:b] for a, b in ends]
+        after = [gaps]
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for part in np.split(table, range(4096, len(table), 4096)):
-            fh.write((line * len(part)) % tuple(part.ravel().tolist()))
+        fh.write(header + "\n" + head)
+        for k in range(0, len(live), 2048):
+            rows = live[k:k + 2048]
+            fields = [i[rows] for i in index] + [_text(f, c[rows]) for f, c in zip(fmts, columns)]
+            fields += [g[k:k + 2048] for g in after]
+            fh.write("".join(chain.from_iterable(zip(*fields, strict=True))))
+
+
+@functools.lru_cache(maxsize=1)
+def _matrix_text(shape):
+    """Each entry's 'i,' and 'j,' (shared texts), and the zero matrix's lines and starts."""
+    rows, cols = (np.array(["%d," % i for i in range(n)], dtype=object) for n in shape)
+    index = np.repeat(rows, shape[1]), np.tile(cols, shape[0])
+    zeros = "".join(r + ("0,0\n" + r).join(cols) + "0,0\n" for r in rows if shape[1])
+    return index, zeros, np.r_[0, np.flatnonzero(np.frombuffer(zeros.encode(), "u1") == 10) + 1]
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_index(spec):
+    """'x,' and 'y,' of each point, x fastest, one text per grid line."""
+    points = spec.points()
+    x, y = _text(FMT + ",", points[:spec.nx, 0]), _text(FMT + ",", points[::spec.nx, 1])
+    return np.tile(x, spec.ny), np.repeat(y, spec.nx)
 
 
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
 def write_complex_matrix(path, matrix: np.ndarray):
-    m = np.asarray(matrix)
-    rows, cols = np.indices(m.shape)
-    _write_csv(path, "row,col,re,im", f"%d,%d,{FMT},{FMT}",
-               [a.ravel() for a in (rows, cols, m.real, m.imag)])
+    m = np.asarray(matrix, dtype=complex)
+    _write_csv(path, "row,col,re,im", f"{FMT},{FMT}", [m.real.ravel(), m.imag.ravel()],
+               *_matrix_text(m.shape))
 
 
 def write_spectrum(path, delays: np.ndarray):
@@ -62,8 +98,8 @@ def write_modeset(path, modes: ModeSet):
 def write_field_grid(path, spec, values: np.ndarray, mask: np.ndarray):
     """Field samples at spec's points, row-major (x fastest); masked points
     are inside the scatterer (or in the unreliable boundary band) and hold 0."""
-    _write_csv(path, "x,y,re,im,masked", f"{FMT},{FMT},{FMT},{FMT},%d",
-               [spec.points(), values.real, values.imag, mask])
+    _write_csv(path, "x,y,re,im,masked", f"{FMT},{FMT},%d",
+               [values.real, values.imag, mask], _grid_index(spec))
 
 
 def write_classification(path, classification):
@@ -71,14 +107,14 @@ def write_classification(path, classification):
              c.interior_fraction, c.warning) for c in classification]
     _write_csv(path, "index,label,delay,boundary_fraction,corner_fraction,"
                "interior_fraction,warning", f"%d,%s,{FMT},{FMT},{FMT},{FMT},%d",
-               [np.array(rows, dtype=object)])
+               list(zip(*rows)) or [()])
 
 
 def write_volume_residuals(path, rows):
     """The volume routes' Q diagonals against j S^dag S', one row per
     (p, q, route, value, reference, relative error)."""
     _write_csv(path, "p,q,route,value_re,value_im,reference_re,reference_im,rel_err",
-               "%d,%d,%s," + ",".join([FMT] * 5), [np.array(rows, dtype=object)])
+               "%d,%d,%s," + ",".join([FMT] * 5), list(zip(*rows)) or [()])
 
 
 def write_mesh(path, mesh):
@@ -207,8 +243,6 @@ def parse_config(path) -> ScenarioConfig:
                 raise ConfigError(f"repeated key {key!r}", line=lineno)
             try:
                 values[name] = _FIELD_PARSERS[key](val)
-            except ConfigError:
-                raise
             except Exception as exc:
                 raise ConfigError(f"bad value for {key}: {exc}", line=lineno) from None
     if "scenario" not in values:

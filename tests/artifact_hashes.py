@@ -10,11 +10,12 @@ all sorted. Diff the listing of two trees to compare them; the package is
 imported from the src/ directory next to this file. Named RUNs restrict the
 listing to those runs. The runs are the five acceptance configs on the
 default 301 x 301 grid, the two strip configs of the strip-maps benchmark
-(101 x 101, four exported modes), the a = 2 cylinder soft and hard, and the
-sphere soft and hard at l_max 3 and 9 with both sphere checks, and the
-a = 1 sphere soft and hard at l_max 18, whose volume routes take the
-boundary condition's terms from degree 7 on. Not collected by pytest; the
-whole listing takes about 20 s on 2 cores.
+(101 x 101, four exported modes), the a = 2 cylinder soft and hard, the
+fourteen sphere configs of the sphere-routes benchmark (soft and hard,
+l_max 3 to 9 at kR 200 to 400, with both sphere checks), and the a = 1
+sphere soft and hard at l_max 18, whose volume routes take the boundary
+condition's terms from degree 7 on. Not collected by pytest; the whole
+listing takes about 20 s on 2 cores.
 """
 
 import contextlib
@@ -51,7 +52,8 @@ RUNS = {
         f"sphere_{bc}_l{lmax}": (dict(scenario="sphere", bc=bc, k=1.0, a=2.0,
                                       modes=(lmax + 1) ** 2, vol_kr=kr),
                                  ["--check", "volume-q,appendix-b"])
-        for bc in ("soft", "hard") for lmax, kr in ((3, 200), (9, 400))
+        for bc in ("soft", "hard")
+        for lmax, kr in ((l, 200 + round(200 * (l - 3) / 6)) for l in range(3, 10))
     },
     **{
         f"sphere_{bc}_a1_l18": (dict(scenario="sphere", bc=bc, k=1.0, a=1.0,

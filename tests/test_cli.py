@@ -264,6 +264,25 @@ class TestRunScenario:
         assert calls["mie_smatrix"] == 1
         assert calls["mie_smatrix_deriv"] == 1
 
+    def test_sphere_checks_run_no_miller_descent_at_kr(self, tmp_path, monkeypatch):
+        # the tables at ka = 2 descend (the two closed-form matrices and the
+        # volume routes); the Appendix-B table at the default kR = 200 runs
+        # upward, since its argument is at the order ceiling
+        seen = []
+        original = specfun._miller_downward
+
+        def counted(order, x, odd, f0, f1):
+            seen.append(x.copy())
+            return original(order, x, odd, f0, f1)
+
+        monkeypatch.setattr(specfun, "_miller_downward", counted)
+        cfg = ScenarioConfig(scenario="sphere", bc="soft", a=2.0, mode_count=16,
+                             checks=("volume-q", "appendix-b"))
+        assert cfg.vol_kr == specfun.ORDER_MAX
+        assert run_scenario(cfg, str(tmp_path / "o"))["passed"]
+        assert len(seen) == 3
+        assert all(np.array_equal(x, [cfg.k * cfg.a]) for x in seen)
+
     def test_every_surface_pair_has_a_value(self, tmp_path, monkeypatch):
         # a pair whose closed and numeric values are both 0 checks nothing
         # numerically; a pair with m != 0 takes the conjugate-port path

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from wsdelay import specfun
 from wsdelay.errors import DomainError
 from wsdelay.specfun import ORDER_MAX, cyl_jn_table, hankel1_table
 
@@ -287,3 +288,91 @@ class TestHankelTableAgainstMpmath:
             worst = max(worst, np.max(np.abs(f[:, i] - ref) / np.abs(ref)),
                         np.max(np.abs(df[:, i] - dref) / np.abs(dref)))
         assert worst <= 2e-14, worst
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_upward_tables_to_the_ceiling(self, dim):
+        # every argument at or above ORDER_MAX: both kinds run upward. On
+        # these points the worst entry read 3.0e-15 (2D) and 2.5e-15 (3D);
+        # Miller's descent read 8.4e-15 and 7.1e-15 on the same points
+        x = np.linspace(float(ORDER_MAX), 400.0, 41)
+        f, df = hankel1_table(dim, ORDER_MAX, x)
+        worst = 0.0
+        for i, xi in enumerate(x):
+            ref, dref = mp_hankel1_table(dim, ORDER_MAX, xi)
+            worst = max(worst, np.max(np.abs(f[:, i] - ref) / np.abs(ref)),
+                        np.max(np.abs(df[:, i] - dref) / np.abs(dref)))
+        assert worst <= 4e-15, worst
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_upward_rows_are_the_single_order_functions(self, dim):
+        x = np.array([200.0, 233.5, 400.0])
+        f, df = hankel1_table(dim, 9, x)
+        for n in range(10):
+            fn, dfn = hankel1_table(dim, n, x)
+            assert np.array_equal(f[n], fn[n])
+            assert np.array_equal(df[n], dfn[n])
+
+
+def reference_miller_downward(order, x, odd, f0, f1):
+    """_miller_downward with its overflow test on every step, as it was
+    before the running bound."""
+    xmax = float(np.max(x))
+    start = int(max(order, xmax)) + 24 + int(2.0 * np.sqrt(max(order, xmax, 1.0)))
+    nrows = max(order, 1) + 1
+    jm = np.zeros((nrows, x.size))
+    fp = np.zeros_like(x)          # f_{m+1}
+    fc = np.full_like(x, 1e-300)   # f_m, arbitrary seed
+    for m in range(start, -1, -1):
+        if m < nrows:
+            jm[m] = fc
+        fm = (2 * m + odd) / x * fc - fp
+        fp, fc = fc, fm
+        big = np.abs(fc) > 1e250
+        if np.any(big):
+            fc[big] *= 1e-250
+            fp[big] *= 1e-250
+            jm[:, big] *= 1e-250
+    use0 = np.abs(f0) >= np.abs(f1)
+    denom0 = np.where(jm[0] == 0.0, 1.0, jm[0])
+    denom1 = np.where(jm[1] == 0.0, 1.0, jm[1])
+    scale = np.where(use0, f0 / denom0, f1 / denom1)
+    return jm * scale
+
+
+class TestMillerRescaling:
+    """The running overflow bound, and the float loop that runs a table of
+    one column, rescale at the same steps as a test on every step, so every
+    table keeps its bits."""
+
+    CASES = [
+        (7, np.array([0.3, 4.2, 60.0]), 0),
+        (3, np.array([4.2]), 0),
+        (4, np.array([0.3, 3.7, 60.0]), 0),
+        (60, TestSphTables.X, 0),
+        (12, TestSphTables.X, 1),
+        (8, np.array([2.0]), 1),
+        (50, np.array([0.3, 1.0, 2.5, 17.0, 60.0]), 1),
+        # the descent from order 252 at x = 0.01 grows by about 4e4 a step,
+        # so these rescale many times, the 1e-8 column on every step
+        (ORDER_MAX, np.array([0.01, 0.5, 3.0]), 0),
+        (ORDER_MAX, np.array([1e-8, 1e-6, 2.0]), 0),
+        (ORDER_MAX, np.array([0.05]), 1),
+        (ORDER_MAX, np.geomspace(1e-3, 400.0, 300), 0),
+    ]
+
+    @pytest.mark.parametrize("order, x, odd", CASES)
+    def test_same_table_as_the_every_step_check(self, order, x, odd):
+        f0 = np.sin(x) / x if odd else sp.j0(x)
+        f1 = np.sin(x) / x**2 - np.cos(x) / x if odd else sp.j1(x)
+        with np.errstate(under="ignore"):
+            got = specfun._miller_downward(order, x, odd, f0, f1)
+            want = reference_miller_downward(order, x, odd, f0, f1)
+        assert np.array_equal(got, want)
+
+    def test_cyl_table_at_small_arguments(self):
+        x = np.array([0.0, 1e-300, 1e-8, 1e-4, 0.01, 0.3, 7.0])
+        xs = np.where(x < 1e-8, 1.0, x)
+        got = cyl_jn_table(ORDER_MAX, x)
+        want = reference_miller_downward(ORDER_MAX, xs, 0, sp.j0(xs), sp.j1(xs))
+        keep = x >= 1e-8
+        assert np.array_equal(got[:, keep], want[:, keep])
