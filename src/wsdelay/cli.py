@@ -201,19 +201,24 @@ def _decompose(cfg, st, s, sprime, provenance):
 def _sphere_checks(cfg, st, s, sprime, q, gates):
     """Volume routes against j S^dag S' and the Appendix B surface identities,
     both read off the solve's S and S', added to the gates; returns the volume
-    routes' residual rows, or None."""
-    rows = None
+    routes' residual columns, route by route, or None."""
+    columns = None
     if "volume-q" in cfg.checks:
         scale = float(np.max(np.abs(np.diag(q.matrix))))
-        rows = []
         routes, first = volume_q_matrix(s, cfg.a, st.bc)
         gates.add("volume_bc_degree", first)
         for style, qv in routes.items():
             gates.add(f"volume_route_{style}", np.max(np.abs(qv.matrix - q.matrix)) / scale, 1e-3)
-            for i in range(len(st.modes)):
-                val, ref = qv.matrix[i, i], q.matrix[i, i]
-                rows.append((i, i, style, val.real, val.imag, ref.real, ref.imag,
-                             abs(val - ref) / max(abs(ref), 1e-300)))
+        val = np.concatenate([np.diag(qv.matrix) for qv in routes.values()])
+        ref = np.tile(np.diag(q.matrix), len(routes))
+        port = np.tile(np.arange(len(st.modes)), len(routes))
+        # |z| as hypot(re, im), as scalar abs computes it: numpy's SIMD complex
+        # abs (AVX-512 builds) differs from it in the last bit for about a
+        # third of values, and would change the written errors
+        diff = val - ref
+        err = np.hypot(diff.real, diff.imag) / np.maximum(np.hypot(ref.real, ref.imag), 1e-300)
+        columns = [port, port, np.repeat(list(routes), len(st.modes)),
+                   val.real, val.imag, ref.real, ref.imag, err]
     if "appendix-b" in cfg.checks:
         # diagonal pairs, so every one has a numeric side; (1, 1) reads its
         # conjugate port (1, -1) with sign -1
@@ -224,18 +229,19 @@ def _sphere_checks(cfg, st, s, sprime, q, gates):
         reports = surface_identity_check(s, sprime, pairs, cfg.vol_kr / cfg.k)
         gates.add("appendix_b_algebraic", max(r.algebraic_residual for r in reports), 1e-12)
         gates.add("appendix_b_numeric", max(r.numeric_rel_error for r in reports), 1e-2)
-    return rows
+    return columns
 
 
 def _field_maps(cfg, st, s, solution, dec):
     """Classify the delay eigenmodes from their energy fractions.
 
-    Returns (classification, baselines, [(index, values)] of the exported
-    modes); one pass over the grid gives the region Grams and the exported
-    modes' values, and no other point values.
+    Returns {fractions, labels, warnings}, the (3, M) fractions and
+    classify_modes' arrays (None each for the sphere), and [(index, values)]
+    of the exported modes; one pass over the grid gives the region Grams and
+    the exported modes' values, and no other point values.
     """
     if st.grid is None:
-        return None, None, []
+        return dict.fromkeys(("fractions", "labels", "warnings")), []
     regions = st.regions
     export = dec.w[:, [i - 1 for i in cfg.export_modes]]
     if solution is None:
@@ -245,12 +251,12 @@ def _field_maps(cfg, st, s, solution, dec):
             st.mesh, solution, st.modes, st.grid, regions, export)
     fractions = localization_metrics(grams, dec.w)
     thresholds = ClassificationThresholds(tau_ballistic=2.0 * st.circumradius)
-    classification = classify_modes(dec.delays, fractions, regions.baselines, thresholds)
+    labels, warnings = classify_modes(dec.delays, fractions, regions.baselines, thresholds)
     exports = [(i, values[:, j]) for j, i in enumerate(cfg.export_modes)]
-    return classification, regions.baselines, exports
+    return dict(fractions=fractions, labels=labels, warnings=warnings), exports
 
 
-def _report(cfg, st, solver_lines, classification, dec, gates):
+def _report(cfg, st, solver_lines, labels, dec, gates):
     lines = [
         "wsdelay scenario report",
         "=======================",
@@ -258,26 +264,24 @@ def _report(cfg, st, solver_lines, classification, dec, gates):
         UNITS_NOTE,
         *solver_lines,
     ]
-    if classification is not None:
-        counts = group_counts(classification)
-        lines.append(
-            "classification: " + " ".join(f"{n}={counts[n]}" for n in sorted(counts))
-        )
+    if labels is not None:
+        counts = sorted(group_counts(labels).items())
+        lines.append("classification: " + " ".join(f"{n}={c}" for n, c in counts))
     lines.append(f"delays: min={dec.delays[0]:.6g} max={dec.delays[-1]:.6g}")
     return lines + ["", "[gates]"] + gates.lines()
 
 
-def _write(out_dir, st, matrices, delays, residual_rows, classification, exports, report):
+def _write(out_dir, st, matrices, delays, residuals, maps, exports, report):
     """Create out_dir and name every artifact: the only stage that touches it."""
     os.makedirs(out_dir, exist_ok=True)
 
     def path(name):
         return os.path.join(out_dir, name)
 
-    if residual_rows is not None:
-        wio.write_volume_residuals(path("volumeq_residuals.csv"), residual_rows)
-    if classification is not None:
-        wio.write_classification(path("classification.csv"), classification)
+    if residuals is not None:
+        wio.write_volume_residuals(path("volumeq_residuals.csv"), residuals)
+    if maps["labels"] is not None:
+        wio.write_classification(path("classification.csv"), delays, **maps)
     for idx1, values in exports:
         wio.write_field_grid(path(f"mode_{idx1:03d}_field.csv"), st.grid, values,
                              ~st.regions.live)
@@ -301,19 +305,18 @@ def run_scenario(cfg, out_dir):
     st = _setup(cfg)
     s, sprime, provenance, solution, solver_lines = _solve(cfg, st)
     q, dec, gates = _decompose(cfg, st, s, sprime, provenance)
-    residual_rows = _sphere_checks(cfg, st, s, sprime, q, gates)
-    classification, baselines, exports = _field_maps(cfg, st, s, solution, dec)
-    report = _report(cfg, st, solver_lines, classification, dec, gates)
+    residuals = _sphere_checks(cfg, st, s, sprime, q, gates)
+    maps, exports = _field_maps(cfg, st, s, solution, dec)
+    report = _report(cfg, st, solver_lines, maps["labels"], dec, gates)
     matrices = {"smatrix": s.matrix, "sprime": sprime.matrix,
                 "qmatrix": q.matrix, "wmatrix": dec.w}
-    _write(out_dir, st, matrices, dec.delays, residual_rows, classification,
-           exports, report)
+    _write(out_dir, st, matrices, dec.delays, residuals, maps, exports, report)
     return {
         "passed": gates.passed,
         "gates": gates.entries,
         "delays": dec.delays,
-        "classification": classification,
-        "baselines": baselines,
+        **maps,
+        "baselines": None if st.regions is None else st.regions.baselines,
         "circumradius": st.circumradius,
         "smatrix": s,
         "qmatrix": q,
@@ -350,6 +353,9 @@ def main(argv=None) -> int:
         summary = run_scenario(cfg, args.out)
     except (ConfigError, DomainError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"input error: cannot write output: {exc}", file=sys.stderr)
         return 3
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

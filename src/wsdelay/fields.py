@@ -8,10 +8,11 @@ w^H G_r w of the Gram matrix G_r = F_r^H F_r over the region's rows, so the
 metrics need no point values of any mode. F is never held whole: one pass
 over the live grid, in bands of rows at most one Graf box high, adds each
 band's rows of F to the region Grams and to the exported modes' values and
-drops them. A threshold cascade sorts the modes into the observed families:
-corner diffraction, beam-like ballistic reflection,
+drops them. One ordered rule table labels the modes with the observed
+families: corner diffraction, beam-like ballistic reflection,
 boundary-guided surface waves, non-propagating (caustic radius beyond the
-scatterer) and trapped cavity modes.
+scatterer) and trapped cavity modes. Labels and warning flags are arrays of
+length M, like the delays and the (3, M) fractions beside them.
 """
 
 from dataclasses import dataclass
@@ -220,29 +221,19 @@ class ClassificationThresholds:
     interior_factor: float = 2.0
 
 
-@dataclass
-class ModeClassification:
-    index: int
-    label: str
-    delay: float
-    boundary_fraction: float
-    corner_fraction: float
-    interior_fraction: float
-    warning: bool = False
-
-
 def classify_modes(
     delays: np.ndarray,
     fractions: np.ndarray,
     baselines: tuple,
     thresholds: ClassificationThresholds = ClassificationThresholds(),
-) -> list:
+) -> tuple:
     """Sort delay eigenmodes into the phenomenological families.
 
     fractions is localization_metrics' (3, M) array and baselines the
-    regions' (boundary, corner, interior) area fractions. Rules, in
-    precedence order per delay regime; a mode fitting no rule gets the
-    nearest label and a warning flag.
+    regions' (boundary, corner, interior) area fractions. Returns (labels,
+    warnings), a str and a bool array of length M: each mode takes the
+    first rule below that it meets, and a mode that only fits its delay
+    regime's fallback gets the nearest label and a warning.
     """
     th = thresholds
     bb, cb, ib = baselines
@@ -250,52 +241,30 @@ def classify_modes(
     boundary_hot = bf > th.boundary_factor * bb
     corner_hot = cf > th.corner_factor * max(cb, 1e-12)
     interior_hot = (ib > 0) & (xf > th.interior_factor * ib)
-    out = []
-    for i, delay in enumerate(delays):
-        warning = False
-        if delay > th.tau0:
-            if interior_hot[i]:
-                label = "cavity"
-            elif boundary_hot[i]:
-                label = "surface-wave"
-            else:
-                label, warning = "surface-wave", True
-        elif delay < -th.tau0:
-            if corner_hot[i]:
-                label = "corner"
-            elif delay >= -th.tau_ballistic and boundary_hot[i]:
-                label = "ballistic"
-            else:
-                # specular reflection is the nearest family for any negative
-                # delay that is not corner-concentrated
-                label, warning = "ballistic", True
-        else:
-            if boundary_hot[i]:
-                # caustic-edge modes may also light the corner band; they
-                # still belong to the specular family
-                label, warning = "ballistic", bool(corner_hot[i])
-            elif abs(delay) > 0.1 * th.tau0:
-                # transitional: the delay says it touches the scatterer even
-                # though the boundary band is not clearly hot
-                label, warning = "ballistic", True
-            else:
-                label = "non-propagating"
-        out.append(
-            ModeClassification(
-                index=i,
-                label=label,
-                delay=float(delay),
-                boundary_fraction=float(bf[i]),
-                corner_fraction=float(cf[i]),
-                interior_fraction=float(xf[i]),
-                warning=warning,
-            )
-        )
-    return out
+    positive, negative = delays > th.tau0, delays < -th.tau0
+    # (condition, label, warning), in order of precedence; the positive and
+    # negative regimes each end in a fallback, so the rules after them see
+    # only near-zero delays
+    rules = [
+        (positive & interior_hot, "cavity", False),
+        (positive & boundary_hot, "surface-wave", False),
+        (positive, "surface-wave", True),
+        (negative & corner_hot, "corner", False),
+        (negative & (delays >= -th.tau_ballistic) & boundary_hot, "ballistic", False),
+        # specular reflection is the nearest family for any negative delay
+        # that is not corner-concentrated
+        (negative, "ballistic", True),
+        # caustic-edge modes may also light the corner band; they still
+        # belong to the specular family
+        (boundary_hot, "ballistic", corner_hot),
+        # transitional: the delay says it touches the scatterer even though
+        # the boundary band is not clearly hot
+        (np.abs(delays) > 0.1 * th.tau0, "ballistic", True),
+    ]
+    conditions, labels, warnings = zip(*rules)
+    return (np.select(conditions, labels, "non-propagating"),
+            np.select(conditions, warnings, False))
 
 
-def group_counts(classification: list) -> dict:
-    counts = {label: 0 for label in MODE_LABELS}
-    for c in classification:
-        counts[c.label] += 1
-    return counts
+def group_counts(labels: np.ndarray) -> dict:
+    return {label: int(np.count_nonzero(labels == label)) for label in MODE_LABELS}

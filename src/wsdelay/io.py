@@ -2,11 +2,12 @@
 field grids, classification, volume residuals, meshes, the report) and the
 flat key=value scenario config.
 
-One writer prints every CSV, 17 significant digits per number (exact
-round-trips for finite doubles) in the deterministic mode order, so identical
-configs produce byte-identical files. It formats each distinct value of a
-column once, and a matrix's row,col and zero lines or a grid's x,y once per
-shape or grid; the bytes are those of row_fmt % row, row by row.
+One writer prints every CSV from its columns, as the pipeline computes them,
+17 significant digits per number (exact round-trips for finite doubles) in
+the deterministic mode order, so identical configs produce byte-identical
+files. It formats each distinct value of a column once, and a matrix's
+row,col and zero lines or a grid's x,y once per shape or grid; the bytes are
+those of row_fmt % row, row by row.
 """
 
 import functools
@@ -102,19 +103,18 @@ def write_field_grid(path, spec, values: np.ndarray, mask: np.ndarray):
                [values.real, values.imag, mask], _grid_index(spec))
 
 
-def write_classification(path, classification):
-    rows = [(c.index + 1, c.label, c.delay, c.boundary_fraction, c.corner_fraction,
-             c.interior_fraction, c.warning) for c in classification]
+def write_classification(path, delays, labels, fractions, warnings):
+    """One row per mode, 1-based; fractions is (3, M)."""
     _write_csv(path, "index,label,delay,boundary_fraction,corner_fraction,"
                "interior_fraction,warning", f"%d,%s,{FMT},{FMT},{FMT},{FMT},%d",
-               list(zip(*rows)) or [()])
+               [np.arange(1, len(delays) + 1), labels, delays, *fractions, warnings])
 
 
-def write_volume_residuals(path, rows):
-    """The volume routes' Q diagonals against j S^dag S', one row per
-    (p, q, route, value, reference, relative error)."""
+def write_volume_residuals(path, columns):
+    """The volume routes' Q diagonals against j S^dag S', as the columns
+    p, q, route, value (re, im), reference (re, im) and relative error."""
     _write_csv(path, "p,q,route,value_re,value_im,reference_re,reference_im,rel_err",
-               "%d,%d,%s," + ",".join([FMT] * 5), list(zip(*rows)) or [()])
+               "%d,%d,%s," + ",".join([FMT] * 5), columns)
 
 
 def write_mesh(path, mesh):

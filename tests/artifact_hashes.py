@@ -14,8 +14,10 @@ default 301 x 301 grid, the two strip configs of the strip-maps benchmark
 fourteen sphere configs of the sphere-routes benchmark (soft and hard,
 l_max 3 to 9 at kR 200 to 400, with both sphere checks), and the a = 1
 sphere soft and hard at l_max 18, whose volume routes take the boundary
-condition's terms from degree 7 on. Not collected by pytest; the whole
-listing takes about 20 s on 2 cores.
+condition's terms from degree 7 on, and one custom scenario: a convex
+pentagon off the origin (101 x 101, one exported mode), read from a vertex
+file beside its config. Not collected by pytest; the whole listing takes
+about 20 s on 2 cores.
 """
 
 import contextlib
@@ -61,12 +63,22 @@ RUNS = {
                                 ["--check", "volume-q,appendix-b"])
         for bc in ("soft", "hard")
     },
+    "custom": (dict(scenario="custom", bc="soft", k=1.0, grid_nx=101, grid_ny=101),
+               ["--modes", "1"]),
 }
+
+# vertex files of the custom runs, written beside their configs: a convex
+# pentagon that holds neither the origin nor a void
+POLYLINES = {"custom": "0.5,-0.5\n2.5,-0.5\n3,1\n1.5,2\n0,1\n"}
 
 
 def run(name, workdir):
     """Listing lines of one run."""
     keys, extra = RUNS[name]
+    if name in POLYLINES:
+        keys = {**keys, "polyline": os.path.join(workdir, f"{name}.csv")}
+        with open(keys["polyline"], "w") as fh:
+            fh.write(POLYLINES[name])
     cfg = os.path.join(workdir, f"{name}.cfg")
     with open(cfg, "w") as fh:
         fh.writelines(f"{k}={v}\n" for k, v in keys.items())

@@ -222,9 +222,7 @@ def test_criterion_6_strip_sound_soft(strip_soft):
     ok &= bool(abs(int(window) - 35) <= 3)
     rest = d[~((d < -5.0) | ((d >= -3.0) & (d <= -0.05)))]
     ok &= bool(np.max(np.abs(rest)) <= 0.5)
-    counts = {}
-    for c in strip_soft["classification"]:
-        counts[c.label] = counts.get(c.label, 0) + 1
+    counts = dict(zip(*np.unique(strip_soft["labels"], return_counts=True)))
     ok &= bool(abs(counts.get("corner", 0) - 4) <= 3)
     ok &= bool(abs(counts.get("ballistic", 0) - 35) <= 3)
     ok &= bool(abs(counts.get("non-propagating", 0) - 72) <= 3)
@@ -242,18 +240,18 @@ def test_criterion_6_strip_sound_soft(strip_soft):
 
 def test_criterion_7_strip_sound_hard(strip_soft, strip_hard):
     """Surface waves along the hard strip; ballistic family matches the soft one."""
-    cls_h = strip_hard["classification"]
-    surface = [c for c in cls_h if c.delay > 2.0 and c.label == "surface-wave" and not c.warning]
+    d_h, labels_h = strip_hard["delays"], strip_hard["labels"]
+    surface = d_h[(d_h > 2.0) & (labels_h == "surface-wave") & ~strip_hard["warnings"]]
     ok = bool(len(surface) >= 4)
-    bal_h = [c.delay for c in cls_h if c.label == "ballistic"]
-    bal_s = [c.delay for c in strip_soft["classification"] if c.label == "ballistic"]
+    bal_h = d_h[labels_h == "ballistic"]
+    bal_s = strip_soft["delays"][strip_soft["labels"] == "ballistic"]
     ok &= bool(abs(min(bal_h) - min(bal_s)) <= 0.5)
     ok &= bool(abs(max(bal_h) - max(bal_s)) <= 0.5)
     report(
         7,
         ok,
         f"{len(surface)} edge-dominant modes with delay>2 "
-        f"(max {max(c.delay for c in cls_h):.1f}s), ballistic ranges "
+        f"(max {max(d_h):.1f}s), ballistic ranges "
         f"[{min(bal_h):.2f},{max(bal_h):.2f}] vs [{min(bal_s):.2f},{max(bal_s):.2f}]",
     )
 
@@ -262,14 +260,12 @@ def test_criterion_8_cavity(cavity_hard, cavity_soft_w3, cavity_soft_w5):
     """Trapped modes: hard cavity tags the two largest delays; soft traps at w=5;
     every cavity run passes its own gates."""
     runs = (cavity_hard, cavity_soft_w3, cavity_soft_w5)
-    cls = cavity_hard["classification"]
     d = cavity_hard["delays"]
-    top_two = cls[-2:]
-    ok = bool(all(c.label == "cavity" for c in top_two))
-    ok &= bool(all(c.delay > 0 for c in top_two))
+    ok = bool(np.all(cavity_hard["labels"][-2:] == "cavity"))
+    ok &= bool(np.all(d[-2:] > 0))
     ok &= bool(d[-2] > np.max(d[:-2]))
-    f5 = cavity_soft_w5["classification"][-1].interior_fraction
-    f3 = cavity_soft_w3["classification"][-1].interior_fraction
+    f5 = cavity_soft_w5["fractions"][2, -1]
+    f3 = cavity_soft_w3["fractions"][2, -1]
     ok &= bool(f5 >= 10.0 * f3)
     ok &= all(run["passed"] for run in runs)
     report(
@@ -325,14 +321,10 @@ def test_classification_stability(strip_soft, cavity_hard):
 
     worst = 0
     for bundle in (strip_soft, cavity_hard):
-        cls = bundle["classification"]
-        delays = np.array([c.delay for c in cls])
+        delays, fractions = bundle["delays"], bundle["fractions"]
         baselines = bundle["baselines"]
-        fractions = np.array(
-            [[c.boundary_fraction, c.corner_fraction, c.interior_fraction] for c in cls]
-        ).T
         base = ClassificationThresholds(tau_ballistic=2.0 * bundle["circumradius"])
-        counts0 = group_counts(classify_modes(delays, fractions, baselines, base))
+        counts0 = group_counts(classify_modes(delays, fractions, baselines, base)[0])
         for knob in (
             "tau0",
             "tau_ballistic",
@@ -344,6 +336,6 @@ def test_classification_stability(strip_soft, cavity_hard):
                 th = ClassificationThresholds(
                     **{**base.__dict__, knob: getattr(base, knob) * f}
                 )
-                counts = group_counts(classify_modes(delays, fractions, baselines, th))
+                counts = group_counts(classify_modes(delays, fractions, baselines, th)[0])
                 worst = max(worst, max(abs(counts[k] - counts0[k]) for k in counts0))
     assert worst <= 2, f"count change {worst} under single-threshold perturbation"

@@ -630,6 +630,17 @@ class TestMainExitCodes:
         assert err == "solver error: out of memory: Unable to allocate 12.2 GiB\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["afile", "afile/sub"], ids=["file", "under-file"])
+    def test_unwritable_output_exit_3(self, tmp_path, capsys, target):
+        # --out naming a file, or a path under one, fails at the write stage
+        cfg = write(tmp_path / "c.cfg", "scenario=sphere\na=2\nmodes=4\n")
+        afile = write(tmp_path / "afile", "kept\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / target)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: cannot write output: ")
+        assert err.count("\n") == 1
+        assert open(afile).read() == "kept\n"
+
     def test_missing_config_exit_3(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 3
 

@@ -311,6 +311,42 @@ class TestMetrics:
 BASELINES = (0.1, 0.02, 0.2)
 
 
+def reference_classify(delays, fractions, baselines, th):
+    """The per-mode threshold cascade that classify_modes replaced, kept
+    verbatim as the reference: a list of (label, warning) per mode."""
+    bb, cb, ib = baselines
+    bf, cf, xf = fractions
+    boundary_hot = bf > th.boundary_factor * bb
+    corner_hot = cf > th.corner_factor * max(cb, 1e-12)
+    interior_hot = (ib > 0) & (xf > th.interior_factor * ib)
+    out = []
+    for i, delay in enumerate(delays):
+        warning = False
+        if delay > th.tau0:
+            if interior_hot[i]:
+                label = "cavity"
+            elif boundary_hot[i]:
+                label = "surface-wave"
+            else:
+                label, warning = "surface-wave", True
+        elif delay < -th.tau0:
+            if corner_hot[i]:
+                label = "corner"
+            elif delay >= -th.tau_ballistic and boundary_hot[i]:
+                label = "ballistic"
+            else:
+                label, warning = "ballistic", True
+        else:
+            if boundary_hot[i]:
+                label, warning = "ballistic", bool(corner_hot[i])
+            elif abs(delay) > 0.1 * th.tau0:
+                label, warning = "ballistic", True
+            else:
+                label = "non-propagating"
+        out.append((label, warning))
+    return out
+
+
 def _metric(bnd=0.0, cor=0.0, intr=0.0):
     return (bnd, cor, intr)
 
@@ -330,21 +366,45 @@ class TestClassification:
             _metric(bnd=0.4, cor=0.02),     # boundary-hot, positive
             _metric(bnd=0.2, intr=0.9),     # interior-dominant, positive
         ]
-        fractions = _fractions(*metrics)
-        labels = [c.label for c in classify_modes(delays, fractions, BASELINES, th)]
-        assert labels == ["corner", "ballistic", "non-propagating", "surface-wave", "cavity"]
-        assert not any(c.warning for c in classify_modes(delays, fractions, BASELINES, th))
+        labels, warnings = classify_modes(delays, _fractions(*metrics), BASELINES, th)
+        assert labels.tolist() == ["corner", "ballistic", "non-propagating", "surface-wave",
+                                   "cavity"]
+        assert not np.any(warnings)
 
     def test_fallthrough_flags_warning(self):
         th = ClassificationThresholds()
-        out = classify_modes(
+        labels, warnings = classify_modes(
             np.array([-50.0]), _fractions(_metric(bnd=0.05, cor=0.01)), BASELINES, th
         )
-        assert out[0].label == "ballistic" and out[0].warning
+        assert labels.tolist() == ["ballistic"] and warnings.tolist() == [True]
 
     def test_group_counts(self):
         th = ClassificationThresholds()
         delays = np.array([-20.0, 0.0, 0.0])
         metrics = [_metric(cor=0.5), _metric(), _metric()]
-        counts = group_counts(classify_modes(delays, _fractions(*metrics), BASELINES, th))
-        assert counts["corner"] == 1 and counts["non-propagating"] == 2
+        labels, _ = classify_modes(delays, _fractions(*metrics), BASELINES, th)
+        counts = group_counts(labels)
+        assert counts == {"corner": 1, "ballistic": 0, "surface-wave": 0,
+                          "non-propagating": 2, "cavity": 0}
+
+    @pytest.mark.parametrize("baselines", [BASELINES, (0.1, 0.0, 0.0), (0.0, 0.0, 0.0)],
+                             ids=["baselines", "no-corner-no-interior", "all-zero"])
+    @pytest.mark.parametrize("m", [1, 7, 400])
+    def test_matches_the_cascade(self, baselines, m):
+        # delays drawn from the rule borders (+-tau0, +-0.1 tau0,
+        # -tau_ballistic, 0) and around them; fractions around each factor
+        # times its baseline, and exact zeros
+        rng = np.random.default_rng(1000 * m + int(1e3 * sum(baselines)))
+        th = ClassificationThresholds(tau0=0.5, tau_ballistic=3.0)
+        borders = np.array([th.tau0, -th.tau0, 0.1 * th.tau0, -0.1 * th.tau0,
+                            -th.tau_ballistic, 0.0, 20.0, -20.0])
+        delays = rng.choice(borders, size=m) * rng.choice([1.0, 1.0, 0.9, 1.1], size=m)
+        factors = np.array([th.boundary_factor, th.corner_factor, th.interior_factor])
+        scale = np.array(baselines)[:, None] * factors[:, None]
+        fractions = scale * rng.choice([0.0, 0.5, 1.0, 1.5], size=(3, m))
+        fractions[rng.random((3, m)) < 0.2] = 0.0
+        fractions[rng.random((3, m)) < 0.2] += rng.random() * 0.5
+        labels, warnings = classify_modes(delays, fractions, baselines, th)
+        assert warnings.dtype == bool and labels.shape == warnings.shape == (m,)
+        expected = reference_classify(delays, fractions, baselines, th)
+        assert list(zip(labels.tolist(), warnings.tolist())) == expected

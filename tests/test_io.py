@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wsdelay import io as wio
-from wsdelay.fields import GridSpec, ModeClassification
+from wsdelay.fields import MODE_LABELS, GridSpec
 from wsdelay.geometry import make_strip, mesh_geometry
 from wsdelay.modal import ModeSet
 
@@ -56,9 +56,7 @@ def reference_field_grid(path, spec, values, mask):
                         [spec.points(), values.real, values.imag, mask])
 
 
-def reference_classification(path, classification):
-    rows = [(c.index + 1, c.label, c.delay, c.boundary_fraction, c.corner_fraction,
-             c.interior_fraction, c.warning) for c in classification]
+def reference_classification(path, rows):
     reference_write_csv(path, "index,label,delay,boundary_fraction,corner_fraction,"
                         "interior_fraction,warning", f"%d,%s,{FMT},{FMT},{FMT},{FMT},%d",
                         [np.array(rows, dtype=object)])
@@ -88,6 +86,14 @@ def same_bytes(tmp_path, write, reference, *args):
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     write(str(new), *args)
     reference(str(old), *args)
+    return new.read_bytes() == old.read_bytes()
+
+
+def same_table_bytes(tmp_path, write, reference, columns, rows):
+    """write(*columns) against reference(rows), the same table by rows."""
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write(str(new), *columns)
+    reference(str(old), rows)
     return new.read_bytes() == old.read_bytes()
 
 
@@ -203,20 +209,33 @@ class TestTables:
         assert same_bytes(tmp_path, wio.write_field_grid, reference_field_grid,
                           spec, values, mask)
 
-    def test_classification_rows(self, tmp_path):
-        rows = [ModeClassification(i, label, delay, b, c, f, w) for i, (label, delay, b, c, f, w)
-                in enumerate([("corner", -0.0, 0.1, 0.5, 0.2, False),
-                              ("ballistic", -3.25, 1e-5, 0.0, 1.0, True),
-                              ("cavity", 1e17, 5e-324, 1.0 / 3.0, -0.0, False),
-                              ("corner", 2.0, 0.1, 0.5, 0.2, True)])]
-        assert same_bytes(tmp_path, wio.write_classification, reference_classification, rows)
-        assert same_bytes(tmp_path, wio.write_classification, reference_classification, [])
+    def test_classification_columns(self, tmp_path):
+        # hand-picked rows, SPECIAL values past one 2048-row block, and no rows
+        hand = [(1, "corner", -0.0, 0.1, 0.5, 0.2, False),
+                (2, "ballistic", -3.25, 1e-5, 0.0, 1.0, True),
+                (3, "cavity", 1e17, 5e-324, 1.0 / 3.0, -0.0, False),
+                (4, "corner", 2.0, 0.1, 0.5, 0.2, True)]
+        rng = np.random.default_rng(7)
+        special = [(i + 1, str(rng.choice(MODE_LABELS)), *rng.choice(SPECIAL, size=4).tolist(),
+                    bool(rng.random() < 0.3)) for i in range(5000)]
+        for rows in (hand, special):
+            _, labels, delays, *fractions, warnings = map(np.array, zip(*rows))
+            columns = delays, labels, np.array(fractions), warnings
+            assert same_table_bytes(tmp_path, wio.write_classification,
+                                    reference_classification, columns, rows)
+        empty = np.zeros(0), np.zeros(0, str), np.zeros((3, 0)), np.zeros(0, bool)
+        assert same_table_bytes(tmp_path, wio.write_classification,
+                                reference_classification, empty, [])
 
-    def test_volume_residual_rows(self, tmp_path):
+    def test_volume_residual_columns(self, tmp_path):
         rows = [(p, p, route, re, im, 2.0 * p, -0.0, err)
+                for route in ("symmetric", "a", "b")
                 for p, (re, im, err) in enumerate([(1.5, -0.0, 0.0), (0.0, 1e-5, 5e-324),
-                                                   (np.float64(-2.0), 1e16, 1.0 / 3.0)])
-                for route in ("symmetric", "a", "b")]
-        assert same_bytes(tmp_path, wio.write_volume_residuals, reference_volume_residuals,
-                          rows)
-        assert same_bytes(tmp_path, wio.write_volume_residuals, reference_volume_residuals, [])
+                                                   (np.float64(-2.0), 1e16, 1.0 / 3.0),
+                                                   (np.nan, -np.inf, np.inf)])]
+        columns = [np.array(c) for c in zip(*rows)]
+        assert same_table_bytes(tmp_path, wio.write_volume_residuals,
+                                reference_volume_residuals, [columns], rows)
+        empty = [np.zeros(0, int)] * 2 + [np.zeros(0, str)] + [np.zeros(0)] * 5
+        assert same_table_bytes(tmp_path, wio.write_volume_residuals,
+                                reference_volume_residuals, [empty], [])
